@@ -64,6 +64,7 @@ from .solver import (
     exact_sep,
     lsep_lower_check,
     no_separator_up_to,
+    separating_structure,
 )
 
 __version__ = "1.0.0"

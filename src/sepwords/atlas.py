@@ -107,5 +107,6 @@ def compute_atlas(
     ]
     # the max over a growing set cannot decrease; guard the invariant
     for a, b in zip(rows, rows[1:]):
-        assert b.value >= a.value
+        if b.value < a.value:
+            raise AssertionError(f"S({b.n}) = {b.value} < S({a.n}) = {a.value}")
     return AtlasTable(max_len=max_len, rows=rows, searches_performed=searches)

@@ -26,6 +26,7 @@ from .dfa import (
     minimize,
     reverse,
     run,
+    word_symbols,
 )
 from .lang import (
     LangHandle,
@@ -40,9 +41,12 @@ from .lang import (
 from .solver import (
     DEFAULT_BUDGET,
     SearchBudget,
+    SearchCounters,
     check_separates,
     lsep_lower_check,
     no_separator_up_to,
+    run_table,
+    separating_structure,
 )
 
 MAX_TRIPLE_N = 4
@@ -105,6 +109,9 @@ class CnResult:
     w0: str
     word: str
     lower_checked: int  # states exhausted without finding a separator
+    candidates: int = 0  # candidates examined, the returned word included
+    exhaustive_searches: int = 0  # candidates that needed a full search
+    nodes: int = 0  # search nodes spent over the whole call
 
 
 def _cn_candidates(
@@ -153,6 +160,18 @@ def search_C_n(
     not on the underlying statement).  forbid_run_length additionally
     excludes one run length; the witness assembly uses it to keep runs of
     length n out of the word.
+
+    Candidates are tried in length order, and each one that a search
+    refutes leaves its separating transition table in a refuter pool.
+    A later candidate is first run through every pooled table, in linear
+    time; a table that sends its two words to different end states is a
+    separator with at most 2n+1 states (accept the end state of the
+    first word), so that candidate is refuted with no search.  The pool
+    only ever refutes: the word returned has passed a full exhaustive
+    search, and the candidate order is unchanged, so the result is the
+    same word a search of every candidate would return.  One budget (one
+    node pool, one deadline) covers the whole call; the deadline is
+    checked once per candidate as well as inside each search.
     """
     if not w0:
         raise ValueError("w0 must be nonempty")
@@ -162,13 +181,29 @@ def search_C_n(
     if max_len is None:
         max_len = 12 * len(w0) + 24
     closure = segmented_closure(finite_language([w0], f"{{{w0}}}"))
+    p = 2 * n + 1
+    counters = SearchCounters(budget)
+    pool: list[tuple[tuple[int, ...], ...]] = []
+    candidates = 0
     for cand in _cn_candidates(w0, 2 * n + 2, forbid_run_length, max_len):
+        counters.check_deadline()
+        candidates += 1
         if not accepts(closure.dfa, cand):
             raise AssertionError(f"candidate {cand!r} escaped the closure")
         target_w = cand + trip.f + cand
         target_x = cand + trip.g + cand
-        if no_separator_up_to(target_w, target_x, 2 * n + 1, budget=budget):
-            return CnResult(n=n, w0=w0, word=cand, lower_checked=2 * n + 1)
+        # symbol ids do not depend on the alphabet size, so one conversion
+        # serves tables over two or three symbols alike
+        ws, xs = word_symbols(target_w, 3), word_symbols(target_x, 3)
+        if any(run_table(t, ws) != run_table(t, xs) for t in pool):
+            continue
+        table = separating_structure(target_w, target_x, p, counters=counters)
+        if table is None:
+            return CnResult(
+                n=n, w0=w0, word=cand, lower_checked=p, candidates=candidates,
+                exhaustive_searches=len(pool) + 1, nodes=counters.nodes,
+            )
+        pool.append(table)
     raise BudgetError(
         f"no certified word up to length {max_len} for n={n}, w0={w0!r}"
     )

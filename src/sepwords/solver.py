@@ -101,7 +101,9 @@ class SepCertificate:
         )
 
 
-class _Counters:
+class SearchCounters:
+    """One node pool and one deadline, shared by every search given it."""
+
     __slots__ = ("nodes", "deadline", "max_nodes")
 
     def __init__(self, budget: SearchBudget):
@@ -113,7 +115,11 @@ class _Counters:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetError(f"node budget exhausted at {self.nodes} nodes")
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 4096 == 0:
+            self.check_deadline()
+
+    def check_deadline(self):
+        if time.monotonic() > self.deadline:
             raise BudgetError("wall-clock budget exhausted")
 
 
@@ -122,7 +128,7 @@ def _alphabet_for(*words: str) -> int:
 
 
 def _distinguishing_structure(
-    w: list[int], x: list[int], p: int, k: int, counters: _Counters
+    w: list[int], x: list[int], p: int, k: int, counters: SearchCounters
 ) -> Optional[tuple[tuple[int, ...], ...]]:
     """A canonical p-state structure with different end states on w and x.
 
@@ -219,7 +225,9 @@ def _validate_unary_fast_path():
     global _unary_validated
     if _unary_validated:
         return
-    counters = _Counters(SearchBudget(max_states=4, max_nodes=1_000_000, wall_limit=60))
+    counters = SearchCounters(
+        SearchBudget(max_states=4, max_nodes=1_000_000, wall_limit=60)
+    )
     for a in range(0, 9):
         for b in range(a + 1, 9):
             analytic = _unary_sep(a, b)
@@ -228,10 +236,12 @@ def _validate_unary_fast_path():
                 if _distinguishing_structure([0] * a, [0] * b, p, 2, counters) is not None:
                     searched = p
                     break
-            if analytic <= 4:
-                assert searched == analytic, (a, b, analytic, searched)
-            else:
-                assert searched is None, (a, b, analytic, searched)
+            expected = analytic if analytic <= 4 else None
+            if searched != expected:
+                raise AssertionError(
+                    f"unary formula disagrees with search on 0^{a} vs 0^{b}: "
+                    f"analytic {analytic}, searched {searched}"
+                )
     _unary_validated = True
 
 
@@ -292,7 +302,8 @@ def exact_sep(
         witness = _unary_witness(a, b, sym, k, p)
         witness = Dfa(k, witness.transitions,
                       frozenset({run(witness, 0, w)}))
-        assert check_separates(witness, w, x)
+        if not check_separates(witness, w, x):
+            raise AssertionError(f"unary witness fails to separate {w!r}, {x!r}")
         return SepCertificate(
             w=w, x=x, lower=p, upper=p, witness=witness,
             lower_method="unary-analytic",
@@ -304,15 +315,18 @@ def exact_sep(
         ub, ub_witness = len(w) + 2, _trivial_separator(w, k)
 
     ws, xs = word_symbols(w, k), word_symbols(x, k)
-    counters = _Counters(budget)
+    counters = SearchCounters(budget)
     p = 1
     try:
         while p <= min(budget.max_states, ub):
             structure = _distinguishing_structure(ws, xs, p, k, counters)
             if structure is not None:
-                end_w = _run_table(structure, ws)
+                end_w = run_table(structure, ws)
                 witness = Dfa(k, structure, frozenset({end_w}))
-                assert check_separates(witness, w, x)
+                if not check_separates(witness, w, x):
+                    raise AssertionError(
+                        f"searched witness fails to separate {w!r}, {x!r}"
+                    )
                 return SepCertificate(
                     w=w, x=x, lower=p, upper=p, witness=witness,
                     lower_method="exhaustive-canonical",
@@ -328,7 +342,8 @@ def exact_sep(
         if not check_separates(fixed, w, x):
             fixed = Dfa(k, ub_witness.transitions,
                         frozenset(range(fixed.state_count)) - ub_witness.accepting)
-        assert check_separates(fixed, w, x)
+        if not check_separates(fixed, w, x):
+            raise AssertionError(f"upper-bound witness fails to separate {w!r}, {x!r}")
         ub_witness = fixed
     return SepCertificate(
         w=w, x=x, lower=p, upper=ub, witness=ub_witness,
@@ -338,27 +353,43 @@ def exact_sep(
     )
 
 
-def _run_table(table: tuple[tuple[int, ...], ...], syms: list[int]) -> int:
+def run_table(table: tuple[tuple[int, ...], ...], syms: list[int]) -> int:
+    """The end state of a run of a bare transition table from state 0."""
     q = 0
     for s in syms:
         q = table[q][s]
     return q
 
 
-def no_separator_up_to(
-    w: str, x: str, p: int, budget: SearchBudget = DEFAULT_BUDGET
-) -> bool:
-    """True iff no DFA with at most p states separates the pair.
+def separating_structure(
+    w: str,
+    x: str,
+    p: int,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    counters: Optional[SearchCounters] = None,
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """A transition table with at most p states sending w and x to different
+    end states, or None when no DFA with at most p states separates them.
 
+    With accepting set {end state of w} the table is a separating DFA.
     Exhaustive: the lazy canonical search at level p covers every smaller
     structure as well, since branch targets may stay within used states.
+    counters, when given, is charged instead of a fresh pool from budget.
     """
     if w == x:
         raise ValueError("sep undefined for equal words")
     k = _alphabet_for(w, x)
-    counters = _Counters(budget)
+    if counters is None:
+        counters = SearchCounters(budget)
     ws, xs = word_symbols(w, k), word_symbols(x, k)
-    return _distinguishing_structure(ws, xs, p, k, counters) is None
+    return _distinguishing_structure(ws, xs, p, k, counters)
+
+
+def no_separator_up_to(
+    w: str, x: str, p: int, budget: SearchBudget = DEFAULT_BUDGET
+) -> bool:
+    """True iff no DFA with at most p states separates the pair."""
+    return separating_structure(w, x, p, budget) is None
 
 
 def raw_separable(w: str, x: str, p: int) -> bool:
@@ -372,7 +403,7 @@ def raw_separable(w: str, x: str, p: int) -> bool:
     for m in range(1, p + 1):
         for flat in itertools.product(range(m), repeat=m * k):
             table = tuple(tuple(flat[q * k + a] for a in range(k)) for q in range(m))
-            ew, ex = _run_table(table, ws), _run_table(table, xs)
+            ew, ex = run_table(table, ws), run_table(table, xs)
             for mask in range(1 << m):
                 if (mask >> ew & 1) and not (mask >> ex & 1):
                     return True
@@ -425,12 +456,12 @@ def lsep_lower_check(
         k = l.dfa.alphabet_size
         proj = l.dfa
         ws = word_symbols(w, k)
-    counters = _Counters(budget)
+    counters = SearchCounters(budget)
     handle = LangHandle(proj, l.provenance)
     for structure in enumerate_canonical(p, k):
         counters.tick()
         forbidden = lsep_forbidden_states(structure, handle)
-        end = _run_table(structure.transitions, ws)
+        end = run_table(structure.transitions, ws)
         if end not in forbidden:
             return False
     return True

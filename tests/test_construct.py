@@ -1,10 +1,14 @@
 """Construction pipeline tests: encodings, searched words, witness assembly."""
 
+import itertools
 import random
+import time
 
 import pytest
 
+from sepwords import construct
 from sepwords.construct import (
+    _cn_candidates,
     canonical_triple,
     encode,
     farmand_dfa,
@@ -18,9 +22,16 @@ from sepwords.construct import (
     witness_pair,
     WitnessReport,
 )
-from sepwords.dfa import accepts, enumerate_canonical, reverse, run
+from sepwords.dfa import BudgetError, accepts, enumerate_canonical, reverse, run
 from sepwords.lang import LangHandle, build_G_k, membership, segmented_closure
-from sepwords.solver import check_separates, exact_sep, no_separator_up_to
+from sepwords.solver import (
+    SearchBudget,
+    check_separates,
+    exact_sep,
+    no_separator_up_to,
+    run_table,
+    separating_structure,
+)
 
 
 def test_canonical_triple_values():
@@ -77,6 +88,59 @@ def test_search_C_n_respects_forbidden_run_length():
     # the word is segments of the base block glued by 0-runs
     closure = segmented_closure(build_G_k(1))
     assert accepts(closure.dfa, res.word)
+
+
+@pytest.mark.parametrize(
+    "w0,word", [("1", "100100100001001"), ("2", "200200200002002")]
+)
+def test_search_C_n_doubling_words_n2(w0, word, monkeypatch):
+    searched = {}
+
+    def recording(w, x, p, **kwargs):
+        searched[w] = table = separating_structure(w, x, p, **kwargs)
+        return table
+
+    monkeypatch.setattr(construct, "separating_structure", recording)
+    res = search_C_n(2, w0)
+    assert res.word == word
+    assert res.lower_checked == 5
+    assert res.candidates == 402
+    # the refuter pool settles all but a few candidates without a search
+    assert res.exhaustive_searches == len(searched) < res.candidates // 10
+    assert res.nodes > 0
+    # audit the pool: the returned word passed a full search, and every
+    # earlier candidate is sent to two end states by some searched table
+    t = canonical_triple(2)
+    assert searched.pop(res.word + t.f + res.word) is None
+    tables = list(searched.values())
+    assert all(table is not None and len(table) <= 5 for table in tables)
+    earlier = itertools.takewhile(lambda c: c != res.word,
+                                  _cn_candidates(w0, 6, None, 36))
+    for cand in earlier:
+        ws = [int(c) for c in cand + t.f + cand]
+        xs = [int(c) for c in cand + t.g + cand]
+        assert any(run_table(tb, ws) != run_table(tb, xs) for tb in tables), cand
+
+
+@pytest.mark.parametrize(
+    "w0,forbid", [("1", None), ("2", None), ("12", None), ("112", 1)]
+)
+def test_search_C_n_pool_matches_search_of_every_candidate(w0, forbid):
+    res = search_C_n(1, w0, forbid_run_length=forbid)
+    t = canonical_triple(1)
+    expected = next(
+        c for c in _cn_candidates(w0, 4, forbid, 12 * len(w0) + 24)
+        if no_separator_up_to(c + t.f + c, c + t.g + c, 3)
+    )
+    assert res.word == expected
+    assert res.lower_checked == 3
+
+
+def test_search_C_n_budget_covers_the_whole_call():
+    start = time.monotonic()
+    with pytest.raises(BudgetError, match="wall-clock"):
+        search_C_n(2, "112", forbid_run_length=2, budget=SearchBudget(wall_limit=1.0))
+    assert time.monotonic() - start < 20
 
 
 def test_search_C_n_rejects_bad_base():

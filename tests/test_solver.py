@@ -1,16 +1,21 @@
 """Exact separation-number solver tests."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+from sepwords import solver
 from sepwords.dfa import BudgetError, Dfa, accepts
 from sepwords.lang import build_H_k, finite_language
 from sepwords.solver import (
     DEFAULT_BUDGET,
     SearchBudget,
+    SearchCounters,
     SepCertificate,
     check_separates,
     exact_sep,
@@ -18,6 +23,8 @@ from sepwords.solver import (
     lsep_lower_check,
     no_separator_up_to,
     raw_separable,
+    run_table,
+    separating_structure,
 )
 
 
@@ -76,8 +83,47 @@ def test_solver_agrees_with_raw_oracle():
     words = [""] + ["".join(t) for L in range(1, 4)
                     for t in itertools.product("01", repeat=L)]
     for w, x in itertools.combinations(words, 2):
+        ws, xs = [int(c) for c in w], [int(c) for c in x]
         for p in (1, 2):
-            assert (not no_separator_up_to(w, x, p)) == raw_separable(w, x, p)
+            table = separating_structure(w, x, p)
+            assert (table is not None) == raw_separable(w, x, p)
+            assert no_separator_up_to(w, x, p) == (table is None)
+            if table is not None:
+                assert len(table) <= p
+                assert run_table(table, ws) != run_table(table, xs)
+
+
+def test_shared_counters_pool_nodes_across_searches():
+    w, x = "0011" * 4, "1100" * 4
+    counters = SearchCounters(DEFAULT_BUDGET)
+    assert separating_structure(w, x, 3, counters=counters) is not None
+    one = counters.nodes
+    separating_structure(w, x, 3, counters=counters)
+    assert counters.nodes == 2 * one
+    starved = SearchCounters(replace(DEFAULT_BUDGET, max_nodes=one + 1))
+    separating_structure(w, x, 3, counters=starved)
+    with pytest.raises(BudgetError):
+        separating_structure(w, x, 3, counters=starved)
+
+
+_BROKEN_CHECK = """
+from sepwords import solver
+solver.check_separates = lambda d, w, x: False
+try:
+    solver.exact_sep("01", "10")
+except AssertionError:
+    raise SystemExit(0)
+raise SystemExit("exact_sep returned a certificate with an unchecked witness")
+"""
+
+
+def test_exact_sep_guard_survives_python_O():
+    # python -O strips assert statements; the witness guard must still raise
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECK],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certificate_json_roundtrip():
