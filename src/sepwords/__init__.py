@@ -1,7 +1,7 @@
 """Separating words: exact solvers, language constructions, and witnesses."""
 
 from .atlas import AtlasRow, AtlasTable, compute_atlas
-from .cache import CertificateCache, sep_key
+from .cache import CertificateCache, sep_key, solve_cached
 from .construct import (
     CanonicalTriple,
     CnResult,

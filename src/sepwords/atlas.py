@@ -7,9 +7,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .cache import CertificateCache, sep_key
-from .dfa import BudgetError
-from .solver import DEFAULT_BUDGET, SearchBudget, SepCertificate, exact_sep
+from .cache import CertificateCache, solve_cached
+from .solver import DEFAULT_BUDGET, SearchBudget
 
 ATLAS_MAX_LEN_CAP = 6
 
@@ -79,23 +78,11 @@ def compute_atlas(
     best: dict[int, AtlasRow] = {}
     inexact_from = max_len + 1  # smallest n whose cell is only a lower bound
     for w, x in itertools.combinations(words, 2):
-        key = sep_key(w, x)
-        cert = None
-        if cache is not None and key in cache:
-            cert = SepCertificate.from_json(json.dumps(cache.get(key)))
-        if cert is None:
-            searches += 1
-            cert = exact_sep(w, x, budget=budget)
-            if cache is not None:
-                stored = json.loads(cert.to_json())
-                # strip timing so warm and cold caches serialize identically
-                stored["millis"] = 0
-                stored["nodes"] = 0
-                cache.put(key, stored)
-        exact = cert.lower == cert.upper
+        cert, searched = solve_cached(w, x, budget=budget, cache=cache)
+        searches += searched
         value = cert.lower
         n = max(len(w), len(x))
-        if not exact:
+        if not cert.exact:
             inexact_from = min(inexact_from, max(n, 1))
         for m in range(max(n, 1), max_len + 1):
             cur = best.get(m)

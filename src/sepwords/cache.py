@@ -1,8 +1,15 @@
-"""Append-only JSON-lines result cache.
+"""Append-only JSON-lines result cache, and the one cached-solve path.
 
 Each line is {"key": str, "engine_version": str, "value": object}.  Hits
 are served only at a matching engine version; corrupted or mismatched
 lines are skipped and counted, never fatal.
+
+`solve_cached` is the one cached-solve path.  It stores only exact
+certificates, with `nodes` and `millis` zeroed so that files are
+reproducible.  It serves a hit only when it decodes as a certificate for
+the requested pair with lower == upper and a witness of `upper` states that
+separates the pair, a linear re-check of the upper bound.  Any other hit is
+counted in `rejected`, solved again and stored; the last write wins on replay.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .solver import ENGINE_VERSION
+from .solver import (DEFAULT_BUDGET, ENGINE_VERSION, SearchBudget, SepCertificate,
+                     check_separates, exact_sep)
 
 
 class CertificateCache:
@@ -21,6 +29,7 @@ class CertificateCache:
         self.engine_version = engine_version
         self.skipped_corrupt = 0
         self.skipped_version = 0
+        self.rejected = 0  # hits solve_cached refused to serve
         self._entries: dict[str, object] = {}
         self._load()
 
@@ -73,3 +82,30 @@ class CertificateCache:
 
 def sep_key(w: str, x: str) -> str:
     return f"sep|{w}|{x}"
+
+
+def solve_cached(
+    w: str,
+    x: str,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    cache: Optional[CertificateCache] = None,
+) -> tuple[SepCertificate, bool]:
+    """The certificate for (w, x) and whether a search ran to get it."""
+    if cache is None:
+        return exact_sep(w, x, budget=budget), True
+    key = sep_key(w, x)
+    if key in cache:
+        try:
+            cert = SepCertificate.from_dict(cache.get(key))
+            if ((cert.w, cert.x) == (w, x) and cert.exact
+                    and cert.witness is not None
+                    and cert.witness.state_count == cert.upper
+                    and check_separates(cert.witness, w, x)):
+                return cert, False
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass
+        cache.rejected += 1
+    cert = exact_sep(w, x, budget=budget)
+    if cert.exact:
+        cache.put(key, dict(cert.to_dict(), nodes=0, millis=0))
+    return cert, True

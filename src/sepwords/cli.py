@@ -13,12 +13,12 @@ from dataclasses import replace
 import click
 
 from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
-from .cache import CertificateCache, sep_key
+from .cache import CertificateCache, solve_cached
 from .construct import verify_witness, witness_pair
 from .dfa import dfa_to_text, reverse
 from .lang import LangHandle, build_G_k, build_H_k, build_L_k, membership, state_complexity
 from .lemmas import DEFAULT_SEED, run_lemma_suite
-from .solver import DEFAULT_BUDGET, SepCertificate, exact_sep
+from .solver import DEFAULT_BUDGET
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -47,9 +47,9 @@ def main(ctx, cache_path, fmt):
 @main.command()
 @click.argument("w")
 @click.argument("x")
-@click.option("--max-states", type=int, default=DEFAULT_BUDGET.max_states,
+@click.option("--max-states", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_states,
               help="Give up beyond this many states.")
-@click.option("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes,
+@click.option("--budget-nodes", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_nodes,
               help="Search-node budget.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full certificate.")
 @click.pass_context
@@ -59,15 +59,7 @@ def sep(ctx, w, x, max_states, budget_nodes, as_json):
     if w == x:
         raise click.BadParameter("the two words must differ")
     budget = replace(DEFAULT_BUDGET, max_states=max_states, max_nodes=budget_nodes)
-    cache = ctx.obj["cache"]
-    key = sep_key(w, x)
-    cert = None
-    if cache is not None and key in cache:
-        cert = SepCertificate.from_json(json.dumps(cache.get(key)))
-    if cert is None:
-        cert = exact_sep(w, x, budget=budget)
-        if cache is not None:
-            cache.put(key, json.loads(cert.to_json()))
+    cert, _ = solve_cached(w, x, budget=budget, cache=ctx.obj["cache"])
     if as_json or ctx.obj["format"] == "json":
         click.echo(cert.to_json())
     elif cert.exact:
@@ -87,7 +79,8 @@ _LANG_BUILDERS = {
 @main.command()
 @click.option("--lang", "lang_name", type=click.Choice(sorted(_LANG_BUILDERS)),
               required=True, help="Language family.")
-@click.option("--k", type=int, required=True, help="Family parameter, k >= 1.")
+@click.option("--k", type=click.IntRange(min=1), required=True,
+              help="Family parameter, k >= 1.")
 @click.option("--reversed", "rev", is_flag=True, help="Measure the reversal instead.")
 @click.pass_context
 def stc(ctx, lang_name, k, rev):
@@ -103,8 +96,8 @@ def stc(ctx, lang_name, k, rev):
 
 
 @main.command()
-@click.option("--k", type=int, required=True)
-@click.option("--n", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--verify", "do_verify", is_flag=True,
               help="Certify both bounds after assembling.")
 @click.pass_context
@@ -150,7 +143,8 @@ def lemma(ctx, ids, seed):
 
 
 @main.command()
-@click.option("--max-len", type=int, default=ATLAS_MAX_LEN_CAP, show_default=True,
+@click.option("--max-len", type=click.IntRange(1, ATLAS_MAX_LEN_CAP),
+              default=ATLAS_MAX_LEN_CAP, show_default=True,
               help="Largest word length n in the table.")
 @click.pass_context
 def atlas(ctx, max_len):

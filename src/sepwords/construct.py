@@ -258,7 +258,6 @@ def free_word(
     d2: Dfa,
     w: str,
     z_k: Optional[str] = None,
-    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> str:
     """A word of H_k (0^+ H_k)* that neither d nor d2 distinguishes from w.
 
@@ -484,7 +483,6 @@ def witness_pair(
 def verify_witness(
     report: WitnessReport,
     budget: SearchBudget = DEFAULT_BUDGET,
-    exhaust_cap: int = EXHAUSTIVE_STATE_CAP,
 ) -> WitnessReport:
     """Fill in both bound checks on a witness report.
 
@@ -494,7 +492,7 @@ def verify_witness(
     reversed short-block word and rejects the reversed long-block word.
     """
     wp, xp = report.w_prime, report.x_prime
-    p = min(exhaust_cap, budget.max_states)
+    p = min(EXHAUSTIVE_STATE_CAP, budget.max_states)
     if no_separator_up_to(wp, xp, p, budget=budget):
         report.lower_verified_to = p + 1
         report.statuses["lower"] = (

@@ -88,10 +88,6 @@ class StateSet:
         self._check(other)
         return StateSet(self.owner, self.members | other.members)
 
-    def intersection(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.owner, self.members & other.members)
-
     def issubset(self, other: "StateSet") -> bool:
         self._check(other)
         return self.members <= other.members
@@ -363,7 +359,7 @@ def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Dfa]:
     Yields every complete transition structure with at most p states, all
     reachable from the start, numbered in first-visit order over the scan
     (state 0 symbol 0, state 0 symbol 1, ...).  Accepting sets are left
-    empty; use accepting_variants() to expand a structure.
+    empty.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -385,14 +381,6 @@ def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Dfa]:
                 rows.pop()
 
     yield from rec([[0] * k], 1, 0)
-
-
-def accepting_variants(d: Dfa) -> Iterator[Dfa]:
-    """All 2^n accepting-set variants of a transition structure."""
-    n = d.state_count
-    for mask in range(1 << n):
-        yield Dfa(d.alphabet_size, d.transitions,
-                  frozenset(q for q in range(n) if mask >> q & 1))
 
 
 def dfa_to_text(d: Dfa, provenance: Optional[str] = None) -> str:

@@ -8,7 +8,6 @@ conversion.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -191,46 +190,39 @@ def state_complexity(l: LangHandle | Dfa) -> int:
     return minimize(l).state_count
 
 
-def iter_words(d: Dfa, max_len: int, alphabet: Optional[tuple[int, ...]] = None) -> Iterator[str]:
+def iter_words(d: Dfa, max_len: int) -> Iterator[str]:
     """Accepted words in shortlex order, up to max_len.
 
     Frontier size is exponential in length for rich languages; callers cap
     max_len accordingly.
     """
-    syms = alphabet if alphabet is not None else tuple(range(d.alphabet_size))
+    live = _live_states(d)
     frontier: list[tuple[int, str]] = [(0, "")]
     if 0 in d.accepting:
         yield ""
     for _ in range(max_len):
-        nxt = []
-        for q, w in frontier:
-            for s in syms:
-                t = d.transitions[q][s]
-                nxt.append((t, w + chr(48 + s)))
         # prune states that can never accept again to keep frontiers sane
-        frontier = [(q, w) for q, w in nxt if _can_accept(d, q)]
+        frontier = [(t, w + chr(48 + s)) for q, w in frontier
+                    for s, t in enumerate(d.transitions[q]) if t in live]
         for q, w in frontier:
             if q in d.accepting:
                 yield w
 
 
-def _can_accept(d: Dfa, q: int, _cache: dict = {}) -> bool:
-    key = (d, q)
-    if key not in _cache:
-        seen = {q}
-        queue = deque([q])
-        ok = False
-        while queue:
-            cur = queue.popleft()
-            if cur in d.accepting:
-                ok = True
-                break
-            for t in d.transitions[cur]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        _cache[key] = ok
-    return _cache[key]
+def _live_states(d: Dfa) -> set[int]:
+    """States from which some accepting state is reachable (backward search)."""
+    preds: list[list[int]] = [[] for _ in range(d.state_count)]
+    for q, row in enumerate(d.transitions):
+        for t in row:
+            preds[t].append(q)
+    live = set(d.accepting)
+    stack = list(live)
+    while stack:
+        for q in preds[stack.pop()]:
+            if q not in live:
+                live.add(q)
+                stack.append(q)
+    return live
 
 
 def membership(l: LangHandle, w: str) -> bool:

@@ -388,7 +388,7 @@ def _check_four(budget, rng, negative):
         d, d2 = rng.choice(structs), rng.choice(structs)
         segs = [rng.choice(blocks) for _ in range(rng.randrange(1, 4))]
         w = segs[0] + "".join("0" * rng.randrange(1, 3) + s for s in segs[1:])
-        wp = free_word(4, d, d2, w, z_k=z.word, budget=budget)
+        wp = free_word(4, d, d2, w, z_k=z.word)
         if negative:
             wp = wp + "0"  # a trailing gap leaves the closure
         ok = (

@@ -69,26 +69,25 @@ class SepCertificate:
             raise ValueError("certificate is budget-bounded, no exact value")
         return self.lower
 
+    def to_dict(self) -> dict:
+        return {
+            "w": self.w,
+            "x": self.x,
+            "lower": self.lower,
+            "upper": self.upper,
+            "exact": self.exact,
+            "witness": dfa_to_text(self.witness) if self.witness else None,
+            "lower_method": self.lower_method,
+            "nodes": self.nodes,
+            "millis": self.millis,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "w": self.w,
-                "x": self.x,
-                "lower": self.lower,
-                "upper": self.upper,
-                "exact": self.exact,
-                "witness": dfa_to_text(self.witness) if self.witness else None,
-                "lower_method": self.lower_method,
-                "nodes": self.nodes,
-                "millis": self.millis,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "SepCertificate":
-        obj = json.loads(text)
-        witness = dfa_from_text(obj["witness"])[0] if obj.get("witness") else None
+    def from_dict(obj: dict) -> "SepCertificate":
+        witness = dfa_from_text(obj["witness"])[0] if obj["witness"] else None
         return SepCertificate(
             w=obj["w"],
             x=obj["x"],
@@ -99,6 +98,10 @@ class SepCertificate:
             nodes=obj.get("nodes", 0),
             millis=obj.get("millis", 0),
         )
+
+    @staticmethod
+    def from_json(text: str) -> "SepCertificate":
+        return SepCertificate.from_dict(json.loads(text))
 
 
 class SearchCounters:

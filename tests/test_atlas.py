@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from sepwords.atlas import ATLAS_MAX_LEN_CAP, compute_atlas
-from sepwords.cache import CertificateCache
-from sepwords.solver import exact_sep
+from sepwords.cache import CertificateCache, sep_key
+from sepwords.solver import SepCertificate, exact_sep
 
 
 def test_max_len_bounds():
@@ -54,6 +54,20 @@ def test_cacheless_run_agrees_with_cached_run(tmp_path):
     cached = compute_atlas(4, cache=CertificateCache(tmp_path / "c.jsonl"))
     plain = compute_atlas(4)
     assert cached.to_csv() == plain.to_csv()
+
+
+def test_stale_bounded_entry_is_solved_again(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    compute_atlas(2, cache=CertificateCache(path))
+    exact = exact_sep("", "00")
+    stale = SepCertificate("", "00", lower=1, upper=exact.upper,
+                           witness=exact.witness, lower_method="none")
+    CertificateCache(path).put(sep_key("", "00"), stale.to_dict())
+    cache = CertificateCache(path)
+    table = compute_atlas(2, cache=cache)
+    assert table.to_csv() == compute_atlas(2).to_csv()
+    assert all(r.exact for r in table.rows)
+    assert table.searches_performed == 1 and cache.rejected == 1
 
 
 def test_csv_shape():

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from sepwords.cli import main
@@ -26,9 +27,28 @@ def test_sep_json_output():
     assert obj["exact"]
 
 
+def assert_usage_error(r):
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)  # a clean usage error, no traceback
+    assert "Traceback" not in r.output and "Error:" in r.output
+
+
 def test_sep_rejects_bad_words():
-    assert invoke("sep", "013", "10").exit_code != 0
-    assert invoke("sep", "01", "01").exit_code != 0
+    assert_usage_error(invoke("sep", "013", "10"))
+    assert_usage_error(invoke("sep", "01", "01"))
+
+
+@pytest.mark.parametrize("args", [
+    ("sep", "01", "10", "--max-states", "0"),
+    ("sep", "01", "10", "--budget-nodes", "0"),
+    ("atlas", "--max-len", "0"),
+    ("atlas", "--max-len", "9"),
+    ("witness", "--k", "0", "--n", "1"),
+    ("witness", "--k", "1", "--n", "0"),
+    ("stc", "--lang", "G_k", "--k", "0"),
+])
+def test_out_of_range_options_are_usage_errors(args):
+    assert_usage_error(invoke(*args))
 
 
 def test_sep_uses_cache(tmp_path):

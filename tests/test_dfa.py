@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sepwords.dfa import (
     Dfa,
     StateSet,
-    accepting_variants,
     accepts,
     all_states,
     canonicalize,
@@ -218,11 +217,6 @@ def test_canonical_structures_are_reachable_and_distinct():
         assert d.transitions not in seen
         seen.add(d.transitions)
         assert canonicalize(d).transitions == d.transitions
-
-
-def test_accepting_variants_count():
-    d = Dfa(2, ((1, 0), (0, 1)), frozenset())
-    assert sum(1 for _ in accepting_variants(d)) == 4
 
 
 @given(dfas)
