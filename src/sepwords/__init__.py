@@ -22,7 +22,6 @@ from .construct import (
 from .dfa import (
     BudgetError,
     Dfa,
-    StateSet,
     accepts,
     combine,
     complement,

@@ -11,16 +11,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Optional
 
 from .dfa import (
     BudgetError,
     Dfa,
     accepts,
     combine,
-    complement,
     dfa_from_text,
     dfa_to_text,
     minimize,
@@ -35,7 +33,6 @@ from .lang import (
     finite_language,
     is_zero_free,
     iter_words,
-    segclo_of_dfa,
     segmented_closure,
 )
 from .solver import (
@@ -89,16 +86,6 @@ def encode(w: str, side: str) -> str:
         return "".join(table[c] for c in w)
     except KeyError:
         raise ValueError(f"encode expects a word over {{0,1,2}}, got {w!r}")
-
-
-@lru_cache(maxsize=None)
-def _g_handle(k: int) -> LangHandle:
-    return build_G_k(k)
-
-
-@lru_cache(maxsize=None)
-def _h_handle(k: int) -> LangHandle:
-    return build_H_k(k)
 
 
 @dataclass(frozen=True)
@@ -238,7 +225,7 @@ def search_z_k(
     p = target if certified else EXHAUSTIVE_STATE_CAP
     if not certified and not allow_uncertified:
         raise BudgetError(f"k={k} needs a {target}-state exhaustive check")
-    g, h = _g_handle(k), _h_handle(k)
+    g, h = build_G_k(k), build_H_k(k)
     for z in iter_words(g.dfa, max_len):
         if not z:
             continue
@@ -275,7 +262,7 @@ def free_word(
         )
     if d.alphabet_size != 3 or d2.alphabet_size != 3:
         raise ValueError("free_word expects full-alphabet automata")
-    h = _h_handle(k)
+    h = build_H_k(k)
     if z_k is not None:
         hp = LangHandle(
             minimize(combine(h.dfa, finite_language([z_k], "z").dfa, "or")),
@@ -385,46 +372,17 @@ class WitnessReport:
     statuses: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "n": self.n,
-                "w_prime": self.w_prime,
-                "x_prime": self.x_prime,
-                "lower_claim": self.lower_claim,
-                "upper_claim": self.upper_claim,
-                "z_word": self.z_word,
-                "c_word": self.c_word,
-                "z_certified": self.z_certified,
-                "lower_verified_to": self.lower_verified_to,
-                "upper_witness": dfa_to_text(self.upper_witness)
-                if self.upper_witness
-                else None,
-                "statuses": self.statuses,
-            },
-            sort_keys=True,
-        )
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.upper_witness is not None:
+            obj["upper_witness"] = dfa_to_text(self.upper_witness)
+        return json.dumps(obj, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "WitnessReport":
         obj = json.loads(text)
-        witness = (
-            dfa_from_text(obj["upper_witness"])[0] if obj.get("upper_witness") else None
-        )
-        return WitnessReport(
-            k=obj["k"],
-            n=obj["n"],
-            w_prime=obj["w_prime"],
-            x_prime=obj["x_prime"],
-            lower_claim=obj["lower_claim"],
-            upper_claim=obj["upper_claim"],
-            z_word=obj["z_word"],
-            c_word=obj["c_word"],
-            z_certified=obj["z_certified"],
-            lower_verified_to=obj["lower_verified_to"],
-            upper_witness=witness,
-            statuses=obj["statuses"],
-        )
+        witness = obj.get("upper_witness")
+        obj["upper_witness"] = dfa_from_text(witness)[0] if witness else None
+        return WitnessReport(**{f.name: obj[f.name] for f in fields(WitnessReport)})
 
 
 def lower_claim_value(k: int, n: int) -> int:
@@ -435,12 +393,9 @@ def upper_claim_value(k: int, n: int) -> int:
     return n + 10 * k + 10
 
 
-AssemblyFn = Callable[[int, int, SearchBudget], tuple[str, str, str, str, bool]]
-# returns (w, x, z_word, c_word, z_certified) over the full alphabet
-
-
 def _default_assembly(k: int, n: int, budget: SearchBudget):
-    """w = C f_n C and x = C g_n C with C the certified blueberry word of z_k.
+    """(w, x, z_word, c_word, z_certified) over the full alphabet, with
+    w = C f_n C and x = C g_n C for C the certified blueberry word of z_k.
 
     Runs of length exactly n are kept out of C so the reversal-side
     machine can recognize the middle block.
@@ -453,16 +408,9 @@ def _default_assembly(k: int, n: int, budget: SearchBudget):
     return w, x, z.word, c.word, z.certified
 
 
-def witness_pair(
-    k: int,
-    n: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    assembly: Optional[AssemblyFn] = None,
-) -> WitnessReport:
+def witness_pair(k: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> WitnessReport:
     """Assemble the binary witness pair for the (k, n) instance."""
-    if assembly is None:
-        assembly = _default_assembly
-    w, x, z_word, c_word, z_certified = assembly(k, n, budget)
+    w, x, z_word, c_word, z_certified = _default_assembly(k, n, budget)
     w_prime, x_prime = encode(w, "left"), encode(x, "left")
     if w_prime == x_prime:
         raise AssertionError("assembly produced equal encoded words")
@@ -503,7 +451,7 @@ def verify_witness(
         report.statuses["lower"] = "failed"
         report.lower_verified_to = 0
 
-    g = _g_handle(report.k)
+    g = build_G_k(report.k)
     r = LangHandle(reverse(g.dfa), f"reverse of <{g.provenance}>",
                    base_alphabet_12=True)
     mode = "reject" if "0" not in report.c_word else "restart"

@@ -64,45 +64,6 @@ class Dfa:
         return 0
 
 
-@dataclass(frozen=True)
-class StateSet:
-    """A set of states tied to the automaton that owns them.
-
-    Operations between sets owned by different automata are rejected so a
-    set cannot silently survive a renumbering (e.g. minimization).
-    """
-
-    owner: Dfa
-    members: frozenset[int]
-
-    def __post_init__(self):
-        for q in self.members:
-            if not 0 <= q < self.owner.state_count:
-                raise ValueError(f"state {q} not in owner automaton")
-
-    def _check(self, other: "StateSet") -> None:
-        if self.owner != other.owner:
-            raise ValueError("state sets belong to different automata")
-
-    def union(self, other: "StateSet") -> "StateSet":
-        self._check(other)
-        return StateSet(self.owner, self.members | other.members)
-
-    def issubset(self, other: "StateSet") -> bool:
-        self._check(other)
-        return self.members <= other.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, q: int) -> bool:
-        return q in self.members
-
-
-def all_states(d: Dfa) -> StateSet:
-    return StateSet(d, frozenset(range(d.state_count)))
-
-
 def run(d: Dfa, q: int, w: str) -> int:
     """The state reached from q after reading w."""
     if not 0 <= q < d.state_count:
@@ -116,11 +77,9 @@ def accepts(d: Dfa, w: str) -> bool:
     return run(d, 0, w) in d.accepting
 
 
-def image_under_word(d: Dfa, s: StateSet, w: str) -> StateSet:
+def image_under_word(d: Dfa, s: Iterable[int], w: str) -> frozenset[int]:
     """The image {run(d, q, w) : q in s}.  Never grows."""
-    if s.owner != d:
-        raise ValueError("state set does not belong to this automaton")
-    return StateSet(d, frozenset(run(d, q, w) for q in s.members))
+    return frozenset(run(d, q, w) for q in s)
 
 
 _COMBINE_OPS = {
@@ -337,20 +296,21 @@ def zero_cycle_length(d: Dfa, q: int) -> Optional[int]:
     return None
 
 
-def zpath(d: Dfa, q: int, i: Optional[int] = None) -> StateSet:
+def zpath(d: Dfa, q: int, i: Optional[int] = None) -> frozenset[int]:
     """States reached from q by 0^j for j <= i that are not in a zero-cycle.
 
-    With i omitted, uses the automaton's state count (the full zpath).
+    With i omitted, every such state (the full zpath).  One walk along the
+    0-trajectory: the first state visited twice starts the 0-cycle, so the
+    states visited before it are exactly those in no zero-cycle.
     """
-    if i is None:
-        i = d.state_count
-    traj = []
-    cur = q
-    for _ in range(i + 1):
-        traj.append(cur)
-        cur = d.transitions[cur][0]
-    members = frozenset(s for s in set(traj) if zero_cycle_length(d, s) is None)
-    return StateSet(d, members)
+    if not 0 <= q < d.state_count:
+        raise ValueError(f"state {q} out of range")
+    seen: dict[int, int] = {}  # state -> index of its first visit
+    while q not in seen:
+        seen[q] = len(seen)
+        q = d.transitions[q][0]
+    stop = seen[q] if i is None else min(seen[q], i + 1)
+    return frozenset(s for s, j in seen.items() if j < stop)
 
 
 def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Dfa]:

@@ -9,10 +9,10 @@ conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Iterator
 
 from .dfa import (
-    BudgetError,
     Dfa,
     accepts,
     combine,
@@ -20,12 +20,8 @@ from .dfa import (
     determinize,
     dfa_from_text,
     dfa_to_text,
-    equivalent,
     includes,
-    is_empty,
     minimize,
-    run,
-    symbols_word,
 )
 
 ALPHABET = 3
@@ -105,33 +101,37 @@ def _trie_nfa(words: list[str]) -> tuple[list[list[set[int]]], set[int]]:
     return table, accepting
 
 
-def build_L_k(k: int, budget: Optional[int] = None) -> tuple[list[str], LangHandle]:
+def build_L_k(k: int) -> tuple[list[str], LangHandle]:
     """The finite generator language: its words and its minimal DFA."""
     words = words_of_L_k(k)
     table, acc = _trie_nfa(words)
-    d = minimize(determinize(table, {0}, acc, ALPHABET, max_states=budget))
+    d = minimize(determinize(table, {0}, acc, ALPHABET))
     return words, LangHandle(d, f"L_k k={k}", base_alphabet_12=True)
 
 
-def build_G_k(k: int, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> LangHandle:
+@lru_cache(maxsize=None)
+def build_G_k(k: int) -> LangHandle:
     """Kleene star of the level-k generator set, as a minimal DFA.
 
     Star of the generator trie: accepting trie states inherit the root's
     outgoing moves, and the root accepts.  Exponential subset growth is
-    expected; exceeding the budget raises BudgetError.
+    expected; exceeding DEFAULT_DETERMINIZE_BUDGET raises BudgetError.
+    Memoized per process, like build_H_k: handles are immutable.
     """
     words = words_of_L_k(k)
     table, acc = _trie_nfa(words)
     for q in acc:
         for s in range(ALPHABET):
             table[q][s] |= table[0][s]
-    d = minimize(determinize(table, {0}, acc | {0}, ALPHABET, max_states=budget))
+    d = minimize(determinize(table, {0}, acc | {0}, ALPHABET,
+                             max_states=DEFAULT_DETERMINIZE_BUDGET))
     return LangHandle(d, f"G_k k={k}", base_alphabet_12=True)
 
 
-def build_H_k(k: int, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> LangHandle:
+@lru_cache(maxsize=None)
+def build_H_k(k: int) -> LangHandle:
     """The complement of the starred language within {1,2}*."""
-    g = build_G_k(k, budget=budget)
+    g = build_G_k(k)
     d = minimize(combine(complement(g.dfa), universe_12(), "and"))
     return LangHandle(d, f"H_k k={k}", base_alphabet_12=True)
 
@@ -146,7 +146,7 @@ def finite_language(words: list[str], provenance: str) -> LangHandle:
     return LangHandle(d, provenance, base_alphabet_12=True)
 
 
-def segmented_closure(r: LangHandle, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> LangHandle:
+def segmented_closure(r: LangHandle) -> LangHandle:
     """The closure R (0^+ R)* of a 0-free language R.
 
     Built as an NFA over the R automaton plus one gap state: finishing an
@@ -154,11 +154,11 @@ def segmented_closure(r: LangHandle, budget: int = DEFAULT_DETERMINIZE_BUDGET) -
     """
     if not is_zero_free(r.dfa):
         raise ValueError("segmented_closure requires a 0-free language")
-    out = segclo_of_dfa(r.dfa, budget=budget)
+    out = segclo_of_dfa(r.dfa)
     return LangHandle(out, f"segclo of <{r.provenance}>")
 
 
-def segclo_of_dfa(d: Dfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
+def segclo_of_dfa(d: Dfa) -> Dfa:
     """L (0^+ L)* for an arbitrary language; no 0-freeness demanded.
 
     The public operator restricts to 0-free inputs; invariants about the
@@ -180,7 +180,8 @@ def segclo_of_dfa(d: Dfa, budget: int = DEFAULT_DETERMINIZE_BUDGET) -> Dfa:
     acc = set(d.accepting)
     if 0 in d.accepting:  # a trailing block may be empty when R accepts the empty word
         acc.add(gap)
-    return minimize(determinize(table, {0}, acc, ALPHABET, max_states=budget))
+    return minimize(determinize(table, {0}, acc, ALPHABET,
+                                max_states=DEFAULT_DETERMINIZE_BUDGET))
 
 
 def state_complexity(l: LangHandle | Dfa) -> int:

@@ -12,7 +12,7 @@ import itertools
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .construct import (
@@ -28,7 +28,6 @@ from .construct import (
 from .dfa import (
     Dfa,
     accepts,
-    all_states,
     combine,
     enumerate_canonical,
     image_under_word,
@@ -55,6 +54,7 @@ from .solver import (
     exact_sep,
     lsep_lower_check,
     no_separator_up_to,
+    raw_tables,
 )
 
 DEFAULT_SEED = 20240717
@@ -69,16 +69,7 @@ class LemmaCheck:
     counterexample: Optional[dict] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "scale": self.scale,
-                "status": self.status,
-                "evidence": self.evidence,
-                "counterexample": self.counterexample,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _random_dfa(rng: random.Random, max_states: int, alphabet_size: int) -> Dfa:
@@ -98,16 +89,14 @@ def _check_fries(budget, rng, negative):
     """Structure-only search agrees with raw enumeration; |w|,|x| <= 5, p <= 3."""
     words = [""] + ["".join(t) for L in range(1, 6) for t in itertools.product("01", repeat=L)]
     tables = []
-    for m in range(1, 4):
-        for flat in itertools.product(range(m), repeat=2 * m):
-            table = tuple(tuple(flat[q * 2 + a] for a in range(2)) for q in range(m))
-            ends = {}
-            for w in words:
-                q = 0
-                for ch in w:
-                    q = table[q][ord(ch) - 48]
-                ends[w] = q
-            tables.append((m, ends))
+    for m, table in raw_tables(3, 2):
+        ends = {}
+        for w in words:
+            q = 0
+            for ch in w:
+                q = table[q][ord(ch) - 48]
+            ends[w] = q
+        tables.append((m, ends))
     checked = 0
     for w, x in itertools.combinations(words, 2):
         for p in (1, 2, 3):
@@ -175,8 +164,9 @@ def _check_onep(budget, rng, negative):
         alpha = "012"[: d.alphabet_size]
         w = _random_word(rng, 6, alpha)
         x = _random_word(rng, 6, alpha)
-        a = len(image_under_word(d, all_states(d), w))
-        b = len(image_under_word(d, all_states(d), w + x))
+        states = frozenset(range(d.state_count))
+        a = len(image_under_word(d, states, w))
+        b = len(image_under_word(d, states, w + x))
         ok = a > b if negative else a >= b
         if not ok:
             return "fail", {"samples": i + 1}, {"w": w, "x": x, "sizes": [a, b]}
@@ -240,7 +230,7 @@ def _check_marshmallow(budget, rng, negative):
                     part = zpath(d, q, i)
                     bound = i if negative else i + 1
                     checked += 1
-                    if len(part) > bound or not part.issubset(full):
+                    if len(part) > bound or not part <= full:
                         return "fail", {"checked": checked}, {
                             "dfa": d.transitions, "q": q, "i": i}
     return "pass", {"checked": checked}, None
@@ -564,7 +554,7 @@ class SuiteReport:
             {
                 "seed": self.seed,
                 "exit_code": self.exit_code,
-                "checks": [json.loads(c.to_json()) for c in self.checks],
+                "checks": [asdict(c) for c in self.checks],
             },
             sort_keys=True,
         )

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .dfa import (
     BudgetError,
@@ -339,15 +339,10 @@ def exact_sep(
             p += 1
     except BudgetError:
         pass
-    # exhausted levels 1..p-1 (or the budget mid-level): bounded certificate
-    if ub_witness is not None:
-        fixed = Dfa(k, ub_witness.transitions, ub_witness.accepting)
-        if not check_separates(fixed, w, x):
-            fixed = Dfa(k, ub_witness.transitions,
-                        frozenset(range(fixed.state_count)) - ub_witness.accepting)
-        if not check_separates(fixed, w, x):
-            raise AssertionError(f"upper-bound witness fails to separate {w!r}, {x!r}")
-        ub_witness = fixed
+    # exhausted levels 1..p-1 (or the budget mid-level): bounded certificate;
+    # both upper-bound witnesses accept w by construction
+    if not check_separates(ub_witness, w, x):
+        raise AssertionError(f"upper-bound witness fails to separate {w!r}, {x!r}")
     return SepCertificate(
         w=w, x=x, lower=p, upper=ub, witness=ub_witness,
         lower_method="exhaustive-canonical" if p > 1 else "none",
@@ -395,6 +390,18 @@ def no_separator_up_to(
     return separating_structure(w, x, p, budget) is None
 
 
+def raw_tables(p: int, k: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(m, table) for every complete k-symbol transition table with m <= p states.
+
+    Raw enumeration: no symmetry breaking and no reachability filter, so it
+    is an independent reference for the canonical search and enumeration.
+    Exponential; small p only.
+    """
+    for m in range(1, p + 1):
+        for flat in itertools.product(range(m), repeat=m * k):
+            yield m, tuple(flat[q * k:(q + 1) * k] for q in range(m))
+
+
 def raw_separable(w: str, x: str, p: int) -> bool:
     """Independent oracle: enumerate every raw (structure, accepting set) pair.
 
@@ -403,13 +410,11 @@ def raw_separable(w: str, x: str, p: int) -> bool:
     """
     k = _alphabet_for(w, x)
     ws, xs = word_symbols(w, k), word_symbols(x, k)
-    for m in range(1, p + 1):
-        for flat in itertools.product(range(m), repeat=m * k):
-            table = tuple(tuple(flat[q * k + a] for a in range(k)) for q in range(m))
-            ew, ex = run_table(table, ws), run_table(table, xs)
-            for mask in range(1 << m):
-                if (mask >> ew & 1) and not (mask >> ex & 1):
-                    return True
+    for m, table in raw_tables(p, k):
+        ew, ex = run_table(table, ws), run_table(table, xs)
+        for mask in range(1 << m):
+            if (mask >> ew & 1) and not (mask >> ex & 1):
+                return True
     return False
 
 

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sepwords.dfa import (
     Dfa,
-    StateSet,
     accepts,
-    all_states,
     canonicalize,
     combine,
     complement,
@@ -28,6 +26,7 @@ from sepwords.dfa import (
     zero_cycle_length,
     zpath,
 )
+from sepwords.solver import raw_tables
 
 
 def random_dfa(rng, max_states=5, k=2):
@@ -73,7 +72,7 @@ def test_run_concatenation_law(d, w, x):
 
 @given(dfas, words)
 def test_image_never_grows(d, w):
-    s = all_states(d)
+    s = frozenset(range(d.state_count))
     assert len(image_under_word(d, s, w)) <= len(s)
 
 
@@ -145,15 +144,10 @@ def test_includes_and_equivalent():
     assert equivalent(evens, minimize(evens))
 
 
-def test_state_set_ownership_is_enforced():
-    a = Dfa(2, ((0, 0),), frozenset())
-    b = Dfa(2, ((0, 1), (1, 0)), frozenset())
+def test_image_under_word_rejects_out_of_range_states():
+    d = Dfa(2, ((0, 1), (1, 0)), frozenset())
     with pytest.raises(ValueError):
-        StateSet(a, frozenset({0})).union(StateSet(b, frozenset({0})))
-    with pytest.raises(ValueError):
-        StateSet(a, frozenset({7}))
-    with pytest.raises(ValueError):
-        image_under_word(b, all_states(a), "0")
+        image_under_word(d, frozenset({0, 7}), "0")
 
 
 def test_determinize_subset_construction():
@@ -171,9 +165,27 @@ def test_zero_cycle_and_zpath():
     assert zero_cycle_length(d, 0) is None
     assert zero_cycle_length(d, 1) == 2
     assert zero_cycle_length(d, 2) == 2
-    assert zpath(d, 0).members == frozenset({0})
-    assert zpath(d, 0, 0).members == frozenset({0})
-    assert zpath(d, 1).members == frozenset()
+    assert zpath(d, 0) == frozenset({0})
+    assert zpath(d, 0, 0) == frozenset({0})
+    assert zpath(d, 1) == frozenset()
+    for q in (3, -1):
+        with pytest.raises(ValueError):
+            zpath(d, q)
+
+
+def zpath_reference(d, q, i=None):
+    """zpath by its definition: trajectory states 0^j, j <= i, on no zero-cycle."""
+    if i is None:
+        i = d.state_count
+    trajectory = {run(d, q, "0" * j) for j in range(i + 1)}
+    return frozenset(s for s in trajectory if zero_cycle_length(d, s) is None)
+
+
+def test_zpath_matches_its_definition_exhaustively():
+    for d in [*enumerate_canonical(3, 2), *enumerate_canonical(2, 3)]:
+        for q in range(d.state_count):
+            for i in (None, *range(d.state_count + 2)):
+                assert zpath(d, q, i) == zpath_reference(d, q, i), (d.transitions, q, i)
 
 
 def canonical_count(p, k):
@@ -183,21 +195,18 @@ def canonical_count(p, k):
 def raw_structure_class_count(p, k):
     """Independent oracle: reachable raw tables counted up to isomorphism."""
     classes = set()
-    for m in range(1, p + 1):
-        for flat in itertools.product(range(m), repeat=m * k):
-            rows = tuple(tuple(flat[q * k + a] for a in range(k)) for q in range(m))
-            d = Dfa(k, rows, frozenset())
-            # keep only tables whose every state is reachable
-            seen, stack = {0}, [0]
-            while stack:
-                q = stack.pop()
-                for t in rows[q]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            if len(seen) != m:
-                continue
-            classes.add(canonicalize(d).transitions)
+    for m, rows in raw_tables(p, k):
+        # keep only tables whose every state is reachable
+        seen, stack = {0}, [0]
+        while stack:
+            q = stack.pop()
+            for t in rows[q]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if len(seen) != m:
+            continue
+        classes.add(canonicalize(Dfa(k, rows, frozenset())).transitions)
     return len(classes)
 
 

@@ -79,6 +79,17 @@ def test_state_complexity_of_star_family():
         7, 15, 31, 63, 127]
 
 
+def test_star_and_complement_builders_are_memoized_per_process():
+    build_G_k.cache_clear()
+    build_H_k.cache_clear()
+    h = build_H_k(3)
+    g = build_G_k(3)
+    # one build of G_3, shared by the H_3 build and the direct call
+    info = build_G_k.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert build_H_k(3) is h and build_G_k(3) is g
+
+
 def test_state_complexity_of_reversals():
     assert [state_complexity(reverse(build_G_k(k).dfa)) for k in range(1, 6)] == [
         7, 12, 17, 22, 27]
