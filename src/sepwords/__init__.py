@@ -35,13 +35,11 @@ from .dfa import (
     run,
 )
 from .lang import (
-    LangHandle,
     build_G_k,
     build_H_k,
     build_L_k,
     finite_language,
     iter_words,
-    membership,
     segmented_closure,
     state_complexity,
     words_of_L_k,

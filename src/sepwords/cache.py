@@ -10,6 +10,12 @@ reproducible.  It serves a hit only when it decodes as a certificate for
 the requested pair with lower == upper and a witness of `upper` states that
 separates the pair, a linear re-check of the upper bound.  Any other hit is
 counted in `rejected`, solved again and stored; the last write wins on replay.
+
+The lower bound of a hit is trusted, not re-proved: an entry that
+over-claims with a valid but non-minimal witness (say, lower = upper = 4
+for 01 vs 0001, whose true value is 3, with the 3-state separator plus an
+unreachable state) is served as it stands.  An under-claim cannot pass the
+re-check.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ import click
 from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
 from .cache import CertificateCache, solve_cached
 from .construct import verify_witness, witness_pair
-from .dfa import dfa_to_text, reverse
-from .lang import LangHandle, build_G_k, build_H_k, build_L_k, membership, state_complexity
+from .dfa import accepts, dfa_from_text, dfa_to_text, reverse
+from .lang import build_G_k, build_H_k, build_L_k, state_complexity
 from .lemmas import DEFAULT_SEED, run_lemma_suite
 from .solver import DEFAULT_BUDGET
 
@@ -85,9 +85,8 @@ _LANG_BUILDERS = {
 @click.pass_context
 def stc(ctx, lang_name, k, rev):
     """State complexity of a family language (minimal DFA size)."""
-    handle = _LANG_BUILDERS[lang_name](k)
-    d = reverse(handle.dfa) if rev else handle.dfa
-    value = state_complexity(d)
+    lang = _LANG_BUILDERS[lang_name](k)
+    value = state_complexity(reverse(lang) if rev else lang)
     label = f"{lang_name[:-2]}_{k}" + ("^R" if rev else "")
     if ctx.obj["format"] == "json":
         click.echo(json.dumps({"lang": label, "stc": value}))
@@ -164,14 +163,14 @@ def atlas(ctx, max_len):
 @click.argument("word")
 @click.pass_context
 def member(ctx, lang_file, word):
-    """Test whether WORD belongs to the language stored in a handle file."""
+    """Test whether WORD belongs to the language stored in a DFA text file."""
     word = _word_arg(word)
     with open(lang_file, "r", encoding="utf-8") as fh:
-        handle = LangHandle.from_text(fh.read())
-    ok = membership(handle, word)
+        d, provenance = dfa_from_text(fh.read())
+    ok = accepts(d, word)
     if ctx.obj["format"] == "json":
         click.echo(json.dumps({"word": word, "member": ok,
-                               "lang": handle.provenance}))
+                               "lang": provenance or "unlabeled"}))
     else:
         click.echo("member" if ok else "not a member")
     sys.exit(EXIT_PASS if ok else EXIT_FAIL)

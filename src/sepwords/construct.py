@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
@@ -21,13 +20,13 @@ from .dfa import (
     combine,
     dfa_from_text,
     dfa_to_text,
+    is_empty,
     minimize,
     reverse,
     run,
     word_symbols,
 )
 from .lang import (
-    LangHandle,
     build_G_k,
     build_H_k,
     finite_language,
@@ -51,6 +50,9 @@ MAX_TRIPLE_N = 4
 # Largest state count we exhaust with no_separator_up_to during witness
 # verification; 3 is comfortable at any word length.
 EXHAUSTIVE_STATE_CAP = 3
+
+# Longest G_k word search_z_k tries as a hard-word candidate.
+Z_K_MAX_LEN = 40
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,14 @@ def search_C_n(
     w0: str,
     budget: SearchBudget = DEFAULT_BUDGET,
     forbid_run_length: Optional[int] = None,
-    max_len: Optional[int] = None,
 ) -> CnResult:
     """Shortest certified w in w0 (0^+ w0)* with sep(w f_n w, w g_n w) >= 2n+2.
 
     Certification is the exhaustive no-separator check at 2n+1 states;
-    internal 0-runs are capped at 2n+2 (a completeness cap on the search,
-    not on the underlying statement).  forbid_run_length additionally
-    excludes one run length; the witness assembly uses it to keep runs of
-    length n out of the word.
+    internal 0-runs are capped at 2n+2 and candidates at length
+    12|w0| + 24 (completeness caps on the search, not on the underlying
+    statement).  forbid_run_length additionally excludes one run length;
+    the witness assembly uses it to keep runs of length n out of the word.
 
     Candidates are tried in length order, and each one that a search
     refutes leaves its separating transition table in a refuter pool.
@@ -165,9 +166,8 @@ def search_C_n(
     if "0" in w0:
         raise ValueError("base block must be 0-free so the closure is well formed")
     trip = canonical_triple(n)
-    if max_len is None:
-        max_len = 12 * len(w0) + 24
-    closure = segmented_closure(finite_language([w0], f"{{{w0}}}"))
+    max_len = 12 * len(w0) + 24
+    closure = segmented_closure(finite_language([w0]))
     p = 2 * n + 1
     counters = SearchCounters(budget)
     pool: list[tuple[tuple[int, ...], ...]] = []
@@ -175,7 +175,7 @@ def search_C_n(
     for cand in _cn_candidates(w0, 2 * n + 2, forbid_run_length, max_len):
         counters.check_deadline()
         candidates += 1
-        if not accepts(closure.dfa, cand):
+        if not accepts(closure, cand):
             raise AssertionError(f"candidate {cand!r} escaped the closure")
         target_w = cand + trip.f + cand
         target_x = cand + trip.g + cand
@@ -206,12 +206,7 @@ class ZkResult:
     checked_states: int  # lsep lower bound verified through this many states
 
 
-def search_z_k(
-    k: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    max_len: int = 40,
-    allow_uncertified: bool = True,
-) -> ZkResult:
+def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
     """Shortest z in G_k - {eps} with no (2^k - 1)-state acceptor avoiding H_k.
 
     Fully certified for k <= 2, where 2^k - 1 states are exhaustible.  For
@@ -223,15 +218,13 @@ def search_z_k(
     target = 2**k - 1
     certified = target <= EXHAUSTIVE_STATE_CAP
     p = target if certified else EXHAUSTIVE_STATE_CAP
-    if not certified and not allow_uncertified:
-        raise BudgetError(f"k={k} needs a {target}-state exhaustive check")
     g, h = build_G_k(k), build_H_k(k)
-    for z in iter_words(g.dfa, max_len):
+    for z in iter_words(g, Z_K_MAX_LEN):
         if not z:
             continue
         if lsep_lower_check(z, h, p, budget=budget):
             return ZkResult(k=k, word=z, certified=certified, checked_states=p)
-    raise BudgetError(f"no candidate up to length {max_len} for k={k}")
+    raise BudgetError(f"no candidate up to length {Z_K_MAX_LEN} for k={k}")
 
 
 def state_limit_for_pairs(k: int) -> int:
@@ -248,9 +241,9 @@ def free_word(
 ) -> str:
     """A word of H_k (0^+ H_k)* that neither d nor d2 distinguishes from w.
 
-    Breadth-first search over the product of d, d2 and the closure of H_k,
-    targeting w's end-state pair at an accepting closure state; the
-    shortest such word is returned.  When z_k is supplied, w is checked
+    Emptiness search over the product of d, d2 (each accepting only its
+    end state on w) and the closure of H_k; the shortest accepted word,
+    first in symbol order, is returned.  When z_k is supplied, w is checked
     against the closure of H_k + {z_k}; otherwise the caller vouches for
     the membership precondition.
     """
@@ -264,48 +257,21 @@ def free_word(
         raise ValueError("free_word expects full-alphabet automata")
     h = build_H_k(k)
     if z_k is not None:
-        hp = LangHandle(
-            minimize(combine(h.dfa, finite_language([z_k], "z").dfa, "or")),
-            f"H'_k k={k}",
-            base_alphabet_12=True,
-        )
-        if not accepts(segmented_closure(hp).dfa, w):
+        hp = minimize(combine(h, finite_language([z_k]), "or"))
+        if not accepts(segmented_closure(hp), w):
             raise ValueError("w is not in the closure of H'_k")
-    a = segmented_closure(h).dfa
-    target = (run(d, 0, w), run(d2, 0, w))
-    start = (0, 0, 0)
-    parent: dict[tuple[int, int, int], tuple[tuple[int, int, int], int]] = {}
-    seen = {start}
-    queue = deque([start])
-
-    def emit(state):
-        syms = []
-        while state != start:
-            state, sym = parent[state]
-            syms.append(sym)
-        return "".join(chr(48 + s) for s in reversed(syms))
-
-    if (start[0], start[1]) == target and 0 in a.accepting:
-        return ""
-    while queue:
-        cur = queue.popleft()
-        q1, q2, qa = cur
-        for s in range(3):
-            nxt = (d.transitions[q1][s], d2.transitions[q2][s], a.transitions[qa][s])
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (cur, s)
-            if (nxt[0], nxt[1]) == target and nxt[2] in a.accepting:
-                return emit(nxt)
-            queue.append(nxt)
-    # the small-pair lemma rules this out when the preconditions hold
-    raise ValueError(
-        "no indistinguishable closure word exists; a precondition is violated"
-    )
+    same_ends = combine(Dfa(3, d.transitions, frozenset({run(d, 0, w)})),
+                        Dfa(3, d2.transitions, frozenset({run(d2, 0, w)})), "and")
+    empty, word = is_empty(combine(same_ends, segmented_closure(h), "and"))
+    if empty:
+        # the small-pair lemma rules this out when the preconditions hold
+        raise ValueError(
+            "no indistinguishable closure word exists; a precondition is violated"
+        )
+    return word
 
 
-def farmand_dfa(r: LangHandle, n: int, on_mismatch: str = "reject") -> Dfa:
+def farmand_dfa(r: Dfa, n: int, on_mismatch: str = "reject") -> Dfa:
     """Binary separator for encoded words around the unary middle block.
 
     The machine decodes right-encoded symbols in (1-prefixed) pairs and
@@ -324,10 +290,9 @@ def farmand_dfa(r: LangHandle, n: int, on_mismatch: str = "reject") -> Dfa:
         raise ValueError("n must be >= 1")
     if on_mismatch not in ("reject", "restart"):
         raise ValueError("on_mismatch must be 'reject' or 'restart'")
-    if not is_zero_free(r.dfa):
+    if not is_zero_free(r):
         raise ValueError("R must be a {1,2}-language")
-    rd = r.dfa
-    t = rd.state_count
+    t = r.state_count
     SKIP = 0
     MID = lambda q: 1 + q
     COMP = lambda q: 1 + t + q
@@ -340,8 +305,8 @@ def farmand_dfa(r: LangHandle, n: int, on_mismatch: str = "reject") -> Dfa:
     rows = [[0, 0] for _ in range(total)]
     rows[SKIP] = [SKIP, MID(0)]
     for q in range(t):
-        rows[MID(q)] = [COMP(rd.transitions[q][2]), COMP(rd.transitions[q][1])]
-        rows[COMP(q)] = [CNT(1) if q in rd.accepting else SKIP, MID(q)]
+        rows[MID(q)] = [COMP(r.transitions[q][2]), COMP(r.transitions[q][1])]
+        rows[COMP(q)] = [CNT(1) if q in r.accepting else SKIP, MID(q)]
     for c in range(1, n + 1):
         rows[CNT(c)] = [
             CNT(c + 1) if c < n else OVF,
@@ -393,24 +358,19 @@ def upper_claim_value(k: int, n: int) -> int:
     return n + 10 * k + 10
 
 
-def _default_assembly(k: int, n: int, budget: SearchBudget):
-    """(w, x, z_word, c_word, z_certified) over the full alphabet, with
-    w = C f_n C and x = C g_n C for C the certified blueberry word of z_k.
+def witness_pair(k: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> WitnessReport:
+    """Assemble the binary witness pair for the (k, n) instance.
 
-    Runs of length exactly n are kept out of C so the reversal-side
-    machine can recognize the middle block.
+    Over the full alphabet, w = C f_n C and x = C g_n C for C the certified
+    blueberry word of z_k; both are then left-encoded.  Runs of length
+    exactly n are kept out of C so the reversal-side machine can recognize
+    the middle block.
     """
     trip = canonical_triple(n)
     z = search_z_k(k, budget=budget)
     c = search_C_n(n, z.word, budget=budget, forbid_run_length=n)
     w = c.word + trip.f + c.word
     x = c.word + trip.g + c.word
-    return w, x, z.word, c.word, z.certified
-
-
-def witness_pair(k: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> WitnessReport:
-    """Assemble the binary witness pair for the (k, n) instance."""
-    w, x, z_word, c_word, z_certified = _default_assembly(k, n, budget)
     w_prime, x_prime = encode(w, "left"), encode(x, "left")
     if w_prime == x_prime:
         raise AssertionError("assembly produced equal encoded words")
@@ -421,9 +381,9 @@ def witness_pair(k: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Witne
         x_prime=x_prime,
         lower_claim=lower_claim_value(k, n),
         upper_claim=upper_claim_value(k, n),
-        z_word=z_word,
-        c_word=c_word,
-        z_certified=z_certified,
+        z_word=z.word,
+        c_word=c.word,
+        z_certified=z.certified,
         statuses={"lower": "pending", "upper": "pending"},
     )
 
@@ -451,9 +411,7 @@ def verify_witness(
         report.statuses["lower"] = "failed"
         report.lower_verified_to = 0
 
-    g = build_G_k(report.k)
-    r = LangHandle(reverse(g.dfa), f"reverse of <{g.provenance}>",
-                   base_alphabet_12=True)
+    r = reverse(build_G_k(report.k))
     mode = "reject" if "0" not in report.c_word else "restart"
     machine = farmand_dfa(r, report.n, on_mismatch=mode)
     wr, xr = wp[::-1], xp[::-1]

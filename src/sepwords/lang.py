@@ -1,6 +1,6 @@
 """Builders for the block languages and their closures.
 
-The generator family here lives over {1,2} but every handle is carried
+The generator family here lives over {1,2} but every automaton is carried
 over the full alphabet {0,1,2}: symbol 0 leads straight to the dead state,
 so products and concatenations with 0-runs never need an alphabet
 conversion.
@@ -8,18 +8,14 @@ conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .dfa import (
     Dfa,
-    accepts,
     combine,
     complement,
     determinize,
-    dfa_from_text,
-    dfa_to_text,
     includes,
     minimize,
 )
@@ -29,24 +25,6 @@ ALPHABET = 3
 # Default cap on subset states during determinization; the starred block
 # languages blow up exponentially, which is the point.
 DEFAULT_DETERMINIZE_BUDGET = 200_000
-
-
-@dataclass(frozen=True)
-class LangHandle:
-    """A regular language: its canonical minimal DFA plus a provenance tag."""
-
-    dfa: Dfa
-    provenance: str
-    base_alphabet_12: bool = False
-
-    def to_text(self) -> str:
-        return dfa_to_text(self.dfa, provenance=self.provenance)
-
-    @staticmethod
-    def from_text(text: str) -> "LangHandle":
-        d, prov = dfa_from_text(text)
-        m = minimize(d)
-        return LangHandle(m, prov or "unlabeled", base_alphabet_12=is_zero_free(m))
 
 
 def universe_12() -> Dfa:
@@ -101,61 +79,54 @@ def _trie_nfa(words: list[str]) -> tuple[list[list[set[int]]], set[int]]:
     return table, accepting
 
 
-def build_L_k(k: int) -> tuple[list[str], LangHandle]:
+def build_L_k(k: int) -> tuple[list[str], Dfa]:
     """The finite generator language: its words and its minimal DFA."""
     words = words_of_L_k(k)
-    table, acc = _trie_nfa(words)
-    d = minimize(determinize(table, {0}, acc, ALPHABET))
-    return words, LangHandle(d, f"L_k k={k}", base_alphabet_12=True)
+    return words, finite_language(words)
 
 
 @lru_cache(maxsize=None)
-def build_G_k(k: int) -> LangHandle:
+def build_G_k(k: int) -> Dfa:
     """Kleene star of the level-k generator set, as a minimal DFA.
 
     Star of the generator trie: accepting trie states inherit the root's
     outgoing moves, and the root accepts.  Exponential subset growth is
     expected; exceeding DEFAULT_DETERMINIZE_BUDGET raises BudgetError.
-    Memoized per process, like build_H_k: handles are immutable.
+    Memoized per process, like build_H_k: a Dfa is immutable.
     """
     words = words_of_L_k(k)
     table, acc = _trie_nfa(words)
     for q in acc:
         for s in range(ALPHABET):
             table[q][s] |= table[0][s]
-    d = minimize(determinize(table, {0}, acc | {0}, ALPHABET,
-                             max_states=DEFAULT_DETERMINIZE_BUDGET))
-    return LangHandle(d, f"G_k k={k}", base_alphabet_12=True)
+    return minimize(determinize(table, {0}, acc | {0}, ALPHABET,
+                                max_states=DEFAULT_DETERMINIZE_BUDGET))
 
 
 @lru_cache(maxsize=None)
-def build_H_k(k: int) -> LangHandle:
+def build_H_k(k: int) -> Dfa:
     """The complement of the starred language within {1,2}*."""
-    g = build_G_k(k)
-    d = minimize(combine(complement(g.dfa), universe_12(), "and"))
-    return LangHandle(d, f"H_k k={k}", base_alphabet_12=True)
+    return minimize(combine(complement(build_G_k(k)), universe_12(), "and"))
 
 
-def finite_language(words: list[str], provenance: str) -> LangHandle:
+def finite_language(words: list[str]) -> Dfa:
     """Minimal DFA of a finite set of {1,2}-words (trie then minimize)."""
     for w in words:
         if "0" in w:
             raise ValueError("finite_language expects {1,2}-only words")
     table, acc = _trie_nfa(words)
-    d = minimize(determinize(table, {0}, acc, ALPHABET))
-    return LangHandle(d, provenance, base_alphabet_12=True)
+    return minimize(determinize(table, {0}, acc, ALPHABET))
 
 
-def segmented_closure(r: LangHandle) -> LangHandle:
+def segmented_closure(r: Dfa) -> Dfa:
     """The closure R (0^+ R)* of a 0-free language R.
 
     Built as an NFA over the R automaton plus one gap state: finishing an
     R block allows a 0-run, and the run hands control back to R's start.
     """
-    if not is_zero_free(r.dfa):
+    if not is_zero_free(r):
         raise ValueError("segmented_closure requires a 0-free language")
-    out = segclo_of_dfa(r.dfa)
-    return LangHandle(out, f"segclo of <{r.provenance}>")
+    return segclo_of_dfa(r)
 
 
 def segclo_of_dfa(d: Dfa) -> Dfa:
@@ -184,10 +155,8 @@ def segclo_of_dfa(d: Dfa) -> Dfa:
                                 max_states=DEFAULT_DETERMINIZE_BUDGET))
 
 
-def state_complexity(l: LangHandle | Dfa) -> int:
+def state_complexity(l: Dfa) -> int:
     """States of the minimal complete DFA (dead state counted)."""
-    if isinstance(l, LangHandle):
-        return minimize(l.dfa).state_count
     return minimize(l).state_count
 
 
@@ -224,7 +193,3 @@ def _live_states(d: Dfa) -> set[int]:
                 live.add(q)
                 stack.append(q)
     return live
-
-
-def membership(l: LangHandle, w: str) -> bool:
-    return accepts(l.dfa, w)

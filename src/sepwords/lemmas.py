@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -38,7 +37,6 @@ from .dfa import (
     zpath,
 )
 from .lang import (
-    LangHandle,
     build_G_k,
     build_H_k,
     finite_language,
@@ -52,6 +50,7 @@ from .solver import (
     SearchBudget,
     check_separates,
     exact_sep,
+    lsep_forbidden_states,
     lsep_lower_check,
     no_separator_up_to,
     raw_tables,
@@ -175,12 +174,12 @@ def _check_onep(budget, rng, negative):
 
 def _check_peach(budget, rng, negative):
     """Closing an already-closed language adds nothing; R in {G_1, {1}}."""
-    for r in (build_G_k(1), finite_language(["1"], "{1}")):
+    for r, label in ((build_G_k(1), "G_k k=1"), (finite_language(["1"]), "{1}")):
         s = segmented_closure(r)
-        s2 = segclo_of_dfa(s.dfa)
-        target = r.dfa if negative else s.dfa
+        s2 = segclo_of_dfa(s)
+        target = r if negative else s
         if not includes(target, s2):
-            return "fail", {}, {"r": r.provenance}
+            return "fail", {}, {"r": label}
     return "pass", {"languages": 2}, None
 
 
@@ -255,16 +254,16 @@ def _check_snake(budget, rng, negative):
 
 def _check_ketchup(budget, rng, negative):
     """Splicing 1^{2k+1}2 between u and v lands in G_k iff both halves do."""
-    handles = {k: build_G_k(k) for k in (1, 2)}
+    langs = {k: build_G_k(k) for k in (1, 2)}
     for i in range(500):
         k = rng.choice((1, 2))
-        g = handles[k]
+        g = langs[k]
         u = _random_word(rng, 8, "12")
         v = _random_word(rng, 8, "12")
         exp = 2 * k + 1 if not negative else 2 * k
         mid = "1" * exp + "2"
-        lhs = accepts(g.dfa, u + mid + v)
-        rhs = accepts(g.dfa, u) and accepts(g.dfa, v)
+        lhs = accepts(g, u + mid + v)
+        rhs = accepts(g, u) and accepts(g, v)
         if lhs != rhs:
             return "fail", {"samples": i + 1}, {"k": k, "u": u, "v": v}
     return "pass", {"samples": 500}, None
@@ -286,7 +285,7 @@ def _check_jellybean(budget, rng, negative):
     """The reversal stays linear: at most 5k+3 states; k = 1..5."""
     sizes = {}
     for k in range(1, 6):
-        stc = state_complexity(reverse(build_G_k(k).dfa))
+        stc = state_complexity(reverse(build_G_k(k)))
         sizes[k] = stc
         bound = 5 * k + 1 if negative else 5 * k + 3
         if stc > bound:
@@ -326,38 +325,22 @@ def _check_spider(budget, rng, negative):
     return "pass", {"samples": len(samples)}, None
 
 
-def _reachable_pairs(d: Dfa, d2: Dfa, ldfa: Dfa, max_word_len: Optional[int] = None):
-    """State pairs of (d, d2) reachable along words of the language."""
-    seen = {(0, 0, 0)}
-    queue = deque([((0, 0, 0), 0)])
-    good = set()
-    if 0 in ldfa.accepting:
-        good.add((0, 0))
-    while queue:
-        (a, b, c), depth = queue.popleft()
-        if max_word_len is not None and depth >= max_word_len:
-            continue
-        for s in range(3):
-            t = (d.transitions[a][s], d2.transitions[b][s], ldfa.transitions[c][s])
-            if t not in seen:
-                seen.add(t)
-                if t[2] in ldfa.accepting:
-                    good.add((t[0], t[1]))
-                queue.append((t, depth + 1))
-    return good
-
-
 def _check_kebab(budget, rng, negative):
     """Small automaton pairs cannot tell the hard word from all of H_k; k=4."""
     z = search_z_k(4, budget=budget)
     h = build_H_k(4)
     structs = rng.sample(list(enumerate_canonical(3, 3)), 60)
-    cap = 1 if negative else None  # the mutation truncates the search
     misses = 0
     for i in range(100):
         d, d2 = rng.choice(structs), rng.choice(structs)
-        target = (run(d, 0, z.word), run(d2, 0, z.word))
-        if target not in _reachable_pairs(d, d2, h.dfa, max_word_len=cap):
+        # product states reachable along words of H_k; the mutation
+        # truncates the language to its words of length <= 1
+        pair = combine(d, d2, "and")
+        if negative:
+            reached = {run(pair, 0, u) for u in iter_words(h, 1)}
+        else:
+            reached = lsep_forbidden_states(pair, h)
+        if run(pair, 0, z.word) not in reached:
             misses += 1
     evidence = {"z": z.word, "pairs": 100, "misses": misses,
                 "z_certified": z.certified}
@@ -372,7 +355,7 @@ def _check_four(budget, rng, negative):
     z = search_z_k(4, budget=budget)
     h = build_H_k(4)
     closure = segmented_closure(h)
-    blocks = [w for w in iter_words(h.dfa, 6) if w][:20] + [z.word]
+    blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]
     structs = rng.sample(list(enumerate_canonical(3, 3)), 40)
     for i in range(30):
         d, d2 = rng.choice(structs), rng.choice(structs)
@@ -384,7 +367,7 @@ def _check_four(budget, rng, negative):
         ok = (
             run(d, 0, wp) == run(d, 0, w)
             and run(d2, 0, wp) == run(d2, 0, w)
-            and accepts(closure.dfa, wp)
+            and accepts(closure, wp)
         )
         if not ok:
             return "fail", {"samples": i + 1}, {"w": w, "w_prime": wp}
@@ -437,16 +420,15 @@ def _conforming_prefix(rng: random.Random, r: Dfa) -> str:
 
 def _check_farmand(budget, rng, negative):
     """The decoder machine separates around the middle block; R = G_1^R, n=1."""
-    g = build_G_k(1)
-    r = LangHandle(reverse(g.dfa), "reverse of <G_k k=1>", base_alphabet_12=True)
+    r = reverse(build_G_k(1))
     n = 1
     machine = farmand_dfa(r, n if not negative else n + 1)
-    t = r.dfa.state_count
+    t = r.state_count
     if machine.state_count > 2 * t + (n if not negative else n + 1) + 4:
         return "fail", {}, {"states": machine.state_count}
     trip = canonical_triple(n)
     for i in range(100):
-        w = _conforming_prefix(rng, r.dfa)
+        w = _conforming_prefix(rng, r)
         tail = "1" + _random_word(rng, 6, "01")
         a = encode(w, "right") + trip.f + tail
         b = encode(w, "right") + trip.g + tail

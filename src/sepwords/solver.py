@@ -27,7 +27,7 @@ from .dfa import (
     run,
     word_symbols,
 )
-from .lang import LangHandle
+from .lang import is_zero_free
 
 ENGINE_VERSION = "sepwords-1"
 
@@ -313,15 +313,13 @@ def exact_sep(
             millis=int((time.monotonic() - start) * 1000),
         )
 
-    ub, ub_witness = _mod_counter_upper_bound(w, x, k)
-    if ub is None:
-        ub, ub_witness = len(w) + 2, _trivial_separator(w, k)
-
+    # a separator with at most len(w) + 2 states always exists, so the
+    # search ends by that level whatever max_states allows
     ws, xs = word_symbols(w, k), word_symbols(x, k)
     counters = SearchCounters(budget)
     p = 1
     try:
-        while p <= min(budget.max_states, ub):
+        while p <= budget.max_states:
             structure = _distinguishing_structure(ws, xs, p, k, counters)
             if structure is not None:
                 end_w = run_table(structure, ws)
@@ -341,6 +339,9 @@ def exact_sep(
         pass
     # exhausted levels 1..p-1 (or the budget mid-level): bounded certificate;
     # both upper-bound witnesses accept w by construction
+    ub, ub_witness = _mod_counter_upper_bound(w, x, k)
+    if ub is None:
+        ub, ub_witness = len(w) + 2, _trivial_separator(w, k)
     if not check_separates(ub_witness, w, x):
         raise AssertionError(f"upper-bound witness fails to separate {w!r}, {x!r}")
     return SepCertificate(
@@ -418,25 +419,24 @@ def raw_separable(w: str, x: str, p: int) -> bool:
     return False
 
 
-def lsep_forbidden_states(structure: Dfa, l: LangHandle) -> frozenset[int]:
+def lsep_forbidden_states(structure: Dfa, l: Dfa) -> frozenset[int]:
     """Structure states reachable by some word of the language.
 
     Any accepting set avoiding these states rejects all of L(l); computed
-    by BFS over the product of the structure with l's automaton.
+    by BFS over the product of the structure with l.
     """
-    ld = l.dfa
     k = structure.alphabet_size
-    if ld.alphabet_size < k:
+    if l.alphabet_size < k:
         raise ValueError("language alphabet smaller than structure alphabet")
     seen = {(0, 0)}
     stack = [(0, 0)]
     forbidden = set()
     while stack:
         q, lq = stack.pop()
-        if lq in ld.accepting:
+        if lq in l.accepting:
             forbidden.add(q)
         for a in range(k):
-            t = (structure.transitions[q][a], ld.transitions[lq][a])
+            t = (structure.transitions[q][a], l.transitions[lq][a])
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -444,31 +444,30 @@ def lsep_forbidden_states(structure: Dfa, l: LangHandle) -> frozenset[int]:
 
 
 def lsep_lower_check(
-    w: str, l: LangHandle, p: int, budget: SearchBudget = DEFAULT_BUDGET
+    w: str, l: Dfa, p: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> bool:
     """True iff no DFA with <= p states accepts w while rejecting all of L(l).
 
     For every canonical structure, a suitable accepting set exists exactly
     when w's end state is not reachable by any word of the language; the
-    check enumerates structures and tests that reachability.  For a {1,2}
-    language paired with a 0-free w, structures over two effective symbols
-    suffice: transitions on 0 are never exercised.
+    check enumerates structures and tests that reachability.  For a 0-free
+    w and a 0-free language over {0,1,2}, structures over two effective
+    symbols suffice: transitions on 0 are never exercised.
     """
-    if accepts(l.dfa, w):
+    if accepts(l, w):
         raise ValueError("lsep undefined: the word belongs to the language")
-    if l.base_alphabet_12 and "0" not in w:
+    if "0" not in w and l.alphabet_size == 3 and is_zero_free(l):
         k = 2
-        proj = _project_12(l.dfa)
+        proj = _project_12(l)
         ws = [ord(c) - 48 - 1 for c in w]
     else:
-        k = l.dfa.alphabet_size
-        proj = l.dfa
+        k = l.alphabet_size
+        proj = l
         ws = word_symbols(w, k)
     counters = SearchCounters(budget)
-    handle = LangHandle(proj, l.provenance)
     for structure in enumerate_canonical(p, k):
         counters.tick()
-        forbidden = lsep_forbidden_states(structure, handle)
+        forbidden = lsep_forbidden_states(structure, proj)
         end = run_table(structure.transitions, ws)
         if end not in forbidden:
             return False

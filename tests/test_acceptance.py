@@ -53,7 +53,7 @@ def test_criterion_3_state_complexity_gap():
     for k in (1, 2, 3):
         assert state_complexity(build_G_k(k)) >= 2**k
     for k in range(1, 6):
-        assert state_complexity(reverse(build_G_k(k).dfa)) <= 5 * k + 3
+        assert state_complexity(reverse(build_G_k(k))) <= 5 * k + 3
     assert time.monotonic() - start < 300
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from sepwords.cli import main
+from sepwords.dfa import dfa_to_text
 from sepwords.lang import build_G_k
 
 
@@ -105,6 +106,16 @@ def test_atlas_command(tmp_path):
 
 def test_member_command(tmp_path):
     path = tmp_path / "g1.lang"
-    path.write_text(build_G_k(1).to_text())
+    path.write_text(dfa_to_text(build_G_k(1), provenance="G_k k=1"))
     assert invoke("member", "--lang", str(path), "112").exit_code == 0
     assert invoke("member", "--lang", str(path), "12").exit_code == 1
+
+
+@pytest.mark.parametrize("provenance,label", [("G_k k=1", "G_k k=1"),
+                                              (None, "unlabeled")])
+def test_member_json_names_the_file_provenance(tmp_path, provenance, label):
+    path = tmp_path / "g1.lang"
+    path.write_text(dfa_to_text(build_G_k(1), provenance=provenance))
+    r = invoke("--format", "json", "member", "--lang", str(path), "112")
+    assert r.exit_code == 0
+    assert json.loads(r.output) == {"word": "112", "member": True, "lang": label}

@@ -23,7 +23,7 @@ from sepwords.construct import (
     WitnessReport,
 )
 from sepwords.dfa import BudgetError, accepts, enumerate_canonical, reverse, run
-from sepwords.lang import LangHandle, build_G_k, membership, segmented_closure
+from sepwords.lang import build_G_k, segmented_closure
 from sepwords.solver import (
     SearchBudget,
     check_separates,
@@ -87,7 +87,7 @@ def test_search_C_n_respects_forbidden_run_length():
     assert 1 not in run_lengths
     # the word is segments of the base block glued by 0-runs
     closure = segmented_closure(build_G_k(1))
-    assert accepts(closure.dfa, res.word)
+    assert accepts(closure, res.word)
 
 
 @pytest.mark.parametrize(
@@ -155,17 +155,14 @@ def test_search_z_k_small_levels_certified():
     z2 = search_z_k(2)
     assert z1.word == "112" and z1.certified and z1.checked_states == 1
     assert z2.word == "112" and z2.certified and z2.checked_states == 3
-    assert membership(build_G_k(1), z1.word)
-    assert membership(build_G_k(2), z2.word)
+    assert accepts(build_G_k(1), z1.word)
+    assert accepts(build_G_k(2), z2.word)
 
 
 def test_search_z_k_level_4_is_uncertified():
     z4 = search_z_k(4)
     assert not z4.certified
     assert z4.checked_states == 3
-    from sepwords.dfa import BudgetError
-    with pytest.raises(BudgetError):
-        search_z_k(4, allow_uncertified=False)
 
 
 def test_state_limit_for_pairs():
@@ -178,7 +175,7 @@ def test_free_word_is_indistinguishable_and_in_closure():
     # words of the complement family glued with 0-runs
     from sepwords.lang import build_H_k, iter_words
     h = build_H_k(4)
-    blocks = [w for w in iter_words(h.dfa, 5) if w][:10]
+    blocks = [w for w in iter_words(h, 5) if w][:10]
     closure_h = segmented_closure(h)
     for _ in range(10):
         d, d2 = rng.choice(structs), rng.choice(structs)
@@ -186,7 +183,7 @@ def test_free_word_is_indistinguishable_and_in_closure():
         wp = free_word(4, d, d2, w)
         assert run(d, 0, wp) == run(d, 0, w)
         assert run(d2, 0, wp) == run(d2, 0, w)
-        assert accepts(closure_h.dfa, wp)
+        assert accepts(closure_h, wp)
 
 
 def test_free_word_rejects_oversized_automata():
@@ -196,9 +193,8 @@ def test_free_word_rejects_oversized_automata():
 
 
 def test_farmand_machine_size_and_separation():
-    g = build_G_k(1)
-    r = LangHandle(reverse(g.dfa), "reversal", base_alphabet_12=True)
-    t = r.dfa.state_count
+    r = reverse(build_G_k(1))
+    t = r.state_count
     for n in (1, 2):
         m = farmand_dfa(r, n)
         assert m.state_count <= 2 * t + n + 4
@@ -210,9 +206,8 @@ def test_farmand_machine_size_and_separation():
 
 
 def test_farmand_restart_mode_is_smaller():
-    g = build_G_k(1)
-    r = LangHandle(reverse(g.dfa), "reversal", base_alphabet_12=True)
-    t = r.dfa.state_count
+    r = reverse(build_G_k(1))
+    t = r.state_count
     m = farmand_dfa(r, 1, on_mismatch="restart")
     assert m.state_count <= 2 * t + 1 + 3
     with pytest.raises(ValueError):

@@ -6,14 +6,12 @@ import pytest
 
 from sepwords.dfa import accepts, reverse, run
 from sepwords.lang import (
-    LangHandle,
     build_G_k,
     build_H_k,
     build_L_k,
     finite_language,
     is_zero_free,
     iter_words,
-    membership,
     segmented_closure,
     state_complexity,
     universe_12,
@@ -43,25 +41,25 @@ def test_generator_shapes():
 
 
 def test_finite_language_membership():
-    h = finite_language(["1", "22"], "probe")
-    assert membership(h, "1") and membership(h, "22")
-    assert not membership(h, "12") and not membership(h, "")
-    assert h.base_alphabet_12
+    h = finite_language(["1", "22"])
+    assert accepts(h, "1") and accepts(h, "22")
+    assert not accepts(h, "12") and not accepts(h, "")
+    assert is_zero_free(h)
 
 
 def test_star_language_level_1_membership():
     g = build_G_k(1)
     for w in ("", "112", "1112", "11212", "112112", "1121112", "11212112"):
-        assert membership(g, w), w
+        assert accepts(g, w), w
     for w in ("1", "2", "12", "21", "1122", "2112", "0", "1120"):
-        assert not membership(g, w), w
+        assert not accepts(g, w), w
 
 
 def test_star_language_concatenation_closed():
     g = build_G_k(2)
-    members = [w for w in iter_words(g.dfa, 6)]
+    members = [w for w in iter_words(g, 6)]
     for a, b in itertools.product(members[:12], repeat=2):
-        assert membership(g, a + b)
+        assert accepts(g, a + b)
 
 
 def test_complement_language_partitions_zero_free_words():
@@ -69,9 +67,9 @@ def test_complement_language_partitions_zero_free_words():
     for n in range(0, 6):
         for t in itertools.product("12", repeat=n):
             w = "".join(t)
-            assert membership(g, w) != membership(h, w)
+            assert accepts(g, w) != accepts(h, w)
     # words with a 0 belong to neither
-    assert not membership(g, "102") and not membership(h, "102")
+    assert not accepts(g, "102") and not accepts(h, "102")
 
 
 def test_state_complexity_of_star_family():
@@ -91,13 +89,13 @@ def test_star_and_complement_builders_are_memoized_per_process():
 
 
 def test_state_complexity_of_reversals():
-    assert [state_complexity(reverse(build_G_k(k).dfa)) for k in range(1, 6)] == [
+    assert [state_complexity(reverse(build_G_k(k))) for k in range(1, 6)] == [
         7, 12, 17, 22, 27]
 
 
 def test_state_complexity_level_1_matches_nerode_oracle():
     """Independent oracle: count behaviour classes over probe words."""
-    g = build_G_k(1).dfa
+    g = build_G_k(1)
     probes = [""] + [
         "".join(t) for L in range(1, 7) for t in itertools.product("012", repeat=L)
     ]
@@ -111,44 +109,33 @@ def test_state_complexity_level_1_matches_nerode_oracle():
 
 
 def test_zero_freeness_checks():
-    assert is_zero_free(build_G_k(1).dfa)
+    assert is_zero_free(build_G_k(1))
     assert is_zero_free(universe_12())
-    assert not is_zero_free(segmented_closure(build_G_k(1)).dfa)
+    assert not is_zero_free(segmented_closure(build_G_k(1)))
 
 
 def test_segmented_closure_membership():
-    s = segmented_closure(finite_language(["12"], "probe"))
+    s = segmented_closure(finite_language(["12"]))
     for w in ("12", "12012", "120012", "1200120012"):
-        assert accepts(s.dfa, w), w
+        assert accepts(s, w), w
     for w in ("", "0", "012", "120", "1212", "12012012012010"):
-        assert not accepts(s.dfa, w), w
+        assert not accepts(s, w), w
 
 
 def test_segmented_closure_requires_zero_free_base():
     with pytest.raises(ValueError):
-        segmented_closure(finite_language(["12"], "probe").__class__(
-            dfa=segmented_closure(finite_language(["12"], "x")).dfa,
-            provenance="closure output",
-        ))
+        segmented_closure(segmented_closure(finite_language(["12"])))
 
 
 def test_iter_words_is_shortlex_and_complete():
     g = build_G_k(1)
-    got = list(iter_words(g.dfa, 4))
+    got = list(iter_words(g, 4))
     keys = [(len(w), w) for w in got]
     assert keys == sorted(keys)
     brute = [
         "".join(t)
         for L in range(0, 5)
         for t in itertools.product("012", repeat=L)
-        if accepts(g.dfa, "".join(t))
+        if accepts(g, "".join(t))
     ]
     assert got == brute
-
-
-def test_handle_text_roundtrip():
-    g = build_G_k(1)
-    back = LangHandle.from_text(g.to_text())
-    assert back.dfa == g.dfa
-    assert back.provenance == g.provenance
-    assert back.base_alphabet_12

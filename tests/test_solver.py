@@ -10,8 +10,8 @@ from dataclasses import replace
 import pytest
 
 from sepwords import solver
-from sepwords.dfa import BudgetError, Dfa, accepts
-from sepwords.lang import build_H_k, finite_language
+from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, run
+from sepwords.lang import build_H_k, finite_language, segmented_closure
 from sepwords.solver import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -162,7 +162,7 @@ def test_check_separates():
 
 
 def test_lsep_forbidden_states():
-    lang = finite_language(["1", "22"], "probe")
+    lang = finite_language(["1", "22"])
     # 1-state structure: its only state is reachable by every word
     one = Dfa(3, ((0, 0, 0),), frozenset())
     assert lsep_forbidden_states(one, lang) == frozenset({0})
@@ -173,6 +173,27 @@ def test_lsep_lower_check_known_instances():
     assert lsep_lower_check("112", build_H_k(2), 3)
     # a 4-state acceptor avoiding the level-2 complement exists
     assert not lsep_lower_check("112", build_H_k(2), 4)
+
+
+def test_lsep_lower_check_matches_direct_ternary_check():
+    """The {1,2} projection agrees with checking every ternary structure."""
+    ends_with_0 = Dfa(3, ((1, 0, 0), (1, 0, 0)), frozenset({1}))
+    # the last two are not 0-free; the last has no 0-free word, so
+    # projecting it to {1,2} would wrongly empty it
+    langs = [build_H_k(1), build_H_k(2), finite_language(["1", "22"]),
+             segmented_closure(finite_language(["1"])), ends_with_0]
+    words = ["".join(t) for n in range(5) for t in itertools.product("12", repeat=n)]
+    cases = 0
+    for lang in langs:
+        for w in words:
+            if accepts(lang, w):
+                continue
+            for p in (1, 2, 3):
+                direct = all(run(s, 0, w) in lsep_forbidden_states(s, lang)
+                             for s in enumerate_canonical(p, 3))
+                assert lsep_lower_check(w, lang, p) == direct, (w, p)
+                cases += 1
+    assert cases == 285
 
 
 def test_lsep_rejects_member_word():
