@@ -1,7 +1,8 @@
 """Separating words: exact solvers, language constructions, and witnesses."""
 
-from .atlas import AtlasRow, AtlasTable, compute_atlas
-from .cache import CertificateCache, sep_key, solve_cached
+from .atlas import AtlasRow, AtlasTable, SeparationLevels, compute_atlas
+from .cache import (CertificateCache, cached_certificate, sep_key, solve_cached,
+                    store_certificate)
 from .construct import (
     CanonicalTriple,
     CnResult,

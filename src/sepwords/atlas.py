@@ -7,8 +7,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .cache import CertificateCache, solve_cached
-from .solver import DEFAULT_BUDGET, SearchBudget
+from .cache import CertificateCache, cached_certificate, store_certificate
+from .dfa import Dfa, enumerate_canonical, word_symbols
+from .solver import SepCertificate, check_separates, run_table
 
 ATLAS_MAX_LEN_CAP = 6
 
@@ -17,7 +18,7 @@ ATLAS_MAX_LEN_CAP = 6
 class AtlasRow:
     n: int
     value: int
-    exact: bool  # False means the cell is a ">=" lower bound
+    exact: bool  # every cell is exact; the field keeps the output format
     pair: tuple[str, str]
 
 
@@ -59,39 +60,110 @@ def _binary_words(max_len: int) -> list[str]:
     return words
 
 
-def compute_atlas(
-    max_len: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: Optional[CertificateCache] = None,
-) -> AtlasTable:
+Table = tuple[tuple[int, ...], ...]
+
+
+class SeparationLevels:
+    """The binary words of length <= max_len, partitioned level by level.
+
+    sep(w, x) <= p iff some reachable structure with at most p states sends
+    w and x to different end states, and every such structure is isomorphic
+    to one that `enumerate_canonical` yields.  So level p splits the classes
+    of level p - 1 by the end state under each canonical table with exactly
+    p states, computed for all words at once along the trie: in shortlex
+    order word i's parent is word (i - 1) // 2 and its last symbol is
+    (i - 1) % 2.  Refinement stops as soon as every word is alone in its
+    class.
+
+    `words` are in shortlex order.  `classes[p - 1][i]` is word i's class
+    under every structure with at most p states, and `tables[p - 1]` lists
+    the p-state canonical tables that refined level p, in enumeration
+    order.
+    """
+
+    __slots__ = ("words", "classes", "tables")
+
+    def __init__(self, max_len: int):
+        self.words = _binary_words(max_len)
+        n = len(self.words)
+        cls = [0] * n
+        self.classes: list[list[int]] = []
+        self.tables: list[list[Table]] = []
+        count, p = 1, 0
+        while count < n:
+            p += 1
+            level: list[Table] = []
+            for d in enumerate_canonical(p, 2):
+                if d.state_count != p:
+                    continue
+                t = d.transitions
+                level.append(t)
+                end = [0] * n
+                for i in range(1, n):
+                    end[i] = t[end[(i - 1) >> 1]][(i - 1) & 1]
+                ids: dict[tuple[int, int], int] = {}
+                cls = [ids.setdefault(key, len(ids)) for key in zip(cls, end)]
+                count = len(ids)
+                if count == n:
+                    break
+            self.classes.append(cls)
+            self.tables.append(level)
+
+    def sep(self, i: int, j: int) -> int:
+        """sep(words[i], words[j]): the first level whose classes differ."""
+        p = 1
+        while self.classes[p - 1][i] == self.classes[p - 1][j]:
+            p += 1
+        return p
+
+    def certificate(self, i: int, j: int) -> SepCertificate:
+        """An exact certificate: the first table of level sep that splits the
+        pair, accepting the end state of words[i]."""
+        p = self.sep(i, j)
+        w, x = self.words[i], self.words[j]
+        ws, xs = word_symbols(w, 2), word_symbols(x, 2)
+        table = next(t for t in self.tables[p - 1]
+                     if run_table(t, ws) != run_table(t, xs))
+        witness = Dfa(2, table, frozenset({run_table(table, ws)}))
+        if not check_separates(witness, w, x):
+            raise AssertionError(f"level witness fails to separate {w!r}, {x!r}")
+        return SepCertificate(w=w, x=x, lower=p, upper=p, witness=witness,
+                              lower_method="exhaustive-canonical")
+
+
+def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> AtlasTable:
     """Exact maxima of the separation number over binary pairs of length <= n.
 
     Pairs are scanned in shortlex order and the first maximal pair is
-    reported, so the table is reproducible byte for byte; with a warm
-    cache no searches run at all.  Budget exhaustion on a pair turns the
-    affected cells into explicit lower bounds.
+    reported, so the table is reproducible byte for byte.  A pair's value
+    comes from a cache hit when one may be served, else from one partition
+    refinement of all the words, built on the first miss; each miss stores
+    one exact certificate.  With a warm cache no refinement runs at all.
+    `searches_performed` counts the pairs not served from the cache.
     """
     if not 1 <= max_len <= ATLAS_MAX_LEN_CAP:
         raise ValueError(f"max_len must be in 1..{ATLAS_MAX_LEN_CAP}")
     words = _binary_words(max_len)
+    levels: Optional[SeparationLevels] = None
     searches = 0
     best: dict[int, AtlasRow] = {}
-    inexact_from = max_len + 1  # smallest n whose cell is only a lower bound
-    for w, x in itertools.combinations(words, 2):
-        cert, searched = solve_cached(w, x, budget=budget, cache=cache)
-        searches += searched
-        value = cert.lower
+    for (i, w), (j, x) in itertools.combinations(enumerate(words), 2):
+        cert = None if cache is None else cached_certificate(cache, w, x)
+        if cert is not None:
+            value = cert.value
+        else:
+            searches += 1
+            if levels is None:
+                levels = SeparationLevels(max_len)
+            value = levels.sep(i, j)
+            if cache is not None:
+                store_certificate(cache, levels.certificate(i, j))
         n = max(len(w), len(x))
-        if not cert.exact:
-            inexact_from = min(inexact_from, max(n, 1))
         for m in range(max(n, 1), max_len + 1):
             cur = best.get(m)
             if cur is None or value > cur.value:
                 best[m] = AtlasRow(n=m, value=value, exact=True, pair=(w, x))
-    rows = [
-        AtlasRow(n=n, value=best[n].value, exact=n < inexact_from, pair=best[n].pair)
-        for n in range(1, max_len + 1)
-    ]
+    rows = [best[n] for n in range(1, max_len + 1)]
     # the max over a growing set cannot decrease; guard the invariant
     for a, b in zip(rows, rows[1:]):
         if b.value < a.value:

@@ -1,15 +1,18 @@
-"""Append-only JSON-lines result cache, and the one cached-solve path.
+"""Append-only JSON-lines result cache, and the one rule for serving a hit.
 
 Each line is {"key": str, "engine_version": str, "value": object}.  Hits
 are served only at a matching engine version; corrupted or mismatched
 lines are skipped and counted, never fatal.
 
-`solve_cached` is the one cached-solve path.  It stores only exact
-certificates, with `nodes` and `millis` zeroed so that files are
-reproducible.  It serves a hit only when it decodes as a certificate for
-the requested pair with lower == upper and a witness of `upper` states that
-separates the pair, a linear re-check of the upper bound.  Any other hit is
-counted in `rejected`, solved again and stored; the last write wins on replay.
+`cached_certificate` is the one rule for serving a hit: it must decode as a
+certificate for the requested pair with lower == upper and a witness of
+`upper` states that separates the pair, a linear re-check of the upper
+bound.  Any other hit is counted in `rejected`.  `store_certificate` is the
+one rule for storing: only exact certificates, with `nodes` and `millis`
+zeroed so that files are reproducible.  Both callers, `solve_cached` (one
+pair, by search) and `compute_atlas` (every pair, by one partition
+refinement), compute a pair that was not served and store it; the last
+write wins on replay, which heals the file.
 
 The lower bound of a hit is trusted, not re-proved: an entry that
 over-claims with a valid but non-minimal witness (say, lower = upper = 4
@@ -35,7 +38,7 @@ class CertificateCache:
         self.engine_version = engine_version
         self.skipped_corrupt = 0
         self.skipped_version = 0
-        self.rejected = 0  # hits solve_cached refused to serve
+        self.rejected = 0  # hits cached_certificate refused to serve
         self._entries: dict[str, object] = {}
         self._load()
 
@@ -90,6 +93,39 @@ def sep_key(w: str, x: str) -> str:
     return f"sep|{w}|{x}"
 
 
+def cached_certificate(
+    cache: CertificateCache, w: str, x: str
+) -> Optional[SepCertificate]:
+    """The cached certificate for (w, x) if it may be served, else None.
+
+    The one rule for serving a hit: it decodes as a certificate for the
+    requested pair with lower == upper and a witness of `upper` states that
+    separates the pair.  A hit that breaks the rule is counted in
+    `cache.rejected`.
+    """
+    key = sep_key(w, x)
+    if key not in cache:
+        return None
+    try:
+        cert = SepCertificate.from_dict(cache.get(key))
+        if ((cert.w, cert.x) == (w, x) and cert.exact
+                and cert.witness is not None
+                and cert.witness.state_count == cert.upper
+                and check_separates(cert.witness, w, x)):
+            return cert
+    except (AttributeError, KeyError, TypeError, ValueError):
+        pass
+    cache.rejected += 1
+    return None
+
+
+def store_certificate(cache: CertificateCache, cert: SepCertificate) -> None:
+    """Store an exact certificate with `nodes` and `millis` zeroed, so that
+    files are reproducible; a budget-bounded certificate is never stored."""
+    if cert.exact:
+        cache.put(sep_key(cert.w, cert.x), dict(cert.to_dict(), nodes=0, millis=0))
+
+
 def solve_cached(
     w: str,
     x: str,
@@ -97,21 +133,11 @@ def solve_cached(
     cache: Optional[CertificateCache] = None,
 ) -> tuple[SepCertificate, bool]:
     """The certificate for (w, x) and whether a search ran to get it."""
-    if cache is None:
-        return exact_sep(w, x, budget=budget), True
-    key = sep_key(w, x)
-    if key in cache:
-        try:
-            cert = SepCertificate.from_dict(cache.get(key))
-            if ((cert.w, cert.x) == (w, x) and cert.exact
-                    and cert.witness is not None
-                    and cert.witness.state_count == cert.upper
-                    and check_separates(cert.witness, w, x)):
-                return cert, False
-        except (AttributeError, KeyError, TypeError, ValueError):
-            pass
-        cache.rejected += 1
+    if cache is not None:
+        cert = cached_certificate(cache, w, x)
+        if cert is not None:
+            return cert, False
     cert = exact_sep(w, x, budget=budget)
-    if cert.exact:
-        cache.put(key, dict(cert.to_dict(), nodes=0, millis=0))
+    if cache is not None:
+        store_certificate(cache, cert)
     return cert, True

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .dfa import (
@@ -232,6 +233,18 @@ def state_limit_for_pairs(k: int) -> int:
     return math.floor(2 ** (k / 2) - 1 + 1e-12)
 
 
+@lru_cache(maxsize=None)
+def _h_closure(k: int, z_k: Optional[str]) -> Dfa:
+    """The segmented closure of H_k, or of H_k + {z_k} when z_k is given.
+
+    Keyed on (k, z_k), not on a Dfa, so a hit hashes no automaton.
+    """
+    h = build_H_k(k)
+    if z_k is not None:
+        h = minimize(combine(h, finite_language([z_k]), "or"))
+    return segmented_closure(h)
+
+
 def free_word(
     k: int,
     d: Dfa,
@@ -255,14 +268,11 @@ def free_word(
         )
     if d.alphabet_size != 3 or d2.alphabet_size != 3:
         raise ValueError("free_word expects full-alphabet automata")
-    h = build_H_k(k)
-    if z_k is not None:
-        hp = minimize(combine(h, finite_language([z_k]), "or"))
-        if not accepts(segmented_closure(hp), w):
-            raise ValueError("w is not in the closure of H'_k")
+    if z_k is not None and not accepts(_h_closure(k, z_k), w):
+        raise ValueError("w is not in the closure of H'_k")
     same_ends = combine(Dfa(3, d.transitions, frozenset({run(d, 0, w)})),
                         Dfa(3, d2.transitions, frozenset({run(d2, 0, w)})), "and")
-    empty, word = is_empty(combine(same_ends, segmented_closure(h), "and"))
+    empty, word = is_empty(combine(same_ends, _h_closure(k, None), "and"))
     if empty:
         # the small-pair lemma rules this out when the preconditions hold
         raise ValueError(

@@ -1,12 +1,13 @@
 """Maximum-separation table tests."""
 
 import itertools
+import json
 
 import pytest
 
-from sepwords.atlas import ATLAS_MAX_LEN_CAP, compute_atlas
-from sepwords.cache import CertificateCache, sep_key
-from sepwords.solver import SepCertificate, exact_sep
+from sepwords.atlas import ATLAS_MAX_LEN_CAP, SeparationLevels, compute_atlas
+from sepwords.cache import CertificateCache, cached_certificate, sep_key, solve_cached
+from sepwords.solver import SepCertificate, exact_sep, raw_separable
 
 
 def test_max_len_bounds():
@@ -68,6 +69,60 @@ def test_stale_bounded_entry_is_solved_again(tmp_path):
     assert table.to_csv() == compute_atlas(2).to_csv()
     assert all(r.exact for r in table.rows)
     assert table.searches_performed == 1 and cache.rejected == 1
+
+
+def test_levels_match_per_pair_search_past_the_cap():
+    levels = SeparationLevels(7)
+    words = levels.words
+    assert len(words) == 255 and words[:4] == ["", "0", "1", "00"]
+    assert levels.classes[-1] == list(range(255))  # every word split
+    pairs = list(itertools.combinations(range(len(words)), 2))
+    assert len(pairs) == 32385
+    for i, j in pairs:
+        assert levels.sep(i, j) == exact_sep(words[i], words[j]).value, (i, j)
+    # the words of length <= 3 come first in shortlex order
+    for i, j in itertools.combinations(range(15), 2):
+        p, w, x = levels.sep(i, j), words[i], words[j]
+        assert raw_separable(w, x, p) and not raw_separable(w, x, p - 1), (w, x)
+
+
+def test_mixed_hits_and_misses(tmp_path):
+    cache = CertificateCache(tmp_path / "cache.jsonl")
+    compute_atlas(4, cache=cache)
+    table = compute_atlas(6, cache=cache)
+    assert table.searches_performed == 8001 - 465 == 7536
+    assert table.to_csv() == compute_atlas(6).to_csv()
+    assert cache.rejected == 0
+
+
+def test_cold_cache_files_are_reproducible_and_servable(tmp_path):
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        assert compute_atlas(5, cache=CertificateCache(path)).searches_performed == 1953
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    lines = [json.loads(line) for line in paths[0].read_text().splitlines()]
+    assert len(lines) == 1953  # one certificate per pair
+    cache = CertificateCache(paths[0])
+    for line in lines:
+        v = line["value"]
+        assert line["key"] == sep_key(v["w"], v["x"])
+        assert (v["lower_method"], v["nodes"], v["millis"]) == ("exhaustive-canonical", 0, 0)
+        cert = cached_certificate(cache, v["w"], v["x"])
+        assert cert is not None and cert.exact
+        assert cert.witness.state_count == cert.upper
+        assert cert.lower == exact_sep(v["w"], v["x"]).value
+    assert cache.rejected == 0
+
+
+def test_cache_written_by_per_pair_search_is_served(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    words = ["", "0", "1", "00", "01", "10", "11"]
+    for w, x in itertools.combinations(words, 2):
+        solve_cached(w, x, cache=CertificateCache(path))
+    cache = CertificateCache(path)
+    table = compute_atlas(2, cache=cache)
+    assert table.searches_performed == 0 and cache.rejected == 0
+    assert table.to_csv() == compute_atlas(2).to_csv()
 
 
 def test_csv_shape():

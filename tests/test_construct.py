@@ -186,6 +186,21 @@ def test_free_word_is_indistinguishable_and_in_closure():
         assert accepts(closure_h, wp)
 
 
+def test_free_word_closures_are_memoized_per_k_and_z_k():
+    from sepwords.construct import _h_closure
+    _h_closure.cache_clear()
+    d = next(d for d in enumerate_canonical(2, 3) if d.state_count == 2)
+    # "112" is outside H_4, so only the closure of H_4 + {"112"} holds it
+    first = free_word(4, d, d, "112", z_k="112")
+    assert free_word(4, d, d, "112", z_k="112") == first
+    free_word(4, d, d, "12")
+    # one closure of H_4 and one of H_4 + {"112"}, each built once
+    info = _h_closure.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
+    with pytest.raises(ValueError, match="closure of H'_k"):
+        free_word(4, d, d, "0", z_k="112")
+
+
 def test_free_word_rejects_oversized_automata():
     big = next(d for d in enumerate_canonical(4, 3) if d.state_count == 4)
     with pytest.raises(ValueError):
