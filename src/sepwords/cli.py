@@ -154,7 +154,7 @@ def atlas(ctx, max_len):
         click.echo(table.to_json())
     else:  # csv doubles as the text rendering
         click.echo(table.to_csv(), nl=False)
-    sys.exit(EXIT_PASS if all(r.exact for r in table.rows) else EXIT_BOUNDED)
+    sys.exit(EXIT_PASS)
 
 
 @main.command()

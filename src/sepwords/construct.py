@@ -212,7 +212,8 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
 
     Fully certified for k <= 2, where 2^k - 1 states are exhaustible.  For
     larger k the exhaustive bound is out of reach; the candidate is vetted
-    at the exhaustible cap and flagged uncertified.
+    at the exhaustible cap and flagged uncertified.  One budget (one node
+    pool, one deadline) covers every candidate's check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -220,10 +221,12 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
     certified = target <= EXHAUSTIVE_STATE_CAP
     p = target if certified else EXHAUSTIVE_STATE_CAP
     g, h = build_G_k(k), build_H_k(k)
+    counters = SearchCounters(budget)
     for z in iter_words(g, Z_K_MAX_LEN):
         if not z:
             continue
-        if lsep_lower_check(z, h, p, budget=budget):
+        counters.check_deadline()
+        if lsep_lower_check(z, h, p, counters=counters):
             return ZkResult(k=k, word=z, certified=certified, checked_states=p)
     raise BudgetError(f"no candidate up to length {Z_K_MAX_LEN} for k={k}")
 

@@ -197,35 +197,35 @@ def minimize(d: Dfa) -> Dfa:
     breadth-first canonical renumbering, so two language-equal inputs
     produce structurally identical outputs.  A dead state survives exactly
     when the language is not total.
+
+    States are indexed by their position in reach order, and cls[i] is the
+    class of the i-th reachable state.  Each round keys every state by its
+    class and its successors' classes, and renumbers the keys in reach
+    order; a round that adds no class leaves the partition stable.
     """
     reach = _reachable(d)
-    # Refine classes until stable; class id 0/1 seeded by acceptance.
-    cls = {q: (1 if q in d.accepting else 0) for q in reach}
+    pos = [0] * d.state_count
+    for i, q in enumerate(reach):
+        pos[q] = i
+    # succ[a][i]: reach position of the a-successor of reach[i]
+    succ = [[pos[d.transitions[q][a]] for q in reach] for a in range(d.alphabet_size)]
+    cls = [1 if q in d.accepting else 0 for q in reach]
+    count = len(set(cls))
     while True:
-        sig = {
-            q: (cls[q],) + tuple(cls[d.transitions[q][s]] for s in range(d.alphabet_size))
-            for q in reach
-        }
-        renum: dict[tuple, int] = {}
-        new = {}
-        for q in reach:
-            new[q] = renum.setdefault(sig[q], len(renum))
-        if len(set(new.values())) == len(set(cls.values())):
-            cls = new
+        renum: dict[tuple[int, ...], int] = {}
+        targets = [list(map(cls.__getitem__, col)) for col in succ]
+        cls = [renum.setdefault(key, len(renum)) for key in zip(cls, *targets)]
+        if len(renum) == count:
             break
-        cls = new
-    reps: dict[int, int] = {}
-    for q in reach:
-        reps.setdefault(cls[q], q)
-    rows = tuple(
-        tuple(cls[d.transitions[reps[c]][s]] for s in range(d.alphabet_size))
-        for c in range(len(reps))
-    )
-    acc = frozenset(c for c, q in reps.items() if q in d.accepting)
+        count = len(renum)
     # Class ids are assigned in reach order and reach[0] is the start, so
-    # the start's class is always 0.
-    quotient = Dfa(d.alphabet_size, rows, acc)
-    return canonicalize(quotient)
+    # the start's class is always 0, and first members come in class order.
+    first: dict[int, int] = {}
+    for i, c in enumerate(cls):
+        first.setdefault(c, i)
+    rows = tuple(tuple(cls[col[i]] for col in succ) for i in first.values())
+    acc = frozenset(c for c, i in first.items() if reach[i] in d.accepting)
+    return canonicalize(Dfa(d.alphabet_size, rows, acc))
 
 
 def determinize(

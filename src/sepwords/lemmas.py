@@ -50,10 +50,10 @@ from .solver import (
     SearchBudget,
     check_separates,
     exact_sep,
-    lsep_forbidden_states,
     lsep_lower_check,
     no_separator_up_to,
     raw_tables,
+    reached_by_language,
 )
 
 DEFAULT_SEED = 20240717
@@ -333,14 +333,15 @@ def _check_kebab(budget, rng, negative):
     misses = 0
     for i in range(100):
         d, d2 = rng.choice(structs), rng.choice(structs)
-        # product states reachable along words of H_k; the mutation
+        # is z's product state reached along a word of H_k?  The mutation
         # truncates the language to its words of length <= 1
         pair = combine(d, d2, "and")
+        end = run(pair, 0, z.word)
         if negative:
-            reached = {run(pair, 0, u) for u in iter_words(h, 1)}
+            reached = end in {run(pair, 0, u) for u in iter_words(h, 1)}
         else:
-            reached = lsep_forbidden_states(pair, h)
-        if run(pair, 0, z.word) not in reached:
+            reached = reached_by_language(pair, h, end)
+        if not reached:
             misses += 1
     evidence = {"z": z.word, "pairs": 100, "misses": misses,
                 "z_certified": z.certified}

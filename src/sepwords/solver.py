@@ -419,40 +419,52 @@ def raw_separable(w: str, x: str, p: int) -> bool:
     return False
 
 
-def lsep_forbidden_states(structure: Dfa, l: Dfa) -> frozenset[int]:
-    """Structure states reachable by some word of the language.
+def reached_by_language(structure: Dfa, l: Dfa, q: int) -> bool:
+    """Does some word of L(l) lead the structure from its start to state q?
 
-    Any accepting set avoiding these states rejects all of L(l); computed
-    by BFS over the product of the structure with l.
+    Depth-first search over the product of the structure with l that stops
+    at the first pair of q and an accepting state of l.
     """
     k = structure.alphabet_size
     if l.alphabet_size < k:
         raise ValueError("language alphabet smaller than structure alphabet")
+    trans, ltrans, lacc = structure.transitions, l.transitions, l.accepting
+    if q == 0 and 0 in lacc:
+        return True
     seen = {(0, 0)}
     stack = [(0, 0)]
-    forbidden = set()
     while stack:
-        q, lq = stack.pop()
-        if lq in l.accepting:
-            forbidden.add(q)
+        s, ls = stack.pop()
+        row, lrow = trans[s], ltrans[ls]
         for a in range(k):
-            t = (structure.transitions[q][a], l.transitions[lq][a])
+            t = (row[a], lrow[a])
             if t not in seen:
+                # tested when first seen, not when popped: the stack may
+                # hold a seen pair while a deep branch above it is explored
+                if t[0] == q and t[1] in lacc:
+                    return True
                 seen.add(t)
                 stack.append(t)
-    return frozenset(forbidden)
+    return False
 
 
 def lsep_lower_check(
-    w: str, l: Dfa, p: int, budget: SearchBudget = DEFAULT_BUDGET
+    w: str,
+    l: Dfa,
+    p: int,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    counters: Optional[SearchCounters] = None,
 ) -> bool:
     """True iff no DFA with <= p states accepts w while rejecting all of L(l).
 
     For every canonical structure, a suitable accepting set exists exactly
-    when w's end state is not reachable by any word of the language; the
-    check enumerates structures and tests that reachability.  For a 0-free
-    w and a 0-free language over {0,1,2}, structures over two effective
-    symbols suffice: transitions on 0 are never exercised.
+    when w's end state is not reached by any word of the language; the
+    check enumerates structures and stops at the first whose end state
+    the language misses.  Each reachability search stops at the first
+    word of the language that reaches the end state.  For a 0-free w and
+    a 0-free language over {0,1,2}, structures over two effective symbols
+    suffice: transitions on 0 are never exercised.  counters, when given,
+    is charged one node per structure instead of a fresh pool from budget.
     """
     if accepts(l, w):
         raise ValueError("lsep undefined: the word belongs to the language")
@@ -464,12 +476,12 @@ def lsep_lower_check(
         k = l.alphabet_size
         proj = l
         ws = word_symbols(w, k)
-    counters = SearchCounters(budget)
+    if counters is None:
+        counters = SearchCounters(budget)
     for structure in enumerate_canonical(p, k):
         counters.tick()
-        forbidden = lsep_forbidden_states(structure, proj)
         end = run_table(structure.transitions, ws)
-        if end not in forbidden:
+        if not reached_by_language(structure, proj, end):
             return False
     return True
 

@@ -165,6 +165,25 @@ def test_search_z_k_level_4_is_uncertified():
     assert z4.checked_states == 3
 
 
+def test_search_z_k_spends_one_node_budget_on_all_candidates(monkeypatch):
+    """A budget that fits one candidate's check but not two runs out.
+
+    Every level's first candidate, 112, passes; refuting it after its
+    check forces a second candidate, as a language with a harder first
+    word would.
+    """
+    real = construct.lsep_lower_check
+
+    def refute_112(z, h, p, **kwargs):
+        return real(z, h, p, **kwargs) and z != "112"
+
+    monkeypatch.setattr(construct, "lsep_lower_check", refute_112)
+    one = 229  # canonical binary structures with <= 3 states
+    assert search_z_k(2, budget=SearchBudget(max_nodes=2 * one)).word == "11112"
+    with pytest.raises(BudgetError):
+        search_z_k(2, budget=SearchBudget(max_nodes=one + 1))
+
+
 def test_state_limit_for_pairs():
     assert [state_limit_for_pairs(k) for k in (1, 2, 3, 4, 6)] == [0, 1, 1, 3, 7]
 

@@ -1,6 +1,7 @@
 """Core automaton library tests."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sepwords.dfa import (
     Dfa,
     accepts,
+    _reachable,
     canonicalize,
     combine,
     complement,
@@ -26,6 +28,8 @@ from sepwords.dfa import (
     zero_cycle_length,
     zpath,
 )
+from sepwords import dfa, lang
+from sepwords.lang import build_G_k, build_H_k
 from sepwords.solver import raw_tables
 
 
@@ -120,6 +124,67 @@ def test_minimize_is_minimal_by_quotient_oracle(d):
         for q in range(m.state_count)
     }
     assert len(set(sigs.values())) == m.state_count
+
+
+def _moore_minimize_reference(d: Dfa) -> Dfa:
+    """The dict-based Moore refinement that minimize() replaced, kept as a
+    reference: its outputs must stay byte-identical."""
+    reach = _reachable(d)
+    # Refine classes until stable; class id 0/1 seeded by acceptance.
+    cls = {q: (1 if q in d.accepting else 0) for q in reach}
+    while True:
+        sig = {
+            q: (cls[q],) + tuple(cls[d.transitions[q][s]] for s in range(d.alphabet_size))
+            for q in reach
+        }
+        renum: dict[tuple, int] = {}
+        new = {}
+        for q in reach:
+            new[q] = renum.setdefault(sig[q], len(renum))
+        if len(set(new.values())) == len(set(cls.values())):
+            cls = new
+            break
+        cls = new
+    reps: dict[int, int] = {}
+    for q in reach:
+        reps.setdefault(cls[q], q)
+    rows = tuple(
+        tuple(cls[d.transitions[reps[c]][s]] for s in range(d.alphabet_size))
+        for c in range(len(reps))
+    )
+    acc = frozenset(c for c, q in reps.items() if q in d.accepting)
+    # Class ids are assigned in reach order and reach[0] is the start, so
+    # the start's class is always 0.
+    quotient = Dfa(d.alphabet_size, rows, acc)
+    return canonicalize(quotient)
+
+
+def test_minimize_matches_dict_moore_reference():
+    """Byte-identical to the reference on random 2- and 3-symbol DFAs."""
+    rng = random.Random(20240717)
+    for i in range(2000):
+        d = random_dfa(rng, max_states=14, k=2 + i % 2)
+        assert dfa_to_text(minimize(d)) == dfa_to_text(_moore_minimize_reference(d)), d
+
+
+def test_minimize_matches_reference_on_block_languages(monkeypatch):
+    """The inputs minimize() gets while building G_k, H_k and reverse(G_k),
+    k <= 8, minimize to the reference's bytes."""
+    inputs = []
+
+    def recording(d):
+        inputs.append(d)
+        return minimize(d)
+
+    monkeypatch.setattr(lang, "minimize", recording)
+    monkeypatch.setattr(dfa, "minimize", recording)
+    for k in range(1, 9):
+        lang.build_G_k.__wrapped__(k)
+        lang.build_H_k.__wrapped__(k)
+        reverse(build_G_k(k))
+    assert max(d.state_count for d in inputs) == 1279
+    for d in inputs:
+        assert dfa_to_text(minimize(d)) == dfa_to_text(_moore_minimize_reference(d))
 
 
 @given(dfas, words)

@@ -11,7 +11,7 @@ import pytest
 
 from sepwords import solver
 from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, run
-from sepwords.lang import build_H_k, finite_language, segmented_closure
+from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
 from sepwords.solver import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -19,13 +19,37 @@ from sepwords.solver import (
     SepCertificate,
     check_separates,
     exact_sep,
-    lsep_forbidden_states,
     lsep_lower_check,
     no_separator_up_to,
     raw_separable,
+    reached_by_language,
     run_table,
     separating_structure,
 )
+
+
+def lsep_forbidden_states(structure: Dfa, l: Dfa) -> frozenset[int]:
+    """Structure states reachable by some word of the language.
+
+    Full-BFS reference for reached_by_language: the product of the
+    structure with l is explored to completion.
+    """
+    k = structure.alphabet_size
+    if l.alphabet_size < k:
+        raise ValueError("language alphabet smaller than structure alphabet")
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    forbidden = set()
+    while stack:
+        q, lq = stack.pop()
+        if lq in l.accepting:
+            forbidden.add(q)
+        for a in range(k):
+            t = (structure.transitions[q][a], l.transitions[lq][a])
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(forbidden)
 
 
 def test_budget_validation():
@@ -194,6 +218,62 @@ def test_lsep_lower_check_matches_direct_ternary_check():
                 assert lsep_lower_check(w, lang, p) == direct, (w, p)
                 cases += 1
     assert cases == 285
+
+
+def _check_early_exit_per_state(lang, structures):
+    """reached_by_language agrees with the full BFS on every state of every
+    structure; returns the full BFS's forbidden sets and the number of
+    states other than the start that no word of the language reaches.
+
+    Words of H_k reach every state but some starts, so only a language
+    with such misses, like G_k, shows a search that ignores acceptance.
+    """
+    proj = solver._project_12(lang)
+    forbidden = {s: lsep_forbidden_states(s, proj) for s in structures}
+    missed = 0
+    for s in structures:
+        for q in range(s.state_count):
+            assert reached_by_language(s, proj, q) == (q in forbidden[s]), (s, q)
+            missed += q != 0 and q not in forbidden[s]
+    return forbidden, missed
+
+
+def _full_bfs_lsep(ws, structures, forbidden):
+    """lsep_lower_check's answer from whole forbidden-state sets."""
+    return all(run_table(s.transitions, ws) in forbidden[s] for s in structures)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_early_exit_matches_full_bfs_on_block_languages(k):
+    """On H_k, and on G_k as the language, reached_by_language and
+    lsep_lower_check agree with the full BFS for every structure with
+    <= 3 states and every nonempty word of length <= 6 of the other."""
+    structures = {p: list(enumerate_canonical(p, 2)) for p in (1, 2, 3)}
+    g, h = build_G_k(k), build_H_k(k)
+    for lang, others in ((h, g), (g, h)):
+        forbidden, missed = _check_early_exit_per_state(lang, structures[3])
+        assert missed > 0 or lang is h
+        words = [w for w in iter_words(others, 6) if w]
+        assert len(words) >= 3
+        for w in words:
+            ws = [ord(c) - 49 for c in w]
+            for p in (1, 2, 3):
+                expected = _full_bfs_lsep(ws, structures[p], forbidden)
+                assert lsep_lower_check(w, lang, p) == expected, (w, p)
+
+
+def test_early_exit_matches_full_bfs_at_k_10():
+    """z = 112 on H_10 for p <= 3; every state on H_10 for p <= 3 and on
+    G_10 for p <= 2, where three states are missed."""
+    structures = list(enumerate_canonical(3, 2))
+    two = list(enumerate_canonical(2, 2))
+    assert _check_early_exit_per_state(build_G_k(10), two)[1] == 3
+    h = build_H_k(10)
+    forbidden, _ = _check_early_exit_per_state(h, structures)
+    ws = [0, 0, 1]  # 112 over the projected symbols
+    for p in (1, 2, 3):
+        expected = _full_bfs_lsep(ws, list(enumerate_canonical(p, 2)), forbidden)
+        assert lsep_lower_check("112", h, p) == expected
 
 
 def test_lsep_rejects_member_word():
