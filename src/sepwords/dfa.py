@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 
@@ -64,12 +65,22 @@ class Dfa:
         return 0
 
 
+# symbol id of each character, per alphabet size
+_SYMBOL_IDS = {k: {chr(48 + s): s for s in range(k)} for k in range(2, MAX_ALPHABET + 1)}
+
+
 def run(d: Dfa, q: int, w: str) -> int:
     """The state reached from q after reading w."""
-    if not 0 <= q < d.state_count:
+    rows = d.transitions
+    if not 0 <= q < len(rows):
         raise ValueError(f"state {q} out of range")
-    for s in word_symbols(w, d.alphabet_size):
-        q = d.transitions[q][s]
+    ids = _SYMBOL_IDS[d.alphabet_size]
+    try:
+        for c in w:
+            q = rows[q][ids[c]]
+    except KeyError:
+        word_symbols(w, d.alphabet_size)  # raises the out-of-alphabet error
+        raise
     return q
 
 
@@ -303,14 +314,15 @@ def zpath(d: Dfa, q: int, i: Optional[int] = None) -> frozenset[int]:
     0-trajectory: the first state visited twice starts the 0-cycle, so the
     states visited before it are exactly those in no zero-cycle.
     """
-    if not 0 <= q < d.state_count:
+    rows = d.transitions
+    if not 0 <= q < len(rows):
         raise ValueError(f"state {q} out of range")
-    seen: dict[int, int] = {}  # state -> index of its first visit
+    seen: dict[int, int] = {}  # state -> index of its first visit, in visit order
     while q not in seen:
         seen[q] = len(seen)
-        q = d.transitions[q][0]
-    stop = seen[q] if i is None else min(seen[q], i + 1)
-    return frozenset(s for s, j in seen.items() if j < stop)
+        q = rows[q][0]
+    stop = seen[q] if i is None else max(0, min(seen[q], i + 1))
+    return frozenset(islice(seen, stop))
 
 
 def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Dfa]:

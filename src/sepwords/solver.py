@@ -15,6 +15,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .dfa import (
@@ -137,35 +138,67 @@ def _distinguishing_structure(
 
     Returns a complete transition table (unconstrained entries point at
     state 0) or None after exhausting all canonical partial structures.
+
+    Depth-first over an explicit stack.  The partial table is one column
+    per symbol, cols[a][q], with -1 for an unassigned entry, and each word
+    is read as its list of columns.  A node is a walk from (wi, pos,
+    state) until the word ends or meets an unassigned entry; there the
+    entry branches over the used states plus one fresh state, and each
+    frame on the stack is such an entry with its next target.  Finishing
+    w and starting x counts as one more node.
     """
-    trans: dict[tuple[int, int], int] = {}
-    words = (w, x)
-
-    def step(wi: int, pos: int, state: int, used: int, endw: int):
-        counters.tick()
-        word = words[wi]
-        while pos < len(word):
-            key = (state, word[pos])
-            t = trans.get(key)
-            if t is None:
-                for t in range(min(used + 1, p)):
-                    trans[key] = t
-                    res = step(wi, pos + 1, t, max(used, t + 1), endw)
-                    del trans[key]
-                    if res is not None:
-                        return res
+    cols = [[-1] * p for _ in range(k)]
+    words = ([cols[a] for a in w], [cols[a] for a in x])
+    stack: list[tuple] = []  # (col, state, next target, limit, wi, pos, used, endw)
+    nodes, max_nodes = counters.nodes, counters.max_nodes
+    wi, pos, state, used, endw = 0, 0, 0, 1, -1
+    try:
+        while True:
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetError(f"node budget exhausted at {nodes} nodes")
+            if nodes % 4096 == 0:
+                counters.check_deadline()
+            word = words[wi]
+            n = len(word)
+            while pos < n:
+                col = word[pos]
+                t = col[state]
+                if t < 0:
+                    break
+                state = t
+                pos += 1
+            if pos < n:
+                # first child is target 0, which never raises used (>= 1)
+                col[state] = 0
+                limit = used + 1 if used < p else p
+                stack.append((col, state, 1, limit, wi, pos, used, endw))
+                state = 0
+                pos += 1
+                continue
+            if wi == 0:
+                wi, pos, endw, state = 1, 0, state, 0
+                continue
+            if state != endw:
+                return tuple(
+                    tuple(c[q] if c[q] >= 0 else 0 for c in cols) for q in range(p)
+                )
+            # backtrack to the deepest entry with a target left to try
+            while stack:
+                col, q, t, limit, wi, pos, used, endw = stack.pop()
+                if t < limit:
+                    col[q] = t
+                    stack.append((col, q, t + 1, limit, wi, pos, used, endw))
+                    pos += 1
+                    if used <= t:
+                        used = t + 1
+                    state = t
+                    break
+                col[q] = -1
+            else:
                 return None
-            state = t
-            pos += 1
-        if wi == 0:
-            return step(1, 0, 0, used, state)
-        if state != endw:
-            return tuple(
-                tuple(trans.get((q, a), 0) for a in range(k)) for q in range(p)
-            )
-        return None
-
-    return step(0, 0, 0, 1, -1)
+    finally:
+        counters.nodes = nodes
 
 
 def check_separates(d: Dfa, w: str, x: str) -> bool:
@@ -468,9 +501,9 @@ def lsep_lower_check(
     """
     if accepts(l, w):
         raise ValueError("lsep undefined: the word belongs to the language")
-    if "0" not in w and l.alphabet_size == 3 and is_zero_free(l):
+    proj = _zero_free_projection(l) if "0" not in w else None
+    if proj is not None:
         k = 2
-        proj = _project_12(l)
         ws = [ord(c) - 48 - 1 for c in w]
     else:
         k = l.alphabet_size
@@ -484,6 +517,18 @@ def lsep_lower_check(
         if not reached_by_language(structure, proj, end):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _zero_free_projection(l: Dfa) -> Optional[Dfa]:
+    """l projected to {1,2} when it is a 0-free 3-symbol language, else None.
+
+    Memoized: the emptiness search and the new automaton cost far more
+    than hashing l, and callers check many words against one language.
+    """
+    if l.alphabet_size == 3 and is_zero_free(l):
+        return _project_12(l)
+    return None
 
 
 def _project_12(d: Dfa) -> Dfa:

@@ -253,6 +253,66 @@ def test_zpath_matches_its_definition_exhaustively():
                 assert zpath(d, q, i) == zpath_reference(d, q, i), (d.transitions, q, i)
 
 
+def run_walk_reference(d: Dfa, q: int, w: str) -> int:
+    """The run() that the per-alphabet lookup replaced, kept as a reference."""
+    if not 0 <= q < d.state_count:
+        raise ValueError(f"state {q} out of range")
+    for s in word_symbols(w, d.alphabet_size):
+        q = d.transitions[q][s]
+    return q
+
+
+def zpath_walk_reference(d: Dfa, q: int, i=None) -> frozenset[int]:
+    """The zpath() that the insertion-order slice replaced, kept as a reference."""
+    if not 0 <= q < d.state_count:
+        raise ValueError(f"state {q} out of range")
+    seen: dict[int, int] = {}  # state -> index of its first visit
+    while q not in seen:
+        seen[q] = len(seen)
+        q = d.transitions[q][0]
+    stop = seen[q] if i is None else min(seen[q], i + 1)
+    return frozenset(s for s, j in seen.items() if j < stop)
+
+
+def test_run_and_zpath_match_references_on_canonical_structures():
+    """Every structure with <= 4 binary or <= 3 ternary states, every q."""
+    checked = 0
+    for p, k in ((4, 2), (3, 3)):
+        words = ["".join(t) for n in range(4 - k + 2)
+                 for t in itertools.product("012"[:k], repeat=n)]
+        for d in enumerate_canonical(p, k):
+            n = d.state_count
+            for q in range(n):
+                for w in words:
+                    assert run(d, q, w) == run_walk_reference(d, q, w)
+                for i in (None, -2, -1, *range(n + 2)):
+                    assert zpath(d, q, i) == zpath_walk_reference(d, q, i)
+                checked += 1
+    assert checked > 20_000
+
+
+def _value_error_text(f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return str(info.value)
+
+
+def test_run_and_zpath_raise_the_reference_errors():
+    binary = Dfa(2, ((1, 0), (0, 1)), frozenset())
+    ternary = Dfa(3, ((1, 0, 0), (0, 1, 1)), frozenset())
+    for d, w in ((binary, "2"), (binary, "0102"), (binary, "a"),
+                 (ternary, "01a2"), (ternary, "3")):
+        text = _value_error_text(run, d, 0, w)
+        assert text == _value_error_text(run_walk_reference, d, 0, w)
+        assert "outside alphabet" in text
+    for d in (binary, ternary):
+        for q in (-1, 2, 7):
+            text = _value_error_text(run, d, q, "0")
+            assert text == _value_error_text(run_walk_reference, d, q, "0")
+            assert text == _value_error_text(zpath, d, q)
+            assert text == _value_error_text(zpath_walk_reference, d, q)
+
+
 def canonical_count(p, k):
     return sum(1 for _ in enumerate_canonical(p, k))
 

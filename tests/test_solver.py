@@ -5,12 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
 from sepwords import solver
-from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, run
+from sepwords.construct import canonical_triple, search_C_n
+from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, run, word_symbols
 from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
 from sepwords.solver import (
     DEFAULT_BUDGET,
@@ -26,6 +28,47 @@ from sepwords.solver import (
     run_table,
     separating_structure,
 )
+
+
+def recursive_distinguishing_structure(
+    w: list[int], x: list[int], p: int, k: int, counters: SearchCounters
+):
+    """A canonical p-state structure with different end states on w and x.
+
+    Returns a complete transition table (unconstrained entries point at
+    state 0) or None after exhausting all canonical partial structures.
+
+    Reference for solver._distinguishing_structure: the recursive search
+    over a (state, symbol) dict that the explicit-stack kernel replaced.
+    """
+    trans: dict[tuple[int, int], int] = {}
+    words = (w, x)
+
+    def step(wi: int, pos: int, state: int, used: int, endw: int):
+        counters.tick()
+        word = words[wi]
+        while pos < len(word):
+            key = (state, word[pos])
+            t = trans.get(key)
+            if t is None:
+                for t in range(min(used + 1, p)):
+                    trans[key] = t
+                    res = step(wi, pos + 1, t, max(used, t + 1), endw)
+                    del trans[key]
+                    if res is not None:
+                        return res
+                return None
+            state = t
+            pos += 1
+        if wi == 0:
+            return step(1, 0, 0, used, state)
+        if state != endw:
+            return tuple(
+                tuple(trans.get((q, a), 0) for a in range(k)) for q in range(p)
+            )
+        return None
+
+    return step(0, 0, 0, 1, -1)
 
 
 def lsep_forbidden_states(structure: Dfa, l: Dfa) -> frozenset[int]:
@@ -220,6 +263,24 @@ def test_lsep_lower_check_matches_direct_ternary_check():
     assert cases == 285
 
 
+def test_lsep_lower_check_words_with_0_use_ternary_structures():
+    """A word with a 0 is checked over all three symbols even when the
+    language is 0-free, so the {1,2} projection never applies to it."""
+    words = ["".join(t) for n in range(1, 4) for t in itertools.product("012", repeat=n)
+             if "0" in t]
+    cases = 0
+    for lang in (build_H_k(1), finite_language(["1", "22"])):
+        for w in words:
+            if accepts(lang, w):
+                continue
+            for p in (1, 2, 3):
+                direct = all(run(s, 0, w) in lsep_forbidden_states(s, lang)
+                             for s in enumerate_canonical(p, 3))
+                assert lsep_lower_check(w, lang, p) == direct, (w, p)
+                cases += 1
+    assert cases > 100
+
+
 def _check_early_exit_per_state(lang, structures):
     """reached_by_language agrees with the full BFS on every state of every
     structure; returns the full BFS's forbidden sets and the number of
@@ -286,3 +347,78 @@ def test_no_separator_up_to_monotone():
     results = [no_separator_up_to(w, x, p) for p in (1, 2, 3)]
     # once a separator exists it exists at every larger level
     assert results == sorted(results, reverse=True)
+
+
+def _kernel_outcome(kernel, w, x, p, counters):
+    """(table or None or the BudgetError text, nodes charged) of one search."""
+    k = 3 if "2" in w + x else 2
+    try:
+        out = kernel(word_symbols(w, k), word_symbols(x, k), p, k, counters)
+    except BudgetError as e:
+        out = str(e)
+    return out, counters.nodes
+
+
+def test_kernel_matches_recursive_reference_on_random_pairs():
+    """Equal tables and equal node counts on seeded binary and ternary pairs."""
+    rng = random.Random(2026)
+    searched = nodes = 0
+    for _ in range(600):
+        alphabet = rng.choice(("01", "012"))
+        w, x = ("".join(rng.choice(alphabet) for _ in range(rng.randrange(14)))
+                for _ in range(2))
+        if w == x:
+            continue
+        for p in (1, 2, 3, 4):
+            new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
+                                  SearchCounters(DEFAULT_BUDGET))
+            ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+                                  SearchCounters(DEFAULT_BUDGET))
+            assert new == ref, (w, x, p)
+            searched += 1
+            nodes += new[1]
+    assert searched > 2000 and nodes > 20_000
+
+
+_BUDGET_SWEEP = {
+    "binary-none": ("1" + "00" + "1", "1" + "0" * 122 + "1", 3),
+    "binary-none-wider": ("101" + "00" + "101", "101" + "0" * 122 + "101", 3),
+    "ternary-none": ("12" + "00" + "12", "12" + "0" * 14 + "12", 3),
+    "ternary-found": ("212" + "00" + "212", "212" + "0" * 14 + "212", 4),
+    "binary-found-late": ("000001", "0" * 17 + "1", 5),
+}
+
+
+@pytest.mark.parametrize("w,x,p", _BUDGET_SWEEP.values(), ids=_BUDGET_SWEEP)
+def test_kernel_matches_reference_at_every_node_budget(w, x, p):
+    """Same outcome, BudgetError text and node count at every max_nodes up
+    to two past the search's full node count."""
+    full = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+                           SearchCounters(DEFAULT_BUDGET))[1]
+    assert full > 50
+    for max_nodes in range(1, full + 3):
+        budget = replace(DEFAULT_BUDGET, max_nodes=max_nodes)
+        new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
+                              SearchCounters(budget))
+        ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+                              SearchCounters(budget))
+        assert new == ref, max_nodes
+        assert isinstance(new[0], str) == (max_nodes < full)
+
+
+@pytest.mark.parametrize("charged", [0, 4000])
+def test_kernel_checks_deadline_at_node_4096_of_the_pool(charged):
+    """An expired deadline is noticed at pool node 4096, not before."""
+    t = canonical_triple(2)
+    w = "100100100001001"
+    for kernel in (solver._distinguishing_structure, recursive_distinguishing_structure):
+        counters = SearchCounters(DEFAULT_BUDGET)
+        counters.nodes = charged
+        counters.deadline = time.monotonic() - 1.0
+        out = _kernel_outcome(kernel, w + t.f + w, w + t.g + w, 5, counters)
+        assert out == ("wall-clock budget exhausted", 4096)
+
+
+def test_search_C_n_n2_counts_are_frozen():
+    res = search_C_n(2, "1")
+    assert (res.candidates, res.exhaustive_searches, res.nodes) == (402, 19, 37593)
