@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cache import CertificateCache, cached_certificate, store_certificate
-from .dfa import Dfa, enumerate_canonical, word_symbols
-from .solver import SepCertificate, check_separates, run_table
+from .dfa import enumerate_canonical, word_symbols
+from .solver import SepCertificate, Table, certificate_from_table, run_table
 
 ATLAS_MAX_LEN_CAP = 6
 
@@ -58,9 +58,6 @@ def _binary_words(max_len: int) -> list[str]:
     for length in range(1, max_len + 1):
         words.extend("".join(p) for p in itertools.product("01", repeat=length))
     return words
-
-
-Table = tuple[tuple[int, ...], ...]
 
 
 class SeparationLevels:
@@ -124,11 +121,7 @@ class SeparationLevels:
         ws, xs = word_symbols(w, 2), word_symbols(x, 2)
         table = next(t for t in self.tables[p - 1]
                      if run_table(t, ws) != run_table(t, xs))
-        witness = Dfa(2, table, frozenset({run_table(table, ws)}))
-        if not check_separates(witness, w, x):
-            raise AssertionError(f"level witness fails to separate {w!r}, {x!r}")
-        return SepCertificate(w=w, x=x, lower=p, upper=p, witness=witness,
-                              lower_method="exhaustive-canonical")
+        return certificate_from_table(w, x, table, p, "exhaustive-canonical")
 
 
 def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> AtlasTable:

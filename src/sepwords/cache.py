@@ -4,15 +4,16 @@ Each line is {"key": str, "engine_version": str, "value": object}.  Hits
 are served only at a matching engine version; corrupted or mismatched
 lines are skipped and counted, never fatal.
 
-`cached_certificate` is the one rule for serving a hit: it must decode as a
-certificate for the requested pair with lower == upper and a witness of
-`upper` states that separates the pair, a linear re-check of the upper
-bound.  Any other hit is counted in `rejected`.  `store_certificate` is the
-one rule for storing: only exact certificates, with `nodes` and `millis`
-zeroed so that files are reproducible.  Both callers, `solve_cached` (one
-pair, by search) and `compute_atlas` (every pair, by one partition
-refinement), compute a pair that was not served and store it; the last
-write wins on replay, which heals the file.
+`cached_certificate` serves a hit only when it decodes as an exact
+certificate for the requested pair that passes the solver's one validity
+rule, `SepCertificate.witness_checks` (a linear re-check of the upper
+bound); the stored witness is served as stored.  Any other hit is counted
+in `rejected`.  `store_certificate` is the one rule for storing: only exact
+certificates, with `nodes` and `millis` zeroed so that files are
+reproducible.  Both callers, `solve_cached` (one pair, by search) and
+`compute_atlas` (every pair, by one partition refinement), compute a pair
+that was not served and store it; the last write wins on replay, which
+heals the file.
 
 The lower bound of a hit is trusted, not re-proved: an entry that
 over-claims with a valid but non-minimal witness (say, lower = upper = 4
@@ -29,13 +30,14 @@ from pathlib import Path
 from typing import Optional
 
 from .solver import (DEFAULT_BUDGET, ENGINE_VERSION, SearchBudget, SepCertificate,
-                     check_separates, exact_sep)
+                     exact_sep)
 
 
 class CertificateCache:
-    def __init__(self, path: str | Path, engine_version: str = ENGINE_VERSION):
+    engine_version = ENGINE_VERSION
+
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.engine_version = engine_version
         self.skipped_corrupt = 0
         self.skipped_version = 0
         self.rejected = 0  # hits cached_certificate refused to serve
@@ -98,20 +100,16 @@ def cached_certificate(
 ) -> Optional[SepCertificate]:
     """The cached certificate for (w, x) if it may be served, else None.
 
-    The one rule for serving a hit: it decodes as a certificate for the
-    requested pair with lower == upper and a witness of `upper` states that
-    separates the pair.  A hit that breaks the rule is counted in
-    `cache.rejected`.
+    The one rule for serving a hit: it decodes as an exact certificate for
+    the requested pair whose witness passes `witness_checks`.  A hit that
+    breaks the rule is counted in `cache.rejected`.
     """
     key = sep_key(w, x)
     if key not in cache:
         return None
     try:
         cert = SepCertificate.from_dict(cache.get(key))
-        if ((cert.w, cert.x) == (w, x) and cert.exact
-                and cert.witness is not None
-                and cert.witness.state_count == cert.upper
-                and check_separates(cert.witness, w, x)):
+        if (cert.w, cert.x) == (w, x) and cert.exact and cert.witness_checks():
             return cert
     except (AttributeError, KeyError, TypeError, ValueError):
         pass

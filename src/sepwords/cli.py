@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit-code contract everywhere: 0 all pass / exact, 1 any fail, 2 only
-budget-bounded results.
+budget-bounded results, 64 a usage error (bad option, argument or word).
 """
 
 from __future__ import annotations
@@ -23,6 +23,26 @@ from .solver import DEFAULT_BUDGET
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_BOUNDED = 2
+EXIT_USAGE = 64  # click's own code, 2, would read as budget-bounded
+
+
+class _Group(click.Group):
+    """A click group whose usage errors, raised while parsing or inside a
+    subcommand, exit with EXIT_USAGE."""
+
+    def make_context(self, *args, **extra):
+        try:
+            return super().make_context(*args, **extra)
+        except click.UsageError as e:
+            e.exit_code = EXIT_USAGE
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = EXIT_USAGE
+            raise
 
 
 def _word_arg(w: str) -> str:
@@ -31,7 +51,7 @@ def _word_arg(w: str) -> str:
     return w
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--cache", "cache_path", type=click.Path(), default=None,
               help="JSON-lines result cache file.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),

@@ -204,15 +204,19 @@ def canonicalize(d: Dfa) -> Dfa:
 def minimize(d: Dfa) -> Dfa:
     """The canonical minimal complete DFA for L(d).
 
-    Moore partition refinement on the reachable part, followed by the
-    breadth-first canonical renumbering, so two language-equal inputs
-    produce structurally identical outputs.  A dead state survives exactly
-    when the language is not total.
+    Moore partition refinement on the reachable part, so two language-equal
+    inputs produce structurally identical outputs.  A dead state survives
+    exactly when the language is not total.
 
     States are indexed by their position in reach order, and cls[i] is the
     class of the i-th reachable state.  Each round keys every state by its
     class and its successors' classes, and renumbers the keys in reach
     order; a round that adds no class leaves the partition stable.
+
+    The quotient is already in the breadth-first canonical order of
+    `canonicalize`: classes are numbered by their first member in reach
+    order, and a later member of a class has the same successor classes as
+    the first, so it never reaches a new class first.
     """
     reach = _reachable(d)
     pos = [0] * d.state_count
@@ -234,9 +238,12 @@ def minimize(d: Dfa) -> Dfa:
     first: dict[int, int] = {}
     for i, c in enumerate(cls):
         first.setdefault(c, i)
-    rows = tuple(tuple(cls[col[i]] for col in succ) for i in first.values())
+    # built as one column per symbol, then transposed: a generator per row
+    # raised the peak RSS of verify_witness(witness_pair(10, 1)) by about
+    # 1 MiB on CPython 3.11
+    rows = tuple(zip(*([cls[col[i]] for i in first.values()] for col in succ)))
     acc = frozenset(c for c, i in first.items() if reach[i] in d.accepting)
-    return canonicalize(Dfa(d.alphabet_size, rows, acc))
+    return Dfa(d.alphabet_size, rows, acc)
 
 
 def determinize(

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from .dfa import (
     BudgetError,
@@ -25,12 +25,13 @@ from .dfa import (
     dfa_from_text,
     dfa_to_text,
     enumerate_canonical,
-    run,
     word_symbols,
 )
 from .lang import is_zero_free
 
 ENGINE_VERSION = "sepwords-1"
+
+Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,13 @@ class SepCertificate:
         if not self.exact:
             raise ValueError("certificate is budget-bounded, no exact value")
         return self.lower
+
+    def witness_checks(self) -> bool:
+        """The one rule for a certificate's witness: it exists, has `upper`
+        states, and accepts w while rejecting x (a linear re-check)."""
+        return (self.witness is not None
+                and self.witness.state_count == self.upper
+                and check_separates(self.witness, self.w, self.x))
 
     def to_dict(self) -> dict:
         return {
@@ -133,7 +141,7 @@ def _alphabet_for(*words: str) -> int:
 
 def _distinguishing_structure(
     w: list[int], x: list[int], p: int, k: int, counters: SearchCounters
-) -> Optional[tuple[tuple[int, ...], ...]]:
+) -> Optional[Table]:
     """A canonical p-state structure with different end states on w and x.
 
     Returns a complete transition table (unconstrained entries point at
@@ -234,23 +242,21 @@ def _unary_sep(a: int, b: int) -> int:
     return best
 
 
-def _unary_witness(a: int, b: int, sym: int, k: int, p: int) -> Dfa:
-    """A p-state DFA sending s^a and s^b to different states (a < b)."""
+def _counter_table(k: int, m: int, counted: Container[int]) -> Table:
+    """m states counting the symbols in `counted` modulo m."""
+    return tuple(tuple((q + 1) % m if s in counted else q for s in range(k))
+                 for q in range(m))
+
+
+def _unary_table(a: int, sym: int, k: int, p: int) -> Table:
+    """p = _unary_sep(a, b) states sending s^a and s^b (a < b) to different
+    states: a chain that isolates s^a when p == a + 2, else a p-cycle, and p
+    does not divide b - a."""
     if p == a + 2:
-        # chain 0..a then a sink; accepting {a}
-        rows = []
-        for q in range(p):
-            row = [q] * k
-            row[sym] = min(q + 1, p - 1)
-            rows.append(tuple(row))
-        return Dfa(k, tuple(rows), frozenset({a}))
-    # cycle of length p counting the symbol modulo p
-    rows = []
-    for q in range(p):
-        row = [q] * k
-        row[sym] = (q + 1) % p
-        rows.append(tuple(row))
-    return Dfa(k, tuple(rows), frozenset({a % p}))
+        # chain 0..a then a sink
+        return tuple(tuple(min(q + 1, p - 1) if s == sym else q for s in range(k))
+                     for q in range(p))
+    return _counter_table(k, p, (sym,))
 
 
 _unary_validated = False
@@ -281,45 +287,49 @@ def _validate_unary_fast_path():
     _unary_validated = True
 
 
-def _mod_counter_upper_bound(w: str, x: str, k: int) -> tuple[Optional[int], Optional[Dfa]]:
+def _mod_counter_table(w: str, x: str, k: int) -> Optional[Table]:
     """Cheap upper bound: an m-cycle counting length or one symbol, m <= 4."""
     for m in range(2, 5):
         if len(w) % m != len(x) % m:
-            rows = tuple(tuple((q + 1) % m for _ in range(k)) for q in range(m))
-            return m, Dfa(k, rows, frozenset({len(w) % m}))
+            return _counter_table(k, m, range(k))
         for sym in range(k):
-            cw, cx = w.count(chr(48 + sym)), x.count(chr(48 + sym))
-            if cw % m != cx % m:
-                rows = []
-                for q in range(m):
-                    row = [q] * k
-                    row[sym] = (q + 1) % m
-                    rows.append(tuple(row))
-                return m, Dfa(k, tuple(rows), frozenset({cw % m}))
-    return None, None
+            c = chr(48 + sym)
+            if w.count(c) % m != x.count(c) % m:
+                return _counter_table(k, m, (sym,))
+    return None
 
 
-def _trivial_separator(w: str, k: int) -> Dfa:
-    """Accepts exactly {w}: a chain plus a dead sink, len(w) + 2 states."""
-    n = len(w) + 2
-    dead = n - 1
-    syms = word_symbols(w, k)
-    rows = []
-    for q in range(len(w) + 1):
-        row = [dead] * k
-        if q < len(w):
-            row[syms[q]] = q + 1
-        rows.append(tuple(row))
-    rows.append(tuple([dead] * k))
-    return Dfa(k, tuple(rows), frozenset({len(w)}))
+def _trivial_table(w: str, k: int) -> Table:
+    """A chain along w plus a dead sink, len(w) + 2 states: w is the only
+    word that ends at state len(w)."""
+    dead = len(w) + 1
+    rows = [[dead] * k for _ in range(len(w) + 2)]
+    for q, s in enumerate(word_symbols(w, k)):
+        rows[q][s] = q + 1
+    return tuple(map(tuple, rows))
 
 
-def exact_sep(
-    w: str,
-    x: str,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    use_unary_fast_path: bool = True,
-) -> SepCertificate:
+def certificate_from_table(w: str, x: str, table: Table, lower: int, method: str,
+                           nodes: int = 0, start: Optional[float] = None) -> SepCertificate:
+    """The one way to make a certificate: the table becomes a witness that
+    accepts exactly w's end state, with upper = len(table).  lower is the
+    caller's proved bound; it is not re-proved here.
+
+    millis counts from start, a time.monotonic() reading, or is 0 without
+    one.  Raises AssertionError (a real raise, kept under python -O) when
+    the witness breaks `SepCertificate.witness_checks`.
+    """
+    k = len(table[0])
+    witness = Dfa(k, table, frozenset({run_table(table, word_symbols(w, k))}))
+    millis = 0 if start is None else int((time.monotonic() - start) * 1000)
+    cert = SepCertificate(w=w, x=x, lower=lower, upper=len(table), witness=witness,
+                          lower_method=method, nodes=nodes, millis=millis)
+    if not cert.witness_checks():
+        raise AssertionError(f"{len(table)}-state witness fails the check for {w!r}, {x!r}")
+    return cert
+
+
+def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCertificate:
     """The exact separation number, or explicit bounds when budget-bounded.
 
     Never returns a wrong exact value: a certificate with lower == upper
@@ -331,20 +341,12 @@ def exact_sep(
     start = time.monotonic()
 
     sym = _is_unary_pair(w, x)
-    if sym is not None and use_unary_fast_path:
+    if sym is not None:
         _validate_unary_fast_path()
         a, b = sorted((len(w), len(x)))
         p = _unary_sep(a, b)
-        witness = _unary_witness(a, b, sym, k, p)
-        witness = Dfa(k, witness.transitions,
-                      frozenset({run(witness, 0, w)}))
-        if not check_separates(witness, w, x):
-            raise AssertionError(f"unary witness fails to separate {w!r}, {x!r}")
-        return SepCertificate(
-            w=w, x=x, lower=p, upper=p, witness=witness,
-            lower_method="unary-analytic",
-            millis=int((time.monotonic() - start) * 1000),
-        )
+        return certificate_from_table(w, x, _unary_table(a, sym, k, p), p,
+                                      "unary-analytic", start=start)
 
     # a separator with at most len(w) + 2 states always exists, so the
     # search ends by that level whatever max_states allows
@@ -355,37 +357,19 @@ def exact_sep(
         while p <= budget.max_states:
             structure = _distinguishing_structure(ws, xs, p, k, counters)
             if structure is not None:
-                end_w = run_table(structure, ws)
-                witness = Dfa(k, structure, frozenset({end_w}))
-                if not check_separates(witness, w, x):
-                    raise AssertionError(
-                        f"searched witness fails to separate {w!r}, {x!r}"
-                    )
-                return SepCertificate(
-                    w=w, x=x, lower=p, upper=p, witness=witness,
-                    lower_method="exhaustive-canonical",
-                    nodes=counters.nodes,
-                    millis=int((time.monotonic() - start) * 1000),
-                )
+                return certificate_from_table(w, x, structure, p, "exhaustive-canonical",
+                                              counters.nodes, start)
             p += 1
     except BudgetError:
         pass
-    # exhausted levels 1..p-1 (or the budget mid-level): bounded certificate;
-    # both upper-bound witnesses accept w by construction
-    ub, ub_witness = _mod_counter_upper_bound(w, x, k)
-    if ub is None:
-        ub, ub_witness = len(w) + 2, _trivial_separator(w, k)
-    if not check_separates(ub_witness, w, x):
-        raise AssertionError(f"upper-bound witness fails to separate {w!r}, {x!r}")
-    return SepCertificate(
-        w=w, x=x, lower=p, upper=ub, witness=ub_witness,
-        lower_method="exhaustive-canonical" if p > 1 else "none",
-        nodes=counters.nodes,
-        millis=int((time.monotonic() - start) * 1000),
-    )
+    # exhausted levels 1..p-1 (or the budget mid-level): bounded certificate
+    table = _mod_counter_table(w, x, k) or _trivial_table(w, k)
+    return certificate_from_table(w, x, table, p,
+                                  "exhaustive-canonical" if p > 1 else "none",
+                                  counters.nodes, start)
 
 
-def run_table(table: tuple[tuple[int, ...], ...], syms: list[int]) -> int:
+def run_table(table: Table, syms: list[int]) -> int:
     """The end state of a run of a bare transition table from state 0."""
     q = 0
     for s in syms:
@@ -399,7 +383,7 @@ def separating_structure(
     p: int,
     budget: SearchBudget = DEFAULT_BUDGET,
     counters: Optional[SearchCounters] = None,
-) -> Optional[tuple[tuple[int, ...], ...]]:
+) -> Optional[Table]:
     """A transition table with at most p states sending w and x to different
     end states, or None when no DFA with at most p states separates them.
 
@@ -424,7 +408,7 @@ def no_separator_up_to(
     return separating_structure(w, x, p, budget) is None
 
 
-def raw_tables(p: int, k: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+def raw_tables(p: int, k: int) -> Iterator[tuple[int, Table]]:
     """(m, table) for every complete k-symbol transition table with m <= p states.
 
     Raw enumeration: no symmetry breaking and no reachability filter, so it
@@ -521,19 +505,12 @@ def lsep_lower_check(
 
 @lru_cache(maxsize=None)
 def _zero_free_projection(l: Dfa) -> Optional[Dfa]:
-    """l projected to {1,2} when it is a 0-free 3-symbol language, else None.
+    """l restricted to symbols {1,2}, relabelled {0,1}, when it is a 0-free
+    3-symbol language, else None.
 
     Memoized: the emptiness search and the new automaton cost far more
     than hashing l, and callers check many words against one language.
     """
     if l.alphabet_size == 3 and is_zero_free(l):
-        return _project_12(l)
+        return Dfa(2, tuple((row[1], row[2]) for row in l.transitions), l.accepting)
     return None
-
-
-def _project_12(d: Dfa) -> Dfa:
-    """Restrict a full-alphabet automaton to symbols {1,2}, relabelled {0,1}."""
-    if d.alphabet_size != 3:
-        raise ValueError("expected a 3-symbol automaton")
-    rows = tuple((row[1], row[2]) for row in d.transitions)
-    return Dfa(2, rows, d.accepting)

@@ -86,6 +86,17 @@ def test_levels_match_per_pair_search_past_the_cap():
         assert raw_separable(w, x, p) and not raw_separable(w, x, p - 1), (w, x)
 
 
+def test_level_certificate_is_pinned():
+    """to_dict() of one SeparationLevels certificate, as computed before
+    every certificate came from solver.certificate_from_table."""
+    levels = SeparationLevels(4)
+    cert = levels.certificate(levels.words.index("01"), levels.words.index("1101"))
+    assert cert.to_dict() == {
+        'w': '01', 'x': '1101', 'lower': 3, 'upper': 3, 'exact': True,
+        'witness': 'dfa 2 3\naccepting 1\nstate 0: 0 1\nstate 1: 0 2\nstate 2: 1 0\n',
+        'lower_method': 'exhaustive-canonical', 'nodes': 0, 'millis': 0}
+
+
 def test_mixed_hits_and_misses(tmp_path):
     cache = CertificateCache(tmp_path / "cache.jsonl")
     compute_atlas(4, cache=cache)

@@ -1,5 +1,7 @@
 """JSON-lines certificate cache and cached-solve policy tests."""
 
+import json
+
 import pytest
 from click.testing import CliRunner
 
@@ -41,8 +43,7 @@ def test_corrupt_lines_are_skipped_and_counted(tmp_path):
 
 def test_version_mismatch_lines_are_skipped_and_counted(tmp_path):
     path = tmp_path / "cache.jsonl"
-    stale = CertificateCache(path, engine_version="older-0")
-    stale.put("k", 1)
+    path.write_text(json.dumps({"key": "k", "engine_version": "older-0", "value": 1}) + "\n")
     c = CertificateCache(path)
     assert c.engine_version == ENGINE_VERSION
     assert "k" not in c

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from sepwords.cli import main
+from sepwords.cli import EXIT_USAGE, main
 from sepwords.dfa import dfa_to_text
 from sepwords.lang import build_G_k
 
@@ -29,7 +29,7 @@ def test_sep_json_output():
 
 
 def assert_usage_error(r):
-    assert r.exit_code == 2
+    assert r.exit_code == EXIT_USAGE  # not 2, which means budget-bounded
     assert isinstance(r.exception, SystemExit)  # a clean usage error, no traceback
     assert "Traceback" not in r.output and "Error:" in r.output
 
@@ -47,6 +47,8 @@ def test_sep_rejects_bad_words():
     ("witness", "--k", "0", "--n", "1"),
     ("witness", "--k", "1", "--n", "0"),
     ("stc", "--lang", "G_k", "--k", "0"),
+    ("--format", "bogus", "atlas"),  # an error while parsing the group itself
+    ("nosuch",),
 ])
 def test_out_of_range_options_are_usage_errors(args):
     assert_usage_error(invoke(*args))

@@ -167,9 +167,9 @@ def test_minimize_matches_dict_moore_reference():
         assert dfa_to_text(minimize(d)) == dfa_to_text(_moore_minimize_reference(d)), d
 
 
-def test_minimize_matches_reference_on_block_languages(monkeypatch):
-    """The inputs minimize() gets while building G_k, H_k and reverse(G_k),
-    k <= 8, minimize to the reference's bytes."""
+def _block_language_minimize_inputs(monkeypatch) -> list[Dfa]:
+    """Every input minimize() gets while building G_k, H_k and reverse(G_k),
+    k <= 8."""
     inputs = []
 
     def recording(d):
@@ -182,9 +182,26 @@ def test_minimize_matches_reference_on_block_languages(monkeypatch):
         lang.build_G_k.__wrapped__(k)
         lang.build_H_k.__wrapped__(k)
         reverse(build_G_k(k))
+    return inputs
+
+
+def test_minimize_matches_reference_on_block_languages(monkeypatch):
+    """The inputs minimize() gets while building G_k, H_k and reverse(G_k),
+    k <= 8, minimize to the reference's bytes."""
+    inputs = _block_language_minimize_inputs(monkeypatch)
     assert max(d.state_count for d in inputs) == 1279
     for d in inputs:
         assert dfa_to_text(minimize(d)) == dfa_to_text(_moore_minimize_reference(d))
+
+
+def test_minimize_output_is_already_canonical(monkeypatch):
+    """minimize() returns its quotient without renumbering; the quotient is
+    a fixed point of canonicalize() on random DFAs and block languages."""
+    rng = random.Random(20261018)
+    randoms = [random_dfa(rng, max_states=11, k=2 + i % 2) for i in range(3000)]
+    for d in randoms + _block_language_minimize_inputs(monkeypatch):
+        m = minimize(d)
+        assert canonicalize(m) == m, d
 
 
 @given(dfas, words)

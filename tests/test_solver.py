@@ -122,6 +122,13 @@ def test_unary_known_values():
     assert exact_sep("", "0" * 6).value == 2  # the short side has length 0
 
 
+def searched_sep(w, x):
+    """sep(w, x) by exhaustive search alone: the first level with a
+    separating structure."""
+    return next(p for p in itertools.count(1)
+                if separating_structure(w, x, p) is not None)
+
+
 def test_unary_fast_path_matches_search():
     rng = random.Random(7)
     for _ in range(30):
@@ -131,7 +138,7 @@ def test_unary_fast_path_matches_search():
             continue
         w, x = "1" * a, "1" * b
         fast = exact_sep(w, x).value
-        slow = exact_sep(w, x, use_unary_fast_path=False).value
+        slow = searched_sep(w, x)
         assert fast == slow, (a, b)
 
 
@@ -204,12 +211,65 @@ def test_certificate_json_roundtrip():
 
 def test_budget_bounded_certificate():
     tiny = replace(DEFAULT_BUDGET, max_states=2)
-    cert = exact_sep("00", "0" * 122, budget=tiny, use_unary_fast_path=False)
+    cert = exact_sep("0010", "1000", budget=tiny)
     assert not cert.exact
     assert cert.lower == 3  # exhausted 2 states
     assert cert.upper >= cert.lower
     with pytest.raises(ValueError):
         cert.value
+
+
+_ONE_STATE = replace(DEFAULT_BUDGET, max_states=1)
+_TWO_STATES = replace(DEFAULT_BUDGET, max_states=2)
+
+# to_dict() of one certificate per witness builder, millis masked, as
+# computed before the builders returned bare tables
+PINNED_CERTIFICATES = [
+    # search
+    (("0110", "1001", DEFAULT_BUDGET),
+     {'w': '0110', 'x': '1001', 'lower': 2, 'upper': 2, 'exact': True,
+      'witness': 'dfa 2 2\naccepting 0\nstate 0: 0 1\nstate 1: 0 0\n',
+      'lower_method': 'exhaustive-canonical', 'nodes': 12, 'millis': 0}),
+    # search, ternary
+    (("012", "210", DEFAULT_BUDGET),
+     {'w': '012', 'x': '210', 'lower': 2, 'upper': 2, 'exact': True,
+      'witness': 'dfa 3 2\naccepting 1\nstate 0: 0 0 1\nstate 1: 0 0 0\n',
+      'lower_method': 'exhaustive-canonical', 'nodes': 13, 'millis': 0}),
+    # unary chain
+    (("0", "0000000", DEFAULT_BUDGET),
+     {'w': '0', 'x': '0000000', 'lower': 3, 'upper': 3, 'exact': True,
+      'witness': 'dfa 2 3\naccepting 1\nstate 0: 1 0\nstate 1: 2 1\nstate 2: 2 2\n',
+      'lower_method': 'unary-analytic', 'nodes': 0, 'millis': 0}),
+    # unary cycle
+    (("000", "0000", DEFAULT_BUDGET),
+     {'w': '000', 'x': '0000', 'lower': 2, 'upper': 2, 'exact': True,
+      'witness': 'dfa 2 2\naccepting 1\nstate 0: 1 0\nstate 1: 0 1\n',
+      'lower_method': 'unary-analytic', 'nodes': 0, 'millis': 0}),
+    # mod-counter by length
+    (("01", "0001", _ONE_STATE),
+     {'w': '01', 'x': '0001', 'lower': 2, 'upper': 3, 'exact': False,
+      'witness': 'dfa 2 3\naccepting 2\nstate 0: 1 1\nstate 1: 2 2\nstate 2: 0 0\n',
+      'lower_method': 'exhaustive-canonical', 'nodes': 4, 'millis': 0}),
+    # mod-counter by symbol
+    (("00", "11", _ONE_STATE),
+     {'w': '00', 'x': '11', 'lower': 2, 'upper': 3, 'exact': False,
+      'witness': 'dfa 2 3\naccepting 2\nstate 0: 1 0\nstate 1: 2 1\nstate 2: 0 2\n',
+      'lower_method': 'exhaustive-canonical', 'nodes': 4, 'millis': 0}),
+    # trivial separator
+    (("0010", "1000", _TWO_STATES),
+     {'w': '0010', 'x': '1000', 'lower': 3, 'upper': 6, 'exact': False,
+      'witness': 'dfa 2 6\naccepting 4\nstate 0: 1 5\nstate 1: 2 5\nstate 2: 5 3\n'
+                 'state 3: 4 5\nstate 4: 5 5\nstate 5: 5 5\n',
+      'lower_method': 'exhaustive-canonical', 'nodes': 28, 'millis': 0}),
+]
+
+
+@pytest.mark.parametrize("args,expected", PINNED_CERTIFICATES,
+                         ids=["search", "search-ternary", "unary-chain", "unary-cycle",
+                              "mod-length", "mod-symbol", "trivial"])
+def test_certificates_are_pinned_per_witness_builder(args, expected):
+    cert = exact_sep(*args)
+    assert dict(cert.to_dict(), millis=0) == expected
 
 
 def test_node_budget_raises_only_inside_search():
@@ -289,7 +349,7 @@ def _check_early_exit_per_state(lang, structures):
     Words of H_k reach every state but some starts, so only a language
     with such misses, like G_k, shows a search that ignores acceptance.
     """
-    proj = solver._project_12(lang)
+    proj = solver._zero_free_projection(lang)
     forbidden = {s: lsep_forbidden_states(s, proj) for s in structures}
     missed = 0
     for s in structures:
