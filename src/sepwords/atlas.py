@@ -128,27 +128,26 @@ def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> Atl
     """Exact maxima of the separation number over binary pairs of length <= n.
 
     Pairs are scanned in shortlex order and the first maximal pair is
-    reported, so the table is reproducible byte for byte.  A pair's value
-    comes from a cache hit when one may be served, else from one partition
-    refinement of all the words, built on the first miss; each miss stores
-    one exact certificate.  With a warm cache no refinement runs at all.
+    reported, so the table is reproducible byte for byte.  Every pair's
+    value comes from one partition refinement of all the words.  A cache
+    hit is served only when `cached_certificate` accepts it and its value
+    equals the refinement's, so a stored over-claim never reaches the
+    table; a hit that disagrees is counted in `cache.rejected`.  Each pair
+    not served stores one exact certificate, which heals the file.
     `searches_performed` counts the pairs not served from the cache.
     """
     if not 1 <= max_len <= ATLAS_MAX_LEN_CAP:
         raise ValueError(f"max_len must be in 1..{ATLAS_MAX_LEN_CAP}")
-    words = _binary_words(max_len)
-    levels: Optional[SeparationLevels] = None
+    levels = SeparationLevels(max_len)
     searches = 0
     best: dict[int, AtlasRow] = {}
-    for (i, w), (j, x) in itertools.combinations(enumerate(words), 2):
+    for (i, w), (j, x) in itertools.combinations(enumerate(levels.words), 2):
+        value = levels.sep(i, j)
         cert = None if cache is None else cached_certificate(cache, w, x)
-        if cert is not None:
-            value = cert.value
-        else:
+        if cert is None or cert.value != value:
+            if cert is not None:
+                cache.rejected += 1
             searches += 1
-            if levels is None:
-                levels = SeparationLevels(max_len)
-            value = levels.sep(i, j)
             if cache is not None:
                 store_certificate(cache, levels.certificate(i, j))
         n = max(len(w), len(x))

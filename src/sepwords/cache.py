@@ -15,10 +15,13 @@ reproducible.  Both callers, `solve_cached` (one pair, by search) and
 that was not served and store it; the last write wins on replay, which
 heals the file.
 
-The lower bound of a hit is trusted, not re-proved: an entry that
-over-claims with a valid but non-minimal witness (say, lower = upper = 4
-for 01 vs 0001, whose true value is 3, with the 3-state separator plus an
-unreachable state) is served as it stands.  An under-claim cannot pass the
+This rule trusts the lower bound of a hit, it does not re-prove it: an
+entry that over-claims with a valid but non-minimal witness (say, lower =
+upper = 4 for 01 vs 0001, whose true value is 3, with the 3-state
+separator plus an unreachable state) passes it.  `solve_cached` serves
+such an entry as it stands; `compute_atlas` serves a hit only when its
+value equals that of its own partition refinement, so it rejects the
+entry and stores the exact certificate.  An under-claim cannot pass the
 re-check.
 """
 

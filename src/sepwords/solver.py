@@ -96,7 +96,7 @@ class SepCertificate:
 
     @staticmethod
     def from_dict(obj: dict) -> "SepCertificate":
-        witness = dfa_from_text(obj["witness"])[0] if obj["witness"] else None
+        witness = _witness_from_text(obj["witness"]) if obj["witness"] else None
         return SepCertificate(
             w=obj["w"],
             x=obj["x"],
@@ -111,6 +111,19 @@ class SepCertificate:
     @staticmethod
     def from_json(text: str) -> "SepCertificate":
         return SepCertificate.from_dict(json.loads(text))
+
+
+@lru_cache(maxsize=4096)
+def _witness_from_text(text: str) -> Dfa:
+    """The DFA of a witness text, parsed and validated once per distinct text.
+
+    A warm atlas decodes thousands of cached certificates that share a few
+    dozen witness texts (8 001 and 69 at n = 6).  `Dfa` is frozen, so
+    certificates may share one value; a malformed text raises on every
+    call, since `lru_cache` stores no exceptions.  The bound keeps a long
+    process that decodes many files from growing without limit.
+    """
+    return dfa_from_text(text)[0]
 
 
 class SearchCounters:

@@ -1,12 +1,18 @@
 """Maximum-separation table tests."""
 
+import collections
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from sepwords import solver
 from sepwords.atlas import ATLAS_MAX_LEN_CAP, SeparationLevels, compute_atlas
 from sepwords.cache import CertificateCache, cached_certificate, sep_key, solve_cached
+from sepwords.dfa import dfa_from_text
 from sepwords.solver import SepCertificate, exact_sep, raw_separable
 
 
@@ -134,6 +140,102 @@ def test_cache_written_by_per_pair_search_is_served(tmp_path):
     table = compute_atlas(2, cache=cache)
     assert table.searches_performed == 0 and cache.rejected == 0
     assert table.to_csv() == compute_atlas(2).to_csv()
+
+
+# 01 vs 0001 cached as 4, though sep is 3: the 3-state separator padded with
+# an unreachable state, so the witness passes every per-hit check
+_OVER_CLAIM = {"w": "01", "x": "0001", "lower": 4, "upper": 4, "exact": True,
+               "witness": "dfa 2 4\naccepting 0\nstate 0: 1 1\nstate 1: 2 0\n"
+                          "state 2: 0 0\nstate 3: 3 3\n",
+               "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0}
+
+
+def test_over_claiming_hit_is_rejected_and_healed(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    compute_atlas(4, cache=CertificateCache(path))
+    CertificateCache(path).put(sep_key("01", "0001"), _OVER_CLAIM)
+    assert cached_certificate(CertificateCache(path), "01", "0001").value == 4
+
+    cache = CertificateCache(path)
+    table = compute_atlas(4, cache=cache)
+    assert table.to_csv() == compute_atlas(4).to_csv()
+    assert "4,3,true,0,000\n" in table.to_csv()
+    assert table.searches_performed == 1 and cache.rejected == 1
+
+    healed = CertificateCache(path)  # last write wins
+    assert healed.get(sep_key("01", "0001"))["lower"] == 3
+    assert compute_atlas(4, cache=healed).searches_performed == 0
+    assert healed.rejected == 0
+
+
+def test_over_claim_guard_survives_python_O(tmp_path):
+    # python -O strips assert statements; the cross-check must still reject
+    path = tmp_path / "forged.jsonl"
+    CertificateCache(path).put(sep_key("01", "0001"), _OVER_CLAIM)
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "sepwords.cli", "--cache", str(path),
+         "atlas", "--max-len", "4"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "4,3,true,0,000"
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """How often each witness text is parsed, from an empty memo on."""
+    counts = collections.Counter()
+
+    def counting_parse(text):
+        counts[text] += 1
+        return dfa_from_text(text)
+
+    solver._witness_from_text.cache_clear()
+    monkeypatch.setattr(solver, "dfa_from_text", counting_parse)
+    return counts
+
+
+def test_warm_atlas_parses_each_witness_text_once(tmp_path, parsed):
+    path = tmp_path / "cache.jsonl"
+    compute_atlas(6, cache=CertificateCache(path))
+    texts = {json.loads(line)["value"]["witness"]
+             for line in path.read_text().splitlines()}
+    cache = CertificateCache(path)
+    assert compute_atlas(6, cache=cache).searches_performed == 0
+    assert cache.rejected == 0
+    assert set(parsed) == texts and set(parsed.values()) == {1}
+
+
+def test_shared_malformed_witness_is_rejected_for_every_entry(tmp_path, parsed):
+    path = tmp_path / "cache.jsonl"
+    compute_atlas(2, cache=CertificateCache(path))
+    bad = "dfa 2 2\naccepting 1\nstate 0: 1 7\nstate 1: 1 1\n"  # target 7
+    pairs = [("0", "1"), ("00", "01")]
+    writer = CertificateCache(path)
+    for w, x in pairs:
+        writer.put(sep_key(w, x), dict(exact_sep(w, x).to_dict(), witness=bad))
+    cache = CertificateCache(path)
+    table = compute_atlas(2, cache=cache)
+    assert table.to_csv() == compute_atlas(2).to_csv()
+    assert cache.rejected == 2 and table.searches_performed == 2
+    assert parsed[bad] == 2  # a failed parse is not memoized
+    healed = CertificateCache(path)
+    for w, x in pairs:
+        assert healed.get(sep_key(w, x))["witness"] != bad
+    assert compute_atlas(2, cache=healed).searches_performed == 0
+    assert healed.rejected == 0
+
+
+def test_decoded_witnesses_equal_fresh_parses(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    compute_atlas(5, cache=CertificateCache(path))
+    cache = CertificateCache(path)
+    for line in path.read_text().splitlines():
+        v = json.loads(line)["value"]
+        cert = cached_certificate(cache, v["w"], v["x"])
+        assert cert.witness == dfa_from_text(v["witness"])[0]
+    assert cache.rejected == 0
 
 
 def test_csv_shape():
