@@ -15,13 +15,16 @@ reproducible.  Both callers, `solve_cached` (one pair, by search) and
 that was not served and store it; the last write wins on replay, which
 heals the file.
 
-This rule trusts the lower bound of a hit, it does not re-prove it: an
-entry that over-claims with a valid but non-minimal witness (say, lower =
-upper = 4 for 01 vs 0001, whose true value is 3, with the 3-state
-separator plus an unreachable state) passes it.  `solve_cached` serves
-such an entry as it stands; `compute_atlas` serves a hit only when its
-value equals that of its own partition refinement, so it rejects the
-entry and stores the exact certificate.  An under-claim cannot pass the
+That rule re-checks the upper bound only, and an entry can over-claim
+with a valid but non-minimal witness (say, lower = upper = 4 for 01 vs
+0001, whose true value is 3, with the 3-state separator plus an
+unreachable state).  So each caller also re-proves the lower bound of a
+hit before it serves it.  `solve_cached` runs the top level of the search:
+a hit with lower = p > 1 is served only when no structure with p - 1
+states separates the pair, under the caller's budget; exhausting the
+budget rejects the hit.  `compute_atlas` serves a hit only when its value
+equals that of its own partition refinement.  Both reject the forged entry
+above and store the exact certificate.  An under-claim cannot pass the
 re-check.
 """
 
@@ -32,8 +35,9 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from .dfa import BudgetError
 from .solver import (DEFAULT_BUDGET, ENGINE_VERSION, SearchBudget, SepCertificate,
-                     exact_sep)
+                     exact_sep, separating_structure)
 
 
 class CertificateCache:
@@ -127,17 +131,35 @@ def store_certificate(cache: CertificateCache, cert: SepCertificate) -> None:
         cache.put(sep_key(cert.w, cert.x), dict(cert.to_dict(), nodes=0, millis=0))
 
 
+def _lower_bound_holds(cert: SepCertificate, budget: SearchBudget) -> bool:
+    """Whether no structure with lower - 1 states separates the pair, by one
+    exhaustive search at that level; False when the budget runs out."""
+    if cert.lower == 1:
+        return True
+    try:
+        return separating_structure(cert.w, cert.x, cert.lower - 1, budget) is None
+    except BudgetError:
+        return False
+
+
 def solve_cached(
     w: str,
     x: str,
     budget: SearchBudget = DEFAULT_BUDGET,
     cache: Optional[CertificateCache] = None,
 ) -> tuple[SepCertificate, bool]:
-    """The certificate for (w, x) and whether a search ran to get it."""
+    """The certificate for (w, x) and whether it was solved, not served from cache.
+
+    A hit is served only after its lower bound is re-proved under budget;
+    a hit that fails `cached_certificate` or that re-proof is counted in
+    `cache.rejected`, solved again and stored.
+    """
     if cache is not None:
         cert = cached_certificate(cache, w, x)
         if cert is not None:
-            return cert, False
+            if _lower_bound_holds(cert, budget):
+                return cert, False
+            cache.rejected += 1
     cert = exact_sep(w, x, budget=budget)
     if cache is not None:
         store_certificate(cache, cert)

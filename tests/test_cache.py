@@ -1,10 +1,14 @@
 """JSON-lines certificate cache and cached-solve policy tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from sepwords import solver
 from sepwords.cache import CertificateCache, sep_key, solve_cached
 from sepwords.cli import main
 from sepwords.solver import ENGINE_VERSION, SearchBudget, SepCertificate, exact_sep
@@ -135,3 +139,72 @@ def test_budget_bounded_cli_run_does_not_poison_the_cache(tmp_path):
     assert r.exit_code == 2 and r.output.startswith("sep >= 1")
     r = CliRunner().invoke(main, ["--cache", path, "sep", "01", "0001"])
     assert r.exit_code == 0 and r.output == "sep = 3\n"
+
+
+# 01 vs 0001 (sep 3) forged as 4: the 3-state separator plus an unreachable
+# state, so the entry passes the witness re-check
+_OVER_CLAIM = {"w": "01", "x": "0001", "lower": 4, "upper": 4, "exact": True,
+               "witness": "dfa 2 4\naccepting 0\nstate 0: 1 1\nstate 1: 2 0\n"
+                          "state 2: 0 0\nstate 3: 3 3\n",
+               "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0}
+
+
+def _exact_line(w, x):
+    value = dict(exact_sep(w, x).to_dict(), nodes=0, millis=0)
+    return json.dumps({"key": sep_key(w, x), "engine_version": ENGINE_VERSION,
+                       "value": value}, sort_keys=True)
+
+
+def test_over_claiming_hit_is_rejected_by_solve_cached_and_healed(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    CertificateCache(path).put(sep_key("01", "0001"), _OVER_CLAIM)
+    c = CertificateCache(path)
+    cert, solved = solve_cached("01", "0001", cache=c)
+    assert solved and cert.value == 3 and c.rejected == 1
+    assert path.read_text().splitlines()[-1] == _exact_line("01", "0001")
+
+    healed = CertificateCache(path)  # last write wins
+    cert, solved = solve_cached("01", "0001", cache=healed)
+    assert not solved and cert.value == 3 and healed.rejected == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_sep_cli_does_not_serve_an_over_claim(tmp_path, flags):
+    # python -O strips assert statements; the re-proof must still run
+    path = tmp_path / "forged.jsonl"
+    CertificateCache(path).put(sep_key("01", "0001"), _OVER_CLAIM)
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "sepwords.cli", "--cache", str(path),
+         "sep", "01", "0001"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "sep = 3\n"
+    assert path.read_text().splitlines()[-1] == _exact_line("01", "0001")
+
+
+def test_hit_whose_lower_bound_cannot_be_reproved_in_budget_is_rejected(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    solve_cached("01", "0001", cache=CertificateCache(path))
+    stored = path.read_text()
+    c = CertificateCache(path)
+    cert, solved = solve_cached("01", "0001", SearchBudget(max_nodes=1), c)
+    assert solved and not cert.exact and c.rejected == 1
+    assert path.read_text() == stored  # a bounded result is never stored
+    cert, solved = solve_cached("01", "0001", cache=c)
+    assert not solved and cert.value == 3 and c.rejected == 1
+
+
+@pytest.mark.parametrize("w, x", [("0", "1"), ("01", "10"), ("0", "000"),
+                                  ("0110", "1001"), ("012", "210")])
+def test_genuine_hits_are_served(tmp_path, w, x):
+    path = tmp_path / "cache.jsonl"
+    cert, solved = solve_cached(w, x, cache=CertificateCache(path))
+    assert solved
+    c = CertificateCache(path)
+    hit, solved = solve_cached(w, x, cache=c)
+    assert not solved and c.rejected == 0
+    assert hit.to_dict() == dict(cert.to_dict(), nodes=0, millis=0)
+    r = CliRunner().invoke(main, ["--cache", str(path), "sep", w, x])
+    assert r.exit_code == 0 and r.output == f"sep = {cert.value}\n"

@@ -308,6 +308,28 @@ def test_run_and_zpath_match_references_on_canonical_structures():
     assert checked > 20_000
 
 
+def test_zero_trajectory_functions_read_only_the_0_column():
+    """The premise of the lemma checks' memo by 0-column: on every binary
+    structure with <= 4 states, zpath, zero_cycle_length and run on 0^i equal
+    their values on the first structure with the same 0-column."""
+    def zero_trajectory(d):
+        n = d.state_count
+        return [(zero_cycle_length(d, q), zpath(d, q),
+                 [(zpath(d, q, i), run(d, q, "0" * i)) for i in range(n + 2)])
+                for q in range(n)]
+
+    first: dict[tuple[int, ...], list] = {}
+    repeats = 0
+    for d in enumerate_canonical(4, 2):
+        column = tuple(row[0] for row in d.transitions)
+        if column in first:
+            assert zero_trajectory(d) == first[column], d.transitions
+            repeats += 1
+        else:
+            first[column] = zero_trajectory(d)
+    assert len(first) == 135 and repeats == 5_477 - 135
+
+
 def _value_error_text(f, *args):
     with pytest.raises(ValueError) as info:
         f(*args)
