@@ -22,10 +22,11 @@ unreachable state).  So each caller also re-proves the lower bound of a
 hit before it serves it.  `solve_cached` runs the top level of the search:
 a hit with lower = p > 1 is served only when no structure with p - 1
 states separates the pair, under the caller's budget; exhausting the
-budget rejects the hit.  `compute_atlas` serves a hit only when its value
-equals that of its own partition refinement.  Both reject the forged entry
-above and store the exact certificate.  An under-claim cannot pass the
-re-check.
+budget rejects the hit.  For a unary pair it compares lower with the
+analytic value instead, as `exact_sep` computes it on a miss.
+`compute_atlas` serves a hit only when its value equals that of its own
+partition refinement.  Both reject the forged entry above and store the
+exact certificate.  An under-claim cannot pass the re-check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Optional
 
 from .dfa import BudgetError
 from .solver import (DEFAULT_BUDGET, ENGINE_VERSION, SearchBudget, SepCertificate,
-                     exact_sep, separating_structure)
+                     _is_unary_pair, _unary_sep, _validate_unary_fast_path, exact_sep,
+                     separating_structure)
 
 
 class CertificateCache:
@@ -132,10 +134,17 @@ def store_certificate(cache: CertificateCache, cert: SepCertificate) -> None:
 
 
 def _lower_bound_holds(cert: SepCertificate, budget: SearchBudget) -> bool:
-    """Whether no structure with lower - 1 states separates the pair, by one
-    exhaustive search at that level; False when the budget runs out."""
+    """Whether no structure with lower - 1 states separates the pair.
+
+    A unary pair is checked against `_unary_sep`, the formula `exact_sep`
+    trusts on a miss (after the same one-time cross-check against search);
+    any other pair by one exhaustive search at that level, which is False
+    when the budget runs out."""
     if cert.lower == 1:
         return True
+    if _is_unary_pair(cert.w, cert.x) is not None:
+        _validate_unary_fast_path()
+        return cert.lower <= _unary_sep(len(cert.w), len(cert.x))
     try:
         return separating_structure(cert.w, cert.x, cert.lower - 1, budget) is None
     except BudgetError:

@@ -39,6 +39,7 @@ from .solver import (
     DEFAULT_BUDGET,
     SearchBudget,
     SearchCounters,
+    Table,
     check_separates,
     lsep_lower_check,
     no_separator_up_to,
@@ -136,6 +137,25 @@ def _compositions(total: int, parts: int, allowed: list[int]) -> Iterator[tuple[
             yield (first,) + rest
 
 
+def _zero_power(table: Table, count: int) -> list[int]:
+    """The state 0^count leads each state of the table to, by its 0-tail
+    and 0-cycle: O(p) per state, whatever count is."""
+    out = []
+    for q in range(len(table)):
+        path: list[int] = []
+        seen: dict[int, int] = {}
+        while q not in seen:
+            seen[q] = len(path)
+            path.append(q)
+            q = table[q][0]
+        if count < len(path):
+            out.append(path[count])
+        else:
+            tail = seen[q]
+            out.append(path[tail + (count - tail) % (len(path) - tail)])
+    return out
+
+
 def search_C_n(
     n: int,
     w0: str,
@@ -152,15 +172,19 @@ def search_C_n(
 
     Candidates are tried in length order, and each one that a search
     refutes leaves its separating transition table in a refuter pool.
-    A later candidate is first run through every pooled table, in linear
-    time; a table that sends its two words to different end states is a
-    separator with at most 2n+1 states (accept the end state of the
-    first word), so that candidate is refuted with no search.  The pool
-    only ever refutes: the word returned has passed a full exhaustive
-    search, and the candidate order is unchanged, so the result is the
-    same word a search of every candidate would return.  One budget (one
-    node pool, one deadline) covers the whole call; the deadline is
-    checked once per candidate as well as inside each search.
+    A later candidate is first run through every pooled table; a table
+    that sends its two words to different end states is a separator with
+    at most 2n+1 states (accept the end state of the first word), so that
+    candidate is refuted with no search.  Both words are C 0^a C, so a
+    pooled table runs C once from state 0, maps the end state through
+    0^n and 0^{n+(2n+1)!} by a lookup made when the table joined the
+    pool (`_zero_power`), and runs C again from the two middle states
+    only when they differ.  The pool only ever refutes: the word returned
+    has passed a full exhaustive search, and the candidate order is
+    unchanged, so the result is the same word a search of every
+    candidate would return.  One budget (one node pool, one deadline)
+    covers the whole call; the deadline is checked once per candidate as
+    well as inside each search.
     """
     if not w0:
         raise ValueError("w0 must be nonempty")
@@ -171,27 +195,31 @@ def search_C_n(
     closure = segmented_closure(finite_language([w0]))
     p = 2 * n + 1
     counters = SearchCounters(budget)
-    pool: list[tuple[tuple[int, ...], ...]] = []
+    # (table, (end of 0^n, end of 0^{n+m}) per state), in order found
+    pool: list[tuple[Table, list[tuple[int, int]]]] = []
     candidates = 0
     for cand in _cn_candidates(w0, 2 * n + 2, forbid_run_length, max_len):
         counters.check_deadline()
         candidates += 1
         if not accepts(closure, cand):
             raise AssertionError(f"candidate {cand!r} escaped the closure")
-        target_w = cand + trip.f + cand
-        target_x = cand + trip.g + cand
         # symbol ids do not depend on the alphabet size, so one conversion
         # serves tables over two or three symbols alike
-        ws, xs = word_symbols(target_w, 3), word_symbols(target_x, 3)
-        if any(run_table(t, ws) != run_table(t, xs) for t in pool):
-            continue
-        table = separating_structure(target_w, target_x, p, counters=counters)
-        if table is None:
-            return CnResult(
-                n=n, w0=w0, word=cand, lower_checked=p, candidates=candidates,
-                exhaustive_searches=len(pool) + 1, nodes=counters.nodes,
-            )
-        pool.append(table)
+        cs = word_symbols(cand, 3)
+        for t, mids in pool:
+            a, b = mids[run_table(t, cs)]
+            if a != b and run_table(t, cs, a) != run_table(t, cs, b):
+                break  # refuted by a pooled table
+        else:
+            table = separating_structure(cand + trip.f + cand, cand + trip.g + cand, p,
+                                         counters=counters)
+            if table is None:
+                return CnResult(
+                    n=n, w0=w0, word=cand, lower_checked=p, candidates=candidates,
+                    exhaustive_searches=len(pool) + 1, nodes=counters.nodes,
+                )
+            pool.append((table, list(zip(_zero_power(table, len(trip.f)),
+                                         _zero_power(table, len(trip.g))))))
     raise BudgetError(
         f"no certified word up to length {max_len} for n={n}, w0={w0!r}"
     )

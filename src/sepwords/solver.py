@@ -149,7 +149,38 @@ class SearchCounters:
 
 
 def _alphabet_for(*words: str) -> int:
-    return 3 if any("2" in w for w in words) else 2
+    return 3 if "2" in "".join(words) else 2
+
+
+class _Jump(list):
+    """A word position that stands for `count` more steps along `col`.
+
+    Every entry is -2, so a walk stops on it as on an unassigned entry
+    (-1) and the kernel tells the two apart by value; it is never
+    assigned."""
+
+    __slots__ = ("col", "count")
+
+    def __init__(self, col: list[int], count: int, p: int):
+        super().__init__([-2] * p)
+        self.col = col
+        self.count = count
+
+
+def _word_columns(w: list[int], cols: list[list[int]], p: int) -> list[list[int]]:
+    """The columns the kernel reads for w at p states: one per position,
+    except that a run of one symbol longer than 8p keeps its first p
+    positions and ends in one `_Jump` over the rest."""
+    out: list[list[int]] = []
+    for a, run in itertools.groupby(w):
+        col = cols[a]
+        m = len(list(run))
+        if m > 8 * p:
+            out += [col] * p
+            out.append(_Jump(col, m - p, p))
+        else:
+            out += [col] * m
+    return out
 
 
 def _distinguishing_structure(
@@ -162,14 +193,28 @@ def _distinguishing_structure(
 
     Depth-first over an explicit stack.  The partial table is one column
     per symbol, cols[a][q], with -1 for an unassigned entry, and each word
-    is read as its list of columns.  A node is a walk from (wi, pos,
-    state) until the word ends or meets an unassigned entry; there the
-    entry branches over the used states plus one fresh state, and each
-    frame on the stack is such an entry with its next target.  Finishing
-    w and starting x counts as one more node.
+    is read as its list of columns (`_word_columns`).  A node is a walk
+    from (wi, pos, state) until the word ends or meets an unassigned
+    entry; there the entry branches over the used states plus one fresh
+    state, and each frame on the stack is such an entry with its next
+    target.  Finishing w and starting x counts as one more node.
+
+    A run of one symbol a longer than 8p is read as its first p positions
+    and one jump, a single position, over the rest; so the cost of a node
+    does not depend on run lengths.  The jump never meets an unassigned
+    entry: by then the walk has made p steps along cols[a], all through
+    assigned entries, and visited p + 1 states, so two of them are equal
+    and it is on a cycle of cols[a] whose entries are all assigned.  The
+    jump measures that cycle's length c <= p and makes the remaining
+    count mod c steps.  So it never branches, and the frames, the node
+    order, the node counts and the tables are those of a walk over every
+    position.  A word with no long run is read position by position.
     """
     cols = [[-1] * p for _ in range(k)]
-    words = ([cols[a] for a in w], [cols[a] for a in x])
+    if len(w) > 8 * p or len(x) > 8 * p:
+        words = (_word_columns(w, cols, p), _word_columns(x, cols, p))
+    else:  # no long run: the columns of every position, as in `_word_columns`
+        words = ([cols[a] for a in w], [cols[a] for a in x])
     stack: list[tuple] = []  # (col, state, next target, limit, wi, pos, used, endw)
     nodes, max_nodes = counters.nodes, counters.max_nodes
     wi, pos, state, used, endw = 0, 0, 0, 1, -1
@@ -185,10 +230,20 @@ def _distinguishing_structure(
             while pos < n:
                 col = word[pos]
                 t = col[state]
-                if t < 0:
+                if t >= 0:
+                    state = t
+                    pos += 1
+                elif t == -1:
                     break
-                state = t
-                pos += 1
+                else:  # a _Jump: find the cycle, then skip whole laps
+                    jcol = col.col
+                    q, c = jcol[state], 1
+                    while q != state:
+                        q = jcol[q]
+                        c += 1
+                    for _ in range(col.count % c):
+                        state = jcol[state]
+                    pos += 1
             if pos < n:
                 # first child is target 0, which never raises used (>= 1)
                 col[state] = 0
@@ -382,9 +437,8 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
                                   counters.nodes, start)
 
 
-def run_table(table: Table, syms: list[int]) -> int:
-    """The end state of a run of a bare transition table from state 0."""
-    q = 0
+def run_table(table: Table, syms: list[int], q: int = 0) -> int:
+    """The end state of a run of a bare transition table from state q."""
     for s in syms:
         q = table[q][s]
     return q

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from sepwords import solver
+from sepwords import cache, solver
 from sepwords.cache import CertificateCache, sep_key, solve_cached
 from sepwords.cli import main
+from sepwords.dfa import Dfa
 from sepwords.solver import ENGINE_VERSION, SearchBudget, SepCertificate, exact_sep
 
 
@@ -208,3 +210,52 @@ def test_genuine_hits_are_served(tmp_path, w, x):
     assert hit.to_dict() == dict(cert.to_dict(), nodes=0, millis=0)
     r = CliRunner().invoke(main, ["--cache", str(path), "sep", w, x])
     assert r.exit_code == 0 and r.output == f"sep = {cert.value}\n"
+
+
+def _unary_over_claim(w, x):
+    """An exact entry for the unary pair that claims sep + 1: the true
+    separator plus an unreachable state, so it passes the witness re-check."""
+    cert = exact_sep(w, x)
+    d = cert.witness
+    m = d.state_count
+    witness = Dfa(d.alphabet_size, d.transitions + ((m,) * d.alphabet_size,), d.accepting)
+    return replace(cert, lower=m + 1, upper=m + 1, witness=witness).to_dict()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_unary_over_claim_is_rejected_and_healed(tmp_path, flags):
+    w, x = "0" * 7, "0" * 67  # sep 7: 60 = 67 - 7 is a multiple of 1..6
+    path = tmp_path / "forged.jsonl"
+    CertificateCache(path).put(sep_key(w, x), _unary_over_claim(w, x))
+    c = CertificateCache(path)
+    assert solver.SepCertificate.from_dict(c.get(sep_key(w, x))).witness_checks()
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "sepwords.cli", "--cache", str(path), "sep", w, x],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "sep = 7\n"
+    assert path.read_text().splitlines()[-1] == _exact_line(w, x)
+    healed = CertificateCache(path)
+    cert, solved = solve_cached(w, x, cache=healed)
+    assert not solved and cert.value == 7 and healed.rejected == 0
+
+
+@pytest.mark.parametrize("w, x", [("0" * 1000, "0" * 1060), ("0" * 7, "0" * 67),
+                                  ("2", "222"), ("", "1111")])
+def test_genuine_unary_hit_is_served_without_a_search(tmp_path, w, x, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    cert, solved = solve_cached(w, x, cache=CertificateCache(path))
+    assert solved and cert.lower_method == "unary-analytic"
+    solver._validate_unary_fast_path()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a unary hit ran a search")
+
+    monkeypatch.setattr(cache, "separating_structure", no_search)
+    monkeypatch.setattr(solver, "_distinguishing_structure", no_search)
+    c = CertificateCache(path)
+    hit, solved = solve_cached(w, x, cache=c)
+    assert not solved and c.rejected == 0
+    assert hit.to_dict() == dict(cert.to_dict(), nodes=0, millis=0)

@@ -440,12 +440,81 @@ def test_kernel_matches_recursive_reference_on_random_pairs():
     assert searched > 2000 and nodes > 20_000
 
 
+_RUN_LENGTHS = (1, 2, 3, 5, 8, 13, 40, 200)
+
+
+def _random_runs(rng, alphabet):
+    """1 to 4 runs [symbol, length], neighbours on different symbols."""
+    runs, prev = [], None
+    for _ in range(rng.randrange(1, 5)):
+        a = rng.choice([c for c in alphabet if c != prev])
+        runs.append([a, rng.choice(_RUN_LENGTHS)])
+        prev = a
+    return runs
+
+
+def test_kernel_matches_recursive_reference_on_long_runs():
+    """Equal tables and node counts on seeded pairs built from runs of
+    lengths 1..200, so that most searches read runs longer than 8p, which
+    the kernel jumps; half of the pairs differ in one run length only."""
+    rng = random.Random(2026)
+    searched = nodes = jumped = 0
+    for _ in range(150):
+        alphabet = rng.choice(("01", "012"))
+        rw = _random_runs(rng, alphabet)
+        if rng.random() < 0.5:
+            rx = _random_runs(rng, alphabet)
+        else:
+            rx = [list(r) for r in rw]
+            rng.choice(rx)[1] = rng.choice(_RUN_LENGTHS)
+        w, x = ("".join(a * m for a, m in runs) for runs in (rw, rx))
+        if w == x:
+            continue
+        for p in (1, 2, 3, 4, 5):
+            new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
+                                  SearchCounters(DEFAULT_BUDGET))
+            ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+                                  SearchCounters(DEFAULT_BUDGET))
+            assert new == ref, (w, x, p)
+            searched += 1
+            nodes += new[1]
+            jumped += any(m > 8 * p for _, m in rw + rx)
+    assert searched > 600 and jumped > 400 and nodes > 40_000
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_is_blind_to_whole_laps_of_a_long_run(seed):
+    """u 0^a v and u 0^b v (a, b >= p) give the same table and node count
+    as with a and b raised by 600 000, a multiple of every cycle length
+    up to 5: after p steps a run is on a cycle of length at most p.  A
+    kernel that walked every symbol would need minutes here."""
+    rng = random.Random(seed)
+    alphabet = "012" if seed % 2 else "01"
+    u, v = ([int(rng.choice(alphabet)) for _ in range(rng.randrange(4))] for _ in range(2))
+    u, v = u + [1], [int(rng.choice(alphabet[1:]))] + v  # the run stays a and b long
+    a, b = rng.sample(range(5, 30), 2)
+    k = len(alphabet)
+    lap = 60 * 10**4  # lcm(1..5) * 10^4
+    w, x = u + [0] * a + v, u + [0] * b + v
+    w_long, x_long = u + [0] * (a + lap) + v, u + [0] * (b + lap) + v
+    for p in (1, 2, 3, 4, 5):
+        short = SearchCounters(DEFAULT_BUDGET)
+        table = solver._distinguishing_structure(w, x, p, k, short)
+        long = SearchCounters(DEFAULT_BUDGET)
+        assert solver._distinguishing_structure(w_long, x_long, p, k, long) == table
+        assert long.nodes == short.nodes
+
+
 _BUDGET_SWEEP = {
     "binary-none": ("1" + "00" + "1", "1" + "0" * 122 + "1", 3),
     "binary-none-wider": ("101" + "00" + "101", "101" + "0" * 122 + "101", 3),
     "ternary-none": ("12" + "00" + "12", "12" + "0" * 14 + "12", 3),
     "ternary-found": ("212" + "00" + "212", "212" + "0" * 14 + "212", 4),
     "binary-found-late": ("000001", "0" * 17 + "1", 5),
+    # both runs are jumped, and the 0-entries they meet in their first p
+    # positions are still unassigned, so they branch there
+    "long-runs-none": ("1" + "0" * 200 + "1", "1" + "0" * 206 + "1", 3),
+    "long-runs-found": ("1" + "0" * 200 + "1", "1" + "0" * 212 + "1", 5),
 }
 
 
