@@ -19,11 +19,11 @@ That rule re-checks the upper bound only, and an entry can over-claim
 with a valid but non-minimal witness (say, lower = upper = 4 for 01 vs
 0001, whose true value is 3, with the 3-state separator plus an
 unreachable state).  So each caller also re-proves the lower bound of a
-hit before it serves it.  `solve_cached` runs the top level of the search:
-a hit with lower = p > 1 is served only when no structure with p - 1
-states separates the pair, under the caller's budget; exhausting the
-budget rejects the hit.  For a unary pair it compares lower with the
-analytic value instead, as `exact_sep` computes it on a miss.
+hit before it serves it.  `solve_cached` applies the solver's re-proof
+rule, `lower_bound_holds`: a hit with lower = p > 1 is served only when
+no structure with p - 1 states separates the pair, by one search at that
+level under the caller's budget (exhausting the budget rejects the hit),
+or for a unary pair by the formula `exact_sep` uses on a miss.
 `compute_atlas` serves a hit only when its value equals that of its own
 partition refinement.  Both reject the forged entry above and store the
 exact certificate.  An under-claim cannot pass the re-check.
@@ -36,10 +36,8 @@ import os
 from pathlib import Path
 from typing import Optional
 
-from .dfa import BudgetError
 from .solver import (DEFAULT_BUDGET, ENGINE_VERSION, SearchBudget, SepCertificate,
-                     _is_unary_pair, _unary_sep, _validate_unary_fast_path, exact_sep,
-                     separating_structure)
+                     exact_sep, lower_bound_holds)
 
 
 class CertificateCache:
@@ -133,24 +131,6 @@ def store_certificate(cache: CertificateCache, cert: SepCertificate) -> None:
         cache.put(sep_key(cert.w, cert.x), dict(cert.to_dict(), nodes=0, millis=0))
 
 
-def _lower_bound_holds(cert: SepCertificate, budget: SearchBudget) -> bool:
-    """Whether no structure with lower - 1 states separates the pair.
-
-    A unary pair is checked against `_unary_sep`, the formula `exact_sep`
-    trusts on a miss (after the same one-time cross-check against search);
-    any other pair by one exhaustive search at that level, which is False
-    when the budget runs out."""
-    if cert.lower == 1:
-        return True
-    if _is_unary_pair(cert.w, cert.x) is not None:
-        _validate_unary_fast_path()
-        return cert.lower <= _unary_sep(len(cert.w), len(cert.x))
-    try:
-        return separating_structure(cert.w, cert.x, cert.lower - 1, budget) is None
-    except BudgetError:
-        return False
-
-
 def solve_cached(
     w: str,
     x: str,
@@ -166,7 +146,7 @@ def solve_cached(
     if cache is not None:
         cert = cached_certificate(cache, w, x)
         if cert is not None:
-            if _lower_bound_holds(cert, budget):
+            if lower_bound_holds(cert, budget):
                 return cert, False
             cache.rejected += 1
     cert = exact_sep(w, x, budget=budget)

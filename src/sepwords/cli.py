@@ -178,16 +178,19 @@ def atlas(ctx, max_len):
 
 
 @main.command()
-@click.option("--lang", "lang_file", type=click.Path(exists=True), required=True,
-              help="File holding a language in the DFA text format.")
+@click.option("--lang", "lang_file", type=click.Path(exists=True, dir_okay=False),
+              required=True, help="File holding a language in the DFA text format.")
 @click.argument("word")
 @click.pass_context
 def member(ctx, lang_file, word):
     """Test whether WORD belongs to the language stored in a DFA text file."""
     word = _word_arg(word)
-    with open(lang_file, "r", encoding="utf-8") as fh:
-        d, provenance = dfa_from_text(fh.read())
-    ok = accepts(d, word)
+    try:
+        with open(lang_file, "r", encoding="utf-8") as fh:
+            d, provenance = dfa_from_text(fh.read())
+        ok = accepts(d, word)
+    except ValueError as e:  # a malformed file, or a word outside its alphabet
+        raise click.UsageError(f"{lang_file}: {e}")
     if ctx.obj["format"] == "json":
         click.echo(json.dumps({"word": word, "member": ok,
                                "lang": provenance or "unlabeled"}))

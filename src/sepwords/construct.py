@@ -110,6 +110,7 @@ def _cn_candidates(
 ) -> Iterator[str]:
     """Words w0 (0^a w0)* in length order, run lengths capped and filtered."""
     allowed = [r for r in range(1, max_run + 1) if r != forbid_run]
+    least = min(allowed, default=0)
     base = len(w0)
     for total in range(base, max_len + 1):
         blocks_max = (total + 1) // (base + 1) + 1
@@ -121,19 +122,22 @@ def _cn_candidates(
                 continue
             if rest < m - 1:
                 continue
-            for runs in _compositions(rest, m - 1, allowed):
+            for runs in _compositions(rest, m - 1, allowed, least):
                 yield w0 + "".join("0" * r + w0 for r in runs)
 
 
-def _compositions(total: int, parts: int, allowed: list[int]) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int, allowed: list[int],
+                  least: int) -> Iterator[tuple[int, ...]]:
+    """Ordered sums of `parts` terms from the ascending list `allowed`,
+    whose first term is `least`."""
     if parts == 0:
         if total == 0:
             yield ()
         return
     for first in allowed:
-        if first > total - (parts - 1) * min(allowed, default=total):
-            continue
-        for rest in _compositions(total - first, parts - 1, allowed):
+        if first > total - (parts - 1) * least:
+            break  # allowed ascends, so no later term fits either
+        for rest in _compositions(total - first, parts - 1, allowed, least):
             yield (first,) + rest
 
 
@@ -192,7 +196,6 @@ def search_C_n(
         raise ValueError("base block must be 0-free so the closure is well formed")
     trip = canonical_triple(n)
     max_len = 12 * len(w0) + 24
-    closure = segmented_closure(finite_language([w0]))
     p = 2 * n + 1
     counters = SearchCounters(budget)
     # (table, (end of 0^n, end of 0^{n+m}) per state), in order found
@@ -201,8 +204,6 @@ def search_C_n(
     for cand in _cn_candidates(w0, 2 * n + 2, forbid_run_length, max_len):
         counters.check_deadline()
         candidates += 1
-        if not accepts(closure, cand):
-            raise AssertionError(f"candidate {cand!r} escaped the closure")
         # symbol ids do not depend on the alphabet size, so one conversion
         # serves tables over two or three symbols alike
         cs = word_symbols(cand, 3)

@@ -377,7 +377,8 @@ def dfa_to_text(d: Dfa, provenance: Optional[str] = None) -> str:
 def dfa_from_text(text: str) -> tuple[Dfa, Optional[str]]:
     """Parse the text format; returns (dfa, provenance-or-None).
 
-    Rejects partial transition tables and out-of-range ids.
+    Raises ValueError on any malformed text, such as a partial
+    transition table or an out-of-range id.
     """
     provenance = None
     lines = []
@@ -403,13 +404,13 @@ def dfa_from_text(text: str) -> tuple[Dfa, Optional[str]]:
         if not line.startswith("state "):
             raise ValueError(f"unexpected line: {line!r}")
         head, _, rest = line.partition(":")
-        q = int(head.split()[1])
+        q = int(head[len("state "):])  # ValueError unless one state id
         targets = tuple(int(t) for t in rest.split())
         if len(targets) != k:
             raise ValueError(f"state {q} has {len(targets)} targets, expected {k}")
         if q in rows:
             raise ValueError(f"duplicate state line for {q}")
         rows[q] = targets
-    if sorted(rows) != list(range(n)):
+    if len(rows) != n or sorted(rows) != list(range(n)):
         raise ValueError("partial transition table")
     return Dfa(k, tuple(rows[q] for q in range(n)), acc), provenance

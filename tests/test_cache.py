@@ -170,6 +170,27 @@ def test_over_claiming_hit_is_rejected_by_solve_cached_and_healed(tmp_path):
     assert not solved and cert.value == 3 and healed.rejected == 0
 
 
+def test_witness_with_a_state_line_missing_its_id_is_rejected(tmp_path):
+    # a corrupt line is never fatal, whichever part of the witness is broken
+    value = dict(_OVER_CLAIM, lower=3, upper=3,
+                 witness="dfa 2 3\naccepting 0\nstate 0: 1 1\nstate 1: 2 0\nstate :\n")
+    for name in ("api.jsonl", "sep.jsonl", "atlas.jsonl"):
+        CertificateCache(tmp_path / name).put(sep_key("01", "0001"), value)
+    c = CertificateCache(tmp_path / "api.jsonl")
+    cert, solved = solve_cached("01", "0001", cache=c)
+    assert solved and cert.value == 3 and c.rejected == 1
+
+    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "sep.jsonl"), "sep", "01", "0001"])
+    assert r.exception is None, r.exc_info
+    assert r.output == "sep = 3\n"
+    assert (tmp_path / "sep.jsonl").read_text().splitlines()[-1] == _exact_line("01", "0001")
+
+    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "atlas.jsonl"),
+                                  "atlas", "--max-len", "4"])
+    assert r.exception is None, r.exc_info
+    assert r.output == CliRunner().invoke(main, ["atlas", "--max-len", "4"]).output
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
 def test_sep_cli_does_not_serve_an_over_claim(tmp_path, flags):
     # python -O strips assert statements; the re-proof must still run
@@ -248,12 +269,11 @@ def test_genuine_unary_hit_is_served_without_a_search(tmp_path, w, x, monkeypatc
     path = tmp_path / "cache.jsonl"
     cert, solved = solve_cached(w, x, cache=CertificateCache(path))
     assert solved and cert.lower_method == "unary-analytic"
-    solver._validate_unary_fast_path()
 
     def no_search(*args, **kwargs):
         raise AssertionError("a unary hit ran a search")
 
-    monkeypatch.setattr(cache, "separating_structure", no_search)
+    monkeypatch.setattr(solver, "separating_structure", no_search)
     monkeypatch.setattr(solver, "_distinguishing_structure", no_search)
     c = CertificateCache(path)
     hit, solved = solve_cached(w, x, cache=c)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from sepwords.cli import EXIT_USAGE, main
-from sepwords.dfa import dfa_to_text
+from sepwords.dfa import Dfa, dfa_to_text
 from sepwords.lang import build_G_k
 
 
@@ -121,3 +121,19 @@ def test_member_json_names_the_file_provenance(tmp_path, provenance, label):
     r = invoke("--format", "json", "member", "--lang", str(path), "112")
     assert r.exit_code == 0
     assert json.loads(r.output) == {"word": "112", "member": True, "lang": label}
+
+
+@pytest.mark.parametrize("text, word", [
+    ("dfa 2 1\naccepting 0\nstate :\n", "01"),  # a state line with no id
+    ("dfa 2 2\naccepting 0\nstate 0: 0 0\n", "01"),  # a partial table
+    (dfa_to_text(Dfa(2, ((0, 0),), frozenset({0}))), "012"),  # outside the alphabet
+], ids=["no-state-id", "partial-table", "foreign-word"])
+def test_member_bad_file_or_word_is_a_usage_error(tmp_path, text, word):
+    # not exit 1, which would read as "not a member"
+    path = tmp_path / "bad.lang"
+    path.write_text(text)
+    assert_usage_error(invoke("member", "--lang", str(path), word))
+
+
+def test_member_directory_is_a_usage_error(tmp_path):
+    assert_usage_error(invoke("member", "--lang", str(tmp_path), "01"))

@@ -1,7 +1,9 @@
 """Construction pipeline tests: encodings, searched words, witness assembly."""
 
+import functools
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -23,7 +25,7 @@ from sepwords.construct import (
     WitnessReport,
 )
 from sepwords.dfa import BudgetError, accepts, enumerate_canonical, reverse, run
-from sepwords.lang import build_G_k, segmented_closure
+from sepwords.lang import build_G_k, finite_language, segmented_closure
 from sepwords.solver import (
     SearchBudget,
     check_separates,
@@ -134,6 +136,33 @@ def test_search_C_n_pool_matches_search_of_every_candidate(w0, forbid):
     )
     assert res.word == expected
     assert res.lower_checked == 3
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_words(w0, max_len):
+    """Every word in w0 (0^+ w0)* up to max_len, by filtering all words
+    over {0} and the letters of w0."""
+    letters = "0" + "".join(sorted(set(w0)))
+    pattern = re.compile(f"{w0}(0+{w0})*")
+    return [w for n in range(max_len + 1)
+            for w in map("".join, itertools.product(letters, repeat=n))
+            if pattern.fullmatch(w)]
+
+
+@pytest.mark.parametrize("max_run", [2, 3])
+@pytest.mark.parametrize("forbid", [None, 1, 2])
+@pytest.mark.parametrize("w0", ["1", "2", "12", "112"])
+def test_cn_candidates_match_brute_force(w0, forbid, max_run):
+    max_len = 10
+    cands = list(_cn_candidates(w0, max_run, forbid, max_len))
+    expected = {w for w in _closure_words(w0, max_len)
+                if all(len(r) <= max_run and len(r) != forbid
+                       for r in re.findall("0+", w))}
+    assert set(cands) == expected  # so they agree at every length
+    assert len(cands) == len(expected)  # no duplicates
+    assert [len(c) for c in cands] == sorted(len(c) for c in cands)
+    closure = segmented_closure(finite_language([w0]))
+    assert all(accepts(closure, c) for c in cands)
 
 
 def test_search_C_n_budget_covers_the_whole_call():

@@ -404,3 +404,29 @@ def test_text_format_roundtrip(d):
 def test_text_format_rejects_garbage():
     with pytest.raises(ValueError):
         dfa_from_text("not a dfa at all")
+
+
+@pytest.mark.parametrize("text", [
+    "dfa 2 1\naccepting 0\nstate :\n",  # a state line with no id
+    "dfa 2 1\naccepting 0\nstate 0 0: 0 0\n",  # two ids
+    "dfa 2 999999999999\naccepting 0\nstate 0: 0 0\n",  # a huge state count
+    "dfa 2\naccepting 0\nstate 0: 0 0\n",
+    "dfa 2 1\naccepting x\nstate 0: 0 0\n",
+])
+def test_text_format_raises_value_error_on_malformed_text(text):
+    with pytest.raises(ValueError):
+        dfa_from_text(text)
+
+
+def test_text_format_raises_only_value_error_on_any_one_edit():
+    # every single-character deletion, and every replacement of one
+    # character by a token, either parses or raises ValueError
+    text = dfa_to_text(build_G_k(1), provenance="G_1")
+    tokens = ["", " ", ":", "\n", "0", "7", "-1", "x", "#", "dfa ", "state ",
+              "accepting", "999999999999"]
+    for i in range(len(text)):
+        for token in tokens:
+            try:
+                dfa_from_text(text[:i] + token + text[i + 1:])
+            except ValueError:
+                pass

@@ -1,6 +1,7 @@
 """Exact separation-number solver tests."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -122,11 +123,11 @@ def test_unary_known_values():
     assert exact_sep("", "0" * 6).value == 2  # the short side has length 0
 
 
-def searched_sep(w, x):
-    """sep(w, x) by exhaustive search alone: the first level with a
-    separating structure."""
-    return next(p for p in itertools.count(1)
-                if separating_structure(w, x, p) is not None)
+def searched_sep(w, x, budget=DEFAULT_BUDGET):
+    """sep(w, x) by exhaustive search alone: the first level up to
+    budget.max_states with a separating structure, or None."""
+    return next((p for p in range(1, budget.max_states + 1)
+                 if separating_structure(w, x, p, budget) is not None), None)
 
 
 def test_unary_fast_path_matches_search():
@@ -140,6 +141,34 @@ def test_unary_fast_path_matches_search():
         fast = exact_sep(w, x).value
         slow = searched_sep(w, x)
         assert fast == slow, (a, b)
+
+
+def test_unary_formula_matches_search_on_every_short_pair():
+    # exact_sep proves a unary pair's lower bound by this formula alone
+    for a in range(60):
+        for b in range(a + 1, 130):
+            assert solver._unary_sep(a, b) == searched_sep("0" * a, "0" * b), (a, b)
+
+
+@pytest.mark.parametrize("a, b, sep", [
+    (1000, 1060, 7),  # runs the kernel jumps
+    (4, 4 + math.factorial(9), 6),
+])
+def test_unary_formula_matches_search_on_long_runs(a, b, sep):
+    assert solver._unary_sep(a, b) == searched_sep("0" * a, "0" * b) == sep
+
+
+def test_unary_formula_matches_search_on_a_ternary_pair():
+    assert solver._unary_sep(1, 3) == searched_sep("2", "222") == 3
+
+
+def test_unary_formula_is_exact_past_the_default_state_cap():
+    w, x = "0" * 12, "0" * 27732  # 27 720 = lcm(1..12)
+    assert searched_sep(w, x) is None  # no table at the default 12 states
+    assert searched_sep(w, x, SearchBudget(max_states=13)) == 13
+    assert solver._unary_sep(12, 27732) == 13
+    cert = exact_sep(w, x)
+    assert cert.value == 13 and cert.lower_method == "unary-analytic"
 
 
 def test_certificate_witness_separates():
