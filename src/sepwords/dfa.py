@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 
@@ -211,7 +212,9 @@ def minimize(d: Dfa) -> Dfa:
     States are indexed by their position in reach order, and cls[i] is the
     class of the i-th reachable state.  Each round keys every state by its
     class and its successors' classes, and renumbers the keys in reach
-    order; a round that adds no class leaves the partition stable.
+    order; a round that adds no class leaves the partition stable, and a
+    round that leaves every class a singleton cannot be refined further.
+    At least one round runs, as the seed classes are not in reach order.
 
     The quotient is already in the breadth-first canonical order of
     `canonicalize`: classes are numbered by their first member in reach
@@ -230,7 +233,7 @@ def minimize(d: Dfa) -> Dfa:
         renum: dict[tuple[int, ...], int] = {}
         targets = [list(map(cls.__getitem__, col)) for col in succ]
         cls = [renum.setdefault(key, len(renum)) for key in zip(cls, *targets)]
-        if len(renum) == count:
+        if len(renum) in (count, len(reach)):
             break
         count = len(renum)
     # Class ids are assigned in reach order and reach[0] is the start, so
@@ -288,18 +291,43 @@ class BudgetError(RuntimeError):
 
 
 def reverse(d: Dfa) -> Dfa:
-    """Minimal complete DFA for the reversal of L(d)."""
-    n = d.state_count
-    rev: list[list[set[int]]] = [[set() for _ in range(d.alphabet_size)] for _ in range(n)]
-    for q in range(n):
-        for s in range(d.alphabet_size):
-            rev[d.transitions[q][s]][s].add(q)
-    if not d.accepting:
-        return minimize(Dfa(d.alphabet_size,
-                            tuple((0,) * d.alphabet_size for _ in range(1)),
-                            frozenset()))
-    sub = determinize(rev, d.accepting, {0}, d.alphabet_size)
-    return minimize(sub)
+    """Minimal complete DFA for the reversal of L(d), in canonical order.
+
+    The subset construction of the reversed automaton, run on d's
+    reachable part (canonicalize() drops the other states; a DFA with
+    none, such as every minimize() output, is used as it is).  By
+    Brzozowski's theorem the subset automaton of the reversal of an
+    accessible DFA is already minimal, and its breadth-first numbering is
+    the canonical one, so no minimize() follows.
+
+    A subset S is a membership vector over d's states: S[q] is 1 when q is
+    in S.  Its move on symbol a is {q : d moves q on a into S}, one gather
+    of S along d's a-column.  The reversal starts at the accepting set and
+    accepts the subsets that hold d's start.
+    """
+    if len(_reachable(d)) < d.state_count:
+        d = canonicalize(d)
+    if d.state_count == 1:
+        # Sigma* or the empty set, each its own reversal; and itemgetter
+        # with one index would return a bare item, not a tuple
+        return d
+    gathers = [itemgetter(*col) for col in zip(*d.transitions)]
+    start = bytes(q in d.accepting for q in range(d.state_count))
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for cur in order:  # grows while it is read: a breadth-first queue
+        row = []
+        for gather in gathers:
+            nxt = bytes(gather(cur))
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+        rows.append(tuple(row))
+    acc = frozenset(i for i, sub in enumerate(order) if sub[0])
+    return Dfa(d.alphabet_size, tuple(rows), acc)
 
 
 def zero_cycle_length(d: Dfa, q: int) -> Optional[int]:

@@ -13,10 +13,10 @@ from typing import Iterator
 
 from .dfa import (
     Dfa,
+    _reachable,
     combine,
     complement,
     determinize,
-    includes,
     minimize,
 )
 
@@ -33,8 +33,17 @@ def universe_12() -> Dfa:
 
 
 def is_zero_free(d: Dfa) -> bool:
-    """True when no accepted word contains symbol 0."""
-    return includes(universe_12(), d)
+    """True when no accepted word contains symbol 0.
+
+    Linear in the size of d: an accepted word contains a 0 exactly when
+    some reachable state moves on 0 into a live state.  Raises ValueError
+    unless d is over the full alphabet {0,1,2}.
+    """
+    if d.alphabet_size != ALPHABET:
+        raise ValueError(f"is_zero_free needs a DFA over {ALPHABET} symbols, "
+                         f"got {d.alphabet_size}")
+    live = _live_states(d)
+    return all(d.transitions[q][0] not in live for q in _reachable(d))
 
 
 def words_of_L_k(k: int) -> list[str]:

@@ -563,8 +563,8 @@ def _zero_free_projection(l: Dfa) -> Optional[Dfa]:
     """l restricted to symbols {1,2}, relabelled {0,1}, when it is a 0-free
     3-symbol language, else None.
 
-    Memoized: the emptiness search and the new automaton cost far more
-    than hashing l, and callers check many words against one language.
+    Memoized: the zero-freeness pass and the new automaton cost more than
+    hashing l, and callers check many words against one language.
     """
     if l.alphabet_size == 3 and is_zero_free(l):
         return Dfa(2, tuple((row[1], row[2]) for row in l.transitions), l.accepting)

@@ -1,5 +1,6 @@
 """Core automaton library tests."""
 
+import functools
 import itertools
 import random
 
@@ -168,8 +169,8 @@ def test_minimize_matches_dict_moore_reference():
 
 
 def _block_language_minimize_inputs(monkeypatch) -> list[Dfa]:
-    """Every input minimize() gets while building G_k, H_k and reverse(G_k),
-    k <= 8."""
+    """Every input minimize() gets while building G_k and H_k, k <= 8.
+    reverse() calls no minimize(), so reverse(G_k) adds no input."""
     inputs = []
 
     def recording(d):
@@ -181,13 +182,13 @@ def _block_language_minimize_inputs(monkeypatch) -> list[Dfa]:
     for k in range(1, 9):
         lang.build_G_k.__wrapped__(k)
         lang.build_H_k.__wrapped__(k)
-        reverse(build_G_k(k))
     return inputs
 
 
 def test_minimize_matches_reference_on_block_languages(monkeypatch):
-    """The inputs minimize() gets while building G_k, H_k and reverse(G_k),
-    k <= 8, minimize to the reference's bytes."""
+    """The inputs minimize() gets while building G_k and H_k, k <= 8,
+    minimize to the reference's bytes; the largest is G_8's subset
+    automaton."""
     inputs = _block_language_minimize_inputs(monkeypatch)
     assert max(d.state_count for d in inputs) == 1279
     for d in inputs:
@@ -208,6 +209,70 @@ def test_minimize_output_is_already_canonical(monkeypatch):
 @settings(max_examples=60)
 def test_reverse_semantics(d, w):
     assert accepts(reverse(d), w) == accepts(d, w[::-1])
+
+
+def _reverse_reference(d: Dfa) -> Dfa:
+    """The reverse() that the membership-vector construction replaced, kept
+    as a reference: a reversed NFA of sets, determinize(), then minimize()."""
+    n = d.state_count
+    rev: list[list[set[int]]] = [[set() for _ in range(d.alphabet_size)] for _ in range(n)]
+    for q in range(n):
+        for s in range(d.alphabet_size):
+            rev[d.transitions[q][s]][s].add(q)
+    if not d.accepting:
+        return minimize(Dfa(d.alphabet_size, ((0,) * d.alphabet_size,), frozenset()))
+    return minimize(determinize(rev, d.accepting, {0}, d.alphabet_size))
+
+
+@functools.lru_cache(maxsize=None)
+def _reverse_cases() -> list[tuple[Dfa, Dfa]]:
+    """(d, reverse(d)) on 3 000 random 2- and 3-symbol DFAs with up to 14
+    states, accepting none, some or all of their states, then on G_k and
+    H_k for k <= 8."""
+    rng = random.Random(20261018)
+    inputs = []
+    for i in range(3000):
+        k = 2 + i % 2
+        n = rng.randrange(1, 15)
+        rows = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+        rate = (0.0, 0.3, 0.5, 1.0)[i // 2 % 4]
+        inputs.append(Dfa(k, rows, frozenset(q for q in range(n) if rng.random() < rate)))
+    assert sum(d.state_count == 1 for d in inputs) > 100
+    assert sum(len(_reachable(d)) < d.state_count for d in inputs) > 1000
+    assert sum(not d.accepting for d in inputs) > 700
+    assert sum(len(d.accepting) == d.state_count for d in inputs) > 700
+    for k in range(1, 9):
+        inputs += [build_G_k(k), build_H_k(k)]
+    return [(d, reverse(d)) for d in inputs]
+
+
+def test_reverse_matches_reference():
+    """Byte-identical to the set-based reference, on inputs that include
+    unreachable states, empty and full accepting sets and one-state DFAs."""
+    for d, r in _reverse_cases():
+        assert dfa_to_text(r) == dfa_to_text(_reverse_reference(d)), d
+
+
+def test_reverse_output_is_minimal_and_canonical():
+    for d, r in _reverse_cases():
+        assert minimize(r) == r, d
+        assert canonicalize(r) == r, d
+
+
+def test_reverse_calls_neither_determinize_nor_minimize(monkeypatch):
+    # reverse() is its own subset construction, minimal by construction
+    g = build_G_k(8)
+    expected = _reverse_reference(g)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reverse() must not call determinize() or minimize()")
+
+    monkeypatch.setattr(dfa, "determinize", forbidden)
+    monkeypatch.setattr(dfa, "minimize", forbidden)
+    assert reverse(g) == expected
+    # an unreachable state sends reverse() through canonicalize() first
+    d = Dfa(3, ((1, 1, 1), (1, 1, 1), (0, 0, 0)), frozenset({0, 2}))
+    assert reverse(d) == Dfa(3, ((1, 1, 1), (1, 1, 1)), frozenset({0}))
 
 
 def test_is_empty_returns_shortest_witness():

@@ -1,10 +1,12 @@
 """Block-language family tests."""
 
 import itertools
+import random
 
 import pytest
 
-from sepwords.dfa import accepts, reverse, run
+from sepwords.construct import farmand_dfa
+from sepwords.dfa import Dfa, _reachable, accepts, includes, reverse, run
 from sepwords.lang import (
     build_G_k,
     build_H_k,
@@ -112,6 +114,42 @@ def test_zero_freeness_checks():
     assert is_zero_free(build_G_k(1))
     assert is_zero_free(universe_12())
     assert not is_zero_free(segmented_closure(build_G_k(1)))
+
+
+def test_zero_freeness_matches_inclusion_in_universe_12():
+    """The linear check agrees with L(d) <= {1,2}* decided by a product."""
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(5000):
+        n = rng.randrange(1, 13)
+        rows = [[rng.randrange(n) for _ in range(3)] for _ in range(n)]
+        if rng.random() < 0.5:
+            # send most 0-moves to a rejecting sink, so some DFAs are 0-free
+            sink = rng.randrange(n)
+            rows[sink] = [sink] * 3
+            for row in rows:
+                if rng.random() < 0.9:
+                    row[0] = sink
+            acc = frozenset(q for q in range(n) if q != sink and rng.random() < 0.4)
+        else:
+            acc = frozenset(q for q in range(n) if rng.random() < 0.4)
+        d = Dfa(3, tuple(map(tuple, rows)), acc)
+        verdict = is_zero_free(d)
+        assert verdict == includes(universe_12(), d), d
+        verdicts.append((verdict, len(_reachable(d)) < n))
+    assert sum(v for v, _ in verdicts) > 1000 and sum(not v for v, _ in verdicts) > 1000
+    # and many of the zero-free inputs have unreachable states
+    assert sum(v and unreachable for v, unreachable in verdicts) > 500
+
+
+def test_zero_freeness_needs_three_symbols():
+    binary = Dfa(2, ((1, 0), (1, 1)), frozenset({0}))
+    with pytest.raises(ValueError, match="3 symbols"):
+        is_zero_free(binary)
+    with pytest.raises(ValueError):
+        segmented_closure(binary)
+    with pytest.raises(ValueError):
+        farmand_dfa(binary, 1)
 
 
 def test_segmented_closure_membership():
