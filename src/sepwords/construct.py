@@ -23,11 +23,11 @@ from .dfa import (
     dfa_to_text,
     is_empty,
     minimize,
-    reverse,
     run,
     word_symbols,
 )
 from .lang import (
+    _reversed_G_k,
     build_G_k,
     build_H_k,
     finite_language,
@@ -453,7 +453,7 @@ def verify_witness(
         report.statuses["lower"] = "failed"
         report.lower_verified_to = 0
 
-    r = reverse(build_G_k(report.k))
+    r = _reversed_G_k(report.k)
     mode = "reject" if "0" not in report.c_word else "restart"
     machine = farmand_dfa(r, report.n, on_mismatch=mode)
     wr, xr = wp[::-1], xp[::-1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -18,15 +19,24 @@ from typing import Iterable, Iterator, Optional
 MAX_ALPHABET = 3
 
 
+@lru_cache(maxsize=None)
+def _symbol_table(alphabet_size: int) -> bytes:
+    """bytes.translate table: character i to its symbol id, others to 255."""
+    return bytes(i - 48 if 0 <= i - 48 < alphabet_size else 255 for i in range(256))
+
+
 def word_symbols(w: str, alphabet_size: int) -> list[int]:
-    """Convert a word string to symbol ids, validating the alphabet."""
-    out = []
-    for c in w:
-        s = ord(c) - 48
-        if not 0 <= s < alphabet_size:
-            raise ValueError(f"symbol {c!r} outside alphabet of size {alphabet_size}")
-        out.append(s)
-    return out
+    """Convert a word string to symbol ids, validating the alphabet.
+
+    One C-level translation of the word's ASCII bytes (a non-ASCII
+    character becomes one '?', so positions are kept) and one search for
+    a character outside the alphabet.
+    """
+    syms = w.encode("ascii", "replace").translate(_symbol_table(alphabet_size))
+    if 255 in syms:
+        c = w[syms.index(255)]
+        raise ValueError(f"symbol {c!r} outside alphabet of size {alphabet_size}")
+    return list(syms)
 
 
 def symbols_word(symbols: Iterable[int]) -> str:
@@ -290,7 +300,7 @@ class BudgetError(RuntimeError):
     """A construction or search ran out of its explicit resource budget."""
 
 
-def reverse(d: Dfa) -> Dfa:
+def reverse(d: Dfa, max_states: Optional[int] = None) -> Dfa:
     """Minimal complete DFA for the reversal of L(d), in canonical order.
 
     The subset construction of the reversed automaton, run on d's
@@ -303,7 +313,8 @@ def reverse(d: Dfa) -> Dfa:
     A subset S is a membership vector over d's states: S[q] is 1 when q is
     in S.  Its move on symbol a is {q : d moves q on a into S}, one gather
     of S along d's a-column.  The reversal starts at the accepting set and
-    accepts the subsets that hold d's start.
+    accepts the subsets that hold d's start.  Raises BudgetError when the
+    subset count exceeds max_states, as determinize() does.
     """
     if len(_reachable(d)) < d.state_count:
         d = canonicalize(d)
@@ -322,6 +333,10 @@ def reverse(d: Dfa) -> Dfa:
             nxt = bytes(gather(cur))
             i = index.get(nxt)
             if i is None:
+                if max_states is not None and len(order) >= max_states:
+                    raise BudgetError(
+                        f"reversal exceeded {max_states} subset states"
+                    )
                 i = index[nxt] = len(order)
                 order.append(nxt)
             row.append(i)

@@ -14,10 +14,10 @@ from typing import Iterator
 from .dfa import (
     Dfa,
     _reachable,
-    combine,
-    complement,
+    canonicalize,
     determinize,
     minimize,
+    reverse,
 )
 
 ALPHABET = 3
@@ -70,7 +70,11 @@ def words_of_L_k(k: int) -> list[str]:
 
 
 def _trie_nfa(words: list[str]) -> tuple[list[list[set[int]]], set[int]]:
-    """Deterministic trie over {1,2} as an NFA table; returns (table, accepting)."""
+    """Deterministic trie over {1,2} as an NFA table; returns (table, accepting).
+
+    The input of finite_language, for an arbitrary finite word list.  The
+    block languages are built from their block rule instead (dfa_of_L_k).
+    """
     table: list[list[set[int]]] = [[set() for _ in range(ALPHABET)]]
     accepting: set[int] = set()
     for w in words:
@@ -88,34 +92,119 @@ def _trie_nfa(words: list[str]) -> tuple[list[list[set[int]]], set[int]]:
     return table, accepting
 
 
+def dfa_of_L_k(k: int) -> Dfa:
+    """Minimal DFA of the generator set L_k, built from its block rule.
+
+    A word of L_k is a sequence of blocks 1^i 2: either one even block
+    with 2 <= i <= 2k, or blocks whose lengths sum to 2k+1, each but the
+    last even (so at least 2).  A state is t, the 1s read so far, and one
+    of: inside a block, flagged while it is the first block; between
+    blocks, with the count of ended blocks capped at 2 (exactly one ended
+    block accepts: it was even and at most 2k); after the last block,
+    accepting; dead.  Every ended block is even, so the current block's
+    parity is t's.  Inside a block, t = 2k+1 leaves the residual {2}
+    whether or not the block is the first, so those two share a state; the
+    6k+1 states left are pairwise inequivalent, and the breadth-first
+    build numbers them in canonical order: the result equals
+    finite_language(words_of_L_k(k)).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    top = 2 * k + 1
+    dead, end = ("dead", 0, 0), ("end", top, 0)
+
+    def moves(state):  # its targets on 0, 1 and 2
+        kind, t, flag = state
+        if kind == "gap":  # flag: the blocks ended so far, capped at 2
+            return dead, ("run", t + 1, flag == 0), dead
+        if kind != "run":
+            return dead, dead, dead
+        # flag: no block has ended yet
+        one = ("run", t + 1, flag and t + 1 < top) if t < top else dead
+        if t == top:
+            two = end
+        elif t % 2 == 0:
+            two = ("gap", t, 1 if flag else 2)
+        else:
+            two = dead
+        return dead, one, two
+
+    start = ("gap", 0, 0)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:  # grows while it is read: a breadth-first queue
+        row = []
+        for target in moves(state):
+            i = index.get(target)
+            if i is None:
+                i = index[target] = len(order)
+                order.append(target)
+            row.append(i)
+        rows.append(tuple(row))
+    acc = frozenset(i for i, (kind, _, flag) in enumerate(order)
+                    if kind == "end" or (kind == "gap" and flag == 1))
+    return Dfa(ALPHABET, tuple(rows), acc)
+
+
 def build_L_k(k: int) -> tuple[list[str], Dfa]:
     """The finite generator language: its words and its minimal DFA."""
-    words = words_of_L_k(k)
-    return words, finite_language(words)
+    return words_of_L_k(k), dfa_of_L_k(k)
+
+
+@lru_cache(maxsize=None)
+def _reversed_G_k(k: int) -> Dfa:
+    """Minimal DFA of the reversal of G_k, that is of (L_k^R)*.
+
+    The star of the reversed generator DFA D = reverse(dfa_of_L_k(k)):
+    accepting states of D also take the moves of D's start, and the start
+    accepts.  That is sound because D's start has no incoming moves, as
+    the start of the minimal DFA of any nonempty finite language: a move
+    into it would close a cycle through a live state.  D's dead state is
+    left out of the subsets.  The subset automaton is small (53 states at
+    k = 10, 52 once minimized), and its minimization equals
+    reverse(build_G_k(k)), both being the canonical minimal DFA.
+    """
+    d = reverse(dfa_of_L_k(k))
+    dead = next(q for q, row in enumerate(d.transitions)
+                if q not in d.accepting and all(t == q for t in row))
+    table = [[{t} - {dead} for t in row] for row in d.transitions]
+    for q in d.accepting:
+        for s in range(ALPHABET):
+            table[q][s] |= table[0][s]
+    return minimize(determinize(table, {0}, d.accepting | {0}, ALPHABET,
+                                max_states=DEFAULT_DETERMINIZE_BUDGET))
 
 
 @lru_cache(maxsize=None)
 def build_G_k(k: int) -> Dfa:
     """Kleene star of the level-k generator set, as a minimal DFA.
 
-    Star of the generator trie: accepting trie states inherit the root's
-    outgoing moves, and the root accepts.  Exponential subset growth is
-    expected; exceeding DEFAULT_DETERMINIZE_BUDGET raises BudgetError.
-    Memoized per process, like build_H_k: a Dfa is immutable.
+    The reversal of the small minimal DFA of G_k^R (_reversed_G_k).  By
+    Brzozowski's theorem reverse() returns the minimal DFA in canonical
+    order, so no minimize() follows; its subset count is the size of G_k,
+    2^(k+2) - 1 states, and exceeding DEFAULT_DETERMINIZE_BUDGET raises
+    BudgetError (k = 15 builds, k = 16 does not).  Memoized per process,
+    like build_H_k: a Dfa is immutable.
     """
-    words = words_of_L_k(k)
-    table, acc = _trie_nfa(words)
-    for q in acc:
-        for s in range(ALPHABET):
-            table[q][s] |= table[0][s]
-    return minimize(determinize(table, {0}, acc | {0}, ALPHABET,
-                                max_states=DEFAULT_DETERMINIZE_BUDGET))
+    return reverse(_reversed_G_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
 
 
 @lru_cache(maxsize=None)
 def build_H_k(k: int) -> Dfa:
-    """The complement of the starred language within {1,2}*."""
-    return minimize(combine(complement(build_G_k(k)), universe_12(), "and"))
+    """The complement of the starred language within {1,2}*.
+
+    G_k with its accepting set complemented and every 0-move sent to one
+    new dead state, in canonical order.  The result is minimal: G_k is,
+    and two of its states are told apart only by 0-free words (a 0 leads
+    to its dead state), on which H_k answers the opposite; every old state
+    accepts the word 1 in H_k (no nonempty word of G_k ends in 1), so none
+    is equivalent to the new dead state.
+    """
+    g = build_G_k(k)
+    dead = g.state_count
+    rows = tuple((dead, t1, t2) for _, t1, t2 in g.transitions) + ((dead,) * ALPHABET,)
+    return canonicalize(Dfa(ALPHABET, rows, frozenset(range(dead)) - g.accepting))
 
 
 def finite_language(words: list[str]) -> Dfa:

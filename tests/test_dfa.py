@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepwords.dfa import (
+    BudgetError,
     Dfa,
     accepts,
     _reachable,
@@ -29,9 +30,10 @@ from sepwords.dfa import (
     zero_cycle_length,
     zpath,
 )
-from sepwords import dfa, lang
+from sepwords import dfa
 from sepwords.lang import build_G_k, build_H_k
 from sepwords.solver import raw_tables
+from test_lang import _build_G_k_reference, _build_H_k_reference
 
 
 def random_dfa(rng, max_states=5, k=2):
@@ -68,6 +70,40 @@ def test_word_symbols_rejects_foreign_letters():
         word_symbols("012", 2)
     with pytest.raises(ValueError):
         word_symbols("ab", 2)
+    with pytest.raises(ValueError, match=r"^symbol 'é' outside alphabet of size 3$"):
+        word_symbols("01é2", 3)
+
+
+def _word_symbols_reference(w: str, alphabet_size: int) -> list[int]:
+    """The per-character word_symbols() that the translation replaced."""
+    out = []
+    for c in w:
+        s = ord(c) - 48
+        if not 0 <= s < alphabet_size:
+            raise ValueError(f"symbol {c!r} outside alphabet of size {alphabet_size}")
+        out.append(s)
+    return out
+
+
+def test_word_symbols_matches_reference():
+    """Same symbols, or the same error text, on random words that mix the
+    alphabet with other ASCII and non-ASCII characters."""
+    rng = random.Random(20261018)
+    letters = "012" * 6 + "3/?\x00\x7fé€😀"
+    errors = 0
+    for i in range(3000):
+        w = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 12)))
+        k = 2 + i % 2
+        try:
+            expected = _word_symbols_reference(w, k)
+        except ValueError as e:
+            errors += 1
+            with pytest.raises(ValueError) as got:
+                word_symbols(w, k)
+            assert str(got.value) == str(e), w
+        else:
+            assert word_symbols(w, k) == expected, w
+    assert 500 < errors < 2500, errors
 
 
 @given(dfas, words, words)
@@ -169,26 +205,25 @@ def test_minimize_matches_dict_moore_reference():
 
 
 def _block_language_minimize_inputs(monkeypatch) -> list[Dfa]:
-    """Every input minimize() gets while building G_k and H_k, k <= 8.
-    reverse() calls no minimize(), so reverse(G_k) adds no input."""
+    """Every input minimize() gets in the reference constructions of G_k
+    and H_k, k <= 8: the trie star and the product with {1,2}*.  The
+    builders themselves minimize only small automata."""
     inputs = []
 
     def recording(d):
         inputs.append(d)
         return minimize(d)
 
-    monkeypatch.setattr(lang, "minimize", recording)
     monkeypatch.setattr(dfa, "minimize", recording)
     for k in range(1, 9):
-        lang.build_G_k.__wrapped__(k)
-        lang.build_H_k.__wrapped__(k)
+        _build_H_k_reference(_build_G_k_reference(k))
     return inputs
 
 
 def test_minimize_matches_reference_on_block_languages(monkeypatch):
-    """The inputs minimize() gets while building G_k and H_k, k <= 8,
-    minimize to the reference's bytes; the largest is G_8's subset
-    automaton."""
+    """The inputs minimize() gets in the reference constructions of G_k and
+    H_k, k <= 8, minimize to the reference's bytes; the largest is G_8's
+    subset automaton."""
     inputs = _block_language_minimize_inputs(monkeypatch)
     assert max(d.state_count for d in inputs) == 1279
     for d in inputs:
@@ -273,6 +308,13 @@ def test_reverse_calls_neither_determinize_nor_minimize(monkeypatch):
     # an unreachable state sends reverse() through canonicalize() first
     d = Dfa(3, ((1, 1, 1), (1, 1, 1), (0, 0, 0)), frozenset({0, 2}))
     assert reverse(d) == Dfa(3, ((1, 1, 1), (1, 1, 1)), frozenset({0}))
+
+
+def test_reverse_raises_past_its_state_budget():
+    g = build_G_k(5)  # its reversal has 27 states
+    assert reverse(g, max_states=27) == reverse(g)
+    with pytest.raises(BudgetError, match="26 subset states"):
+        reverse(g, max_states=26)
 
 
 def test_is_empty_returns_shortest_witness():

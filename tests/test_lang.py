@@ -1,16 +1,33 @@
 """Block-language family tests."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
+from sepwords import dfa, lang
 from sepwords.construct import farmand_dfa
-from sepwords.dfa import Dfa, _reachable, accepts, includes, reverse, run
+from sepwords.dfa import (
+    BudgetError,
+    Dfa,
+    _reachable,
+    accepts,
+    combine,
+    complement,
+    dfa_to_text,
+    includes,
+    reverse,
+    run,
+)
 from sepwords.lang import (
+    DEFAULT_DETERMINIZE_BUDGET,
+    _reversed_G_k,
+    _trie_nfa,
     build_G_k,
     build_H_k,
     build_L_k,
+    dfa_of_L_k,
     finite_language,
     is_zero_free,
     iter_words,
@@ -40,6 +57,95 @@ def test_generator_shapes():
             else:
                 assert sum(runs) == 2 * k + 1
                 assert all(r % 2 == 0 for r in runs[:-1])
+
+
+def _build_G_k_reference(k: int) -> Dfa:
+    """The G_k construction that the reversed star replaced, kept as a
+    reference: the star of the trie of words_of_L_k(k) (accepting trie
+    states take the root's moves, and the root accepts), determinize(),
+    then minimize().  Both are called through the dfa module, so a test
+    can record their inputs."""
+    table, acc = _trie_nfa(words_of_L_k(k))
+    for q in acc:
+        for s in range(3):
+            table[q][s] |= table[0][s]
+    return dfa.minimize(dfa.determinize(table, {0}, acc | {0}, 3))
+
+
+def _build_H_k_reference(g: Dfa) -> Dfa:
+    """The H_k construction that the direct one replaced, kept as a
+    reference: the product of complement(G_k) with {1,2}*, minimized."""
+    return dfa.minimize(combine(complement(g), universe_12(), "and"))
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_G_k_reference(k: int) -> Dfa:
+    return _build_G_k_reference(k)
+
+
+def test_generator_dfa_matches_trie_construction():
+    """The L_k DFA built from the block rule is the minimal DFA of the
+    word list, byte for byte, with 6k+1 states."""
+    for k in range(1, 11):
+        d = dfa_of_L_k(k)
+        assert dfa_to_text(d) == dfa_to_text(finite_language(words_of_L_k(k))), k
+        assert d.state_count == 6 * k + 1
+        assert build_L_k(k) == (words_of_L_k(k), d)
+
+
+def test_star_matches_trie_star_reference():
+    for k in range(1, 11):
+        assert dfa_to_text(build_G_k(k)) == dfa_to_text(_cached_G_k_reference(k)), k
+
+
+def test_complement_matches_product_reference():
+    for k in range(1, 11):
+        expected = _build_H_k_reference(_cached_G_k_reference(k))
+        assert dfa_to_text(build_H_k(k)) == dfa_to_text(expected), k
+
+
+def test_reversed_star_equals_reversal_of_G_k():
+    for k in range(1, 11):
+        assert _reversed_G_k(k) == reverse(build_G_k(k)), k
+
+
+def test_star_build_raises_past_the_determinize_budget(monkeypatch):
+    # G_k has 2^(k+2) - 1 states, all of them subsets in the final reversal
+    assert build_G_k(5).state_count == 127
+    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 127)
+    assert build_G_k.__wrapped__(5) == build_G_k(5)
+    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 126)
+    with pytest.raises(BudgetError):
+        build_G_k.__wrapped__(5)
+    # so with the real budget, k = 15 (131 071 states) builds and k = 16
+    # (262 143 states) raises
+    assert 2**17 - 1 <= DEFAULT_DETERMINIZE_BUDGET < 2**18 - 1
+
+
+def test_block_builders_determinize_and_minimize_only_small_automata(monkeypatch):
+    """Building G_10 and H_10 passes no automaton of more than 200 states
+    through determinize() or minimize()."""
+    sizes = {"determinize": [], "minimize": []}
+
+    def recording(name, f):
+        def wrapper(*args, **kwargs):
+            out = f(*args, **kwargs)
+            # determinize() takes an NFA table and minimize() a Dfa
+            n = len(args[0]) if name == "determinize" else args[0].state_count
+            sizes[name] += [n, out.state_count]
+            return out
+        return wrapper
+
+    for name in sizes:
+        f = getattr(dfa, name)
+        monkeypatch.setattr(lang, name, recording(name, f))
+        monkeypatch.setattr(dfa, name, recording(name, f))
+    _reversed_G_k.cache_clear()
+    g = build_G_k.__wrapped__(10)
+    h = build_H_k.__wrapped__(10)
+    assert (g.state_count, h.state_count) == (4095, 4096)
+    assert sizes["determinize"] and sizes["minimize"]
+    assert max(sizes["determinize"] + sizes["minimize"]) <= 200, sizes
 
 
 def test_finite_language_membership():
