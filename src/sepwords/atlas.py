@@ -113,6 +113,25 @@ class SeparationLevels:
             p += 1
         return p
 
+    def row(self, n: int) -> AtlasRow:
+        """The atlas row for length n >= 1: S(n), and the first pair in
+        `combinations` order whose sep attains it.
+
+        The words of length <= n are the first 2^(n + 1) - 1.  S(n) is the
+        first level at which they are all alone in their classes, so every
+        pair of them that shares a class one level down has sep S(n).  The
+        first such pair is the smallest class head that has a mate, with
+        the class's second member.
+        """
+        count = 2 ** (n + 1) - 1
+        value = next(p for p, cls in enumerate(self.classes, 1)
+                     if len(set(cls[:count])) == count)
+        members: dict[int, list[int]] = {}
+        for i, c in enumerate(self.classes[value - 2][:count]):
+            members.setdefault(c, []).append(i)
+        i, j = min(group[:2] for group in members.values() if len(group) > 1)
+        return AtlasRow(n=n, value=value, exact=True, pair=(self.words[i], self.words[j]))
+
     def certificate(self, i: int, j: int) -> SepCertificate:
         """An exact certificate: the first table of level sep that splits the
         pair, accepting the end state of words[i]."""
@@ -127,37 +146,34 @@ class SeparationLevels:
 def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> AtlasTable:
     """Exact maxima of the separation number over binary pairs of length <= n.
 
-    Pairs are scanned in shortlex order and the first maximal pair is
-    reported, so the table is reproducible byte for byte.  Every pair's
-    value comes from one partition refinement of all the words.  A cache
-    hit is served only when `cached_certificate` accepts it and its value
-    equals the refinement's, so a stored over-claim never reaches the
-    table; a hit that disagrees is counted in `cache.rejected`.  Each pair
-    not served stores one exact certificate, which heals the file.
-    `searches_performed` counts the pairs not served from the cache.
+    Every value comes from one partition refinement of all the words.  Row
+    n is read off its class arrays (`SeparationLevels.row`): S(n), and the
+    first pair in shortlex `combinations` order that attains it, so the
+    table is reproducible byte for byte and no pair is visited.
+
+    Only a cache makes it visit the pairs, to serve or heal certificates.
+    A hit is served, left as stored, only when `cached_certificate` accepts
+    it and its value equals the refinement's; a hit that disagrees, such as
+    a stored over-claim, is counted in `cache.rejected`.  Each pair not
+    served stores one exact certificate, which heals the file.
+    `searches_performed` counts the pairs not served from the cache, so
+    every pair when there is no cache.
     """
     if not 1 <= max_len <= ATLAS_MAX_LEN_CAP:
         raise ValueError(f"max_len must be in 1..{ATLAS_MAX_LEN_CAP}")
     levels = SeparationLevels(max_len)
-    searches = 0
-    best: dict[int, AtlasRow] = {}
-    for (i, w), (j, x) in itertools.combinations(enumerate(levels.words), 2):
-        value = levels.sep(i, j)
-        cert = None if cache is None else cached_certificate(cache, w, x)
-        if cert is None or cert.value != value:
-            if cert is not None:
-                cache.rejected += 1
-            searches += 1
-            if cache is not None:
-                store_certificate(cache, levels.certificate(i, j))
-        n = max(len(w), len(x))
-        for m in range(max(n, 1), max_len + 1):
-            cur = best.get(m)
-            if cur is None or value > cur.value:
-                best[m] = AtlasRow(n=m, value=value, exact=True, pair=(w, x))
-    rows = [best[n] for n in range(1, max_len + 1)]
+    rows = [levels.row(n) for n in range(1, max_len + 1)]
     # the max over a growing set cannot decrease; guard the invariant
     for a, b in zip(rows, rows[1:]):
         if b.value < a.value:
             raise AssertionError(f"S({b.n}) = {b.value} < S({a.n}) = {a.value}")
+    searches = len(levels.words) * (len(levels.words) - 1) // 2
+    if cache is not None:
+        searches = 0
+        for (i, w), (j, x) in itertools.combinations(enumerate(levels.words), 2):
+            cert = cached_certificate(cache, w, x)
+            if cert is None or cert.value != levels.sep(i, j):
+                cache.rejected += cert is not None
+                searches += 1
+                store_certificate(cache, levels.certificate(i, j))
     return AtlasTable(max_len=max_len, rows=rows, searches_performed=searches)

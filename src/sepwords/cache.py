@@ -54,17 +54,18 @@ class CertificateCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        # read as bytes, so that a line that is not UTF-8 is one corrupt line
+        with open(self.path, "rb") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.decode("utf-8"))
                     key = obj["key"]
                     version = obj["engine_version"]
                     value = obj["value"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     self.skipped_corrupt += 1
                     continue
                 if version != self.engine_version:

@@ -52,7 +52,7 @@ def _word_arg(w: str) -> str:
 
 
 @click.group(cls=_Group)
-@click.option("--cache", "cache_path", type=click.Path(), default=None,
+@click.option("--cache", "cache_path", type=click.Path(dir_okay=False), default=None,
               help="JSON-lines result cache file.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
               default="text", help="Output format.")

@@ -196,20 +196,29 @@ def _reachable(d: Dfa) -> list[int]:
     return order
 
 
+def _reach_columns(d: Dfa) -> tuple[list[int], list[int], list[list[int]]]:
+    """Reach order, each reachable state's position in it, and one
+    successor column per symbol in positions: succ[a][i] is pos of the
+    a-successor of reach[i].  pos is 0 for an unreachable state."""
+    reach = _reachable(d)
+    pos = [0] * d.state_count
+    for i, q in enumerate(reach):
+        pos[q] = i
+    succ = [[pos[d.transitions[q][a]] for q in reach] for a in range(d.alphabet_size)]
+    return reach, pos, succ
+
+
 def canonicalize(d: Dfa) -> Dfa:
     """Renumber states in breadth-first first-visit order from the start.
 
     Unreachable states are dropped.  Language-preserving; equal structures
     over equal languages get byte-identical encodings only after minimize().
     """
-    order = _reachable(d)
-    index = {q: i for i, q in enumerate(order)}
-    rows = tuple(
-        tuple(index[d.transitions[q][s]] for s in range(d.alphabet_size))
-        for q in order
-    )
-    acc = frozenset(index[q] for q in d.accepting if q in index)
-    return Dfa(d.alphabet_size, rows, acc)
+    reach, pos, succ = _reach_columns(d)
+    # pos's int objects, which the rows already hold: fresh ones from
+    # enumerate kept about 80 KiB more alive per build_H_k(10)
+    acc = frozenset(pos[q] for q in reach if q in d.accepting)
+    return Dfa(d.alphabet_size, tuple(zip(*succ)), acc)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -231,12 +240,7 @@ def minimize(d: Dfa) -> Dfa:
     order, and a later member of a class has the same successor classes as
     the first, so it never reaches a new class first.
     """
-    reach = _reachable(d)
-    pos = [0] * d.state_count
-    for i, q in enumerate(reach):
-        pos[q] = i
-    # succ[a][i]: reach position of the a-successor of reach[i]
-    succ = [[pos[d.transitions[q][a]] for q in reach] for a in range(d.alphabet_size)]
+    reach, _, succ = _reach_columns(d)
     cls = [1 if q in d.accepting else 0 for q in reach]
     count = len(set(cls))
     while True:

@@ -47,6 +47,58 @@ def test_full_table_values():
         assert exact_sep(*r.pair).value == r.value
 
 
+_ATLAS_6_CSV = ("n,value,exact,w,x\n"
+                "1,2,true,,0\n"
+                "2,2,true,,0\n"
+                "3,3,true,0,000\n"
+                "4,3,true,0,000\n"
+                "5,3,true,0,000\n"
+                "6,3,true,0,000\n")
+
+
+def _rows_by_pair_scan(levels, max_len):
+    """(S(m), w, x) for m = 1..max_len as the atlas found its rows before
+    they were read off the classes: the first maximal pair in combinations
+    order, by the value of every pair."""
+    best = {}
+    for (i, w), (j, x) in itertools.combinations(enumerate(levels.words), 2):
+        value = levels.sep(i, j)
+        for m in range(max(len(w), len(x), 1), max_len + 1):
+            if m not in best or value > best[m][0]:
+                best[m] = (value, w, x)
+    return [best[m] for m in range(1, max_len + 1)]
+
+
+def _row_tuples(rows):
+    return [(r.value, *r.pair) for r in rows]
+
+
+def test_rows_from_the_classes_match_the_pair_scan_past_the_cap():
+    levels = SeparationLevels(8)
+    rows = [levels.row(m) for m in range(1, 9)]
+    assert [r.n for r in rows] == list(range(1, 9)) and all(r.exact for r in rows)
+    assert _row_tuples(rows) == _rows_by_pair_scan(levels, 8)
+    for max_len in range(1, ATLAS_MAX_LEN_CAP + 1):
+        assert compute_atlas(max_len).rows == rows[:max_len]
+
+
+def test_rows_past_the_cap_are_frozen():
+    rows = _row_tuples(map(SeparationLevels(8).row, (7, 8)))
+    assert rows == [(3, "0", "000"), (4, "00", "00000000")]
+    for value, w, x in rows:
+        assert exact_sep(w, x).value == value
+
+
+def test_atlas_without_a_cache_visits_no_pair(monkeypatch):
+    def visit(self, i, j):
+        raise AssertionError(f"compute_atlas visited pair {i}, {j}")
+
+    monkeypatch.setattr(SeparationLevels, "sep", visit)
+    table = compute_atlas(6)
+    assert table.to_csv() == _ATLAS_6_CSV
+    assert table.searches_performed == 8001  # every pair is unserved
+
+
 def test_warm_cache_reproduces_bytes_with_zero_searches(tmp_path):
     path = tmp_path / "cache.jsonl"
     cold = compute_atlas(5, cache=CertificateCache(path))

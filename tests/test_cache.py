@@ -47,6 +47,20 @@ def test_corrupt_lines_are_skipped_and_counted(tmp_path):
     assert c.skipped_corrupt == 2
 
 
+def test_non_utf8_line_is_skipped_and_counted(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    CertificateCache(path).put("before", 1)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    CertificateCache(path).put("after", 2)
+    c = CertificateCache(path)
+    assert (c.get("before"), c.get("after")) == (1, 2)
+    assert c.skipped_corrupt == 1
+    r = CliRunner().invoke(main, ["--cache", str(path), "sep", "01", "10"])
+    assert r.exception is None, r.exc_info
+    assert r.exit_code == 0 and r.output == "sep = 2\n"
+
+
 def test_version_mismatch_lines_are_skipped_and_counted(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps({"key": "k", "engine_version": "older-0", "value": 1}) + "\n")

@@ -54,6 +54,10 @@ def test_out_of_range_options_are_usage_errors(args):
     assert_usage_error(invoke(*args))
 
 
+def test_cache_naming_a_directory_is_a_usage_error(tmp_path):
+    assert_usage_error(invoke("--cache", str(tmp_path), "sep", "01", "10"))
+
+
 def test_sep_uses_cache(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     assert invoke("--cache", path, "sep", "01", "10").exit_code == 0
