@@ -1,68 +1,25 @@
-"""Separating words: exact solvers, language constructions, and witnesses."""
+"""Separating words: exact solvers, language constructions, and witnesses.
 
-from .atlas import AtlasRow, AtlasTable, SeparationLevels, compute_atlas
-from .cache import (CertificateCache, cached_certificate, sep_key, solve_cached,
-                    store_certificate)
-from .construct import (
-    CanonicalTriple,
-    CnResult,
-    WitnessReport,
-    ZkResult,
-    canonical_triple,
-    encode,
-    farmand_dfa,
-    free_word,
-    lower_claim_value,
-    search_C_n,
-    search_z_k,
-    state_limit_for_pairs,
-    upper_claim_value,
-    verify_witness,
-    witness_pair,
-)
-from .dfa import (
-    BudgetError,
-    Dfa,
-    accepts,
-    combine,
-    complement,
-    dfa_from_text,
-    dfa_to_text,
-    enumerate_canonical,
-    equivalent,
-    includes,
-    minimize,
-    reverse,
-    run,
-)
-from .lang import (
-    build_G_k,
-    build_H_k,
-    build_L_k,
-    finite_language,
-    iter_words,
-    segmented_closure,
-    state_complexity,
-    words_of_L_k,
-)
-from .lemmas import (
-    DEFAULT_SEED,
-    LemmaCheck,
-    SuiteReport,
-    known_ids,
-    run_check,
-    run_lemma_suite,
-)
-from .solver import (
-    ENGINE_VERSION,
-    DEFAULT_BUDGET,
-    SearchBudget,
-    SepCertificate,
-    check_separates,
-    exact_sep,
-    lsep_lower_check,
-    no_separator_up_to,
-    separating_structure,
-)
+The package exports the library twin of each command; every other name is
+imported from its module.  Importing the package binds every submodule but
+`cli` (`sepwords.atlas`, `.cache`, `.construct`, `.dfa`, `.lang`,
+`.lemmas`, `.solver`).
+"""
+
+from .atlas import compute_atlas
+from .cache import CertificateCache, solve_cached
+from .construct import verify_witness, witness_pair
+from .dfa import BudgetError, Dfa, accepts, dfa_from_text, dfa_to_text
+from .lang import build_G_k, build_H_k, build_L_k, state_complexity
+from .lemmas import run_lemma_suite
+from .solver import SearchBudget, SepCertificate, exact_sep
+
+__all__ = [
+    "exact_sep", "SepCertificate", "SearchBudget", "solve_cached",
+    "CertificateCache", "build_L_k", "build_G_k", "build_H_k",
+    "state_complexity", "witness_pair", "verify_witness", "run_lemma_suite",
+    "compute_atlas", "Dfa", "accepts", "dfa_from_text", "dfa_to_text",
+    "BudgetError",
+]
 
 __version__ = "1.0.0"

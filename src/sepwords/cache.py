@@ -68,6 +68,9 @@ class CertificateCache:
                 except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     self.skipped_corrupt += 1
                     continue
+                if not isinstance(key, str):  # a list key would not even hash
+                    self.skipped_corrupt += 1
+                    continue
                 if version != self.engine_version:
                     self.skipped_version += 1
                     continue
@@ -80,8 +83,13 @@ class CertificateCache:
         return key in self._entries
 
     def put(self, key: str, value) -> None:
-        """Store and append; idempotent replays produce identical state."""
-        if self._entries.get(key) == value:
+        """Store and append; idempotent replays produce identical state.
+
+        A value replays a stored one only when their JSON texts match: a
+        stored bound of 3.0 equals 3 in Python, yet must be overwritten.
+        """
+        if key in self._entries and (json.dumps(self._entries[key], sort_keys=True)
+                                     == json.dumps(value, sort_keys=True)):
             return
         self._entries[key] = value
         self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit-code contract everywhere: 0 all pass / exact, 1 any fail, 2 only
-budget-bounded results, 64 a usage error (bad option, argument or word).
+budget-bounded results (a BudgetError included), 64 a usage error (bad
+option, argument or word).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import click
 from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
 from .cache import CertificateCache, solve_cached
 from .construct import verify_witness, witness_pair
-from .dfa import accepts, dfa_from_text, dfa_to_text, reverse
+from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
 from .lang import build_G_k, build_H_k, build_L_k, state_complexity
 from .lemmas import DEFAULT_SEED, run_lemma_suite
 from .solver import DEFAULT_BUDGET
@@ -28,7 +29,8 @@ EXIT_USAGE = 64  # click's own code, 2, would read as budget-bounded
 
 class _Group(click.Group):
     """A click group whose usage errors, raised while parsing or inside a
-    subcommand, exit with EXIT_USAGE."""
+    subcommand, exit with EXIT_USAGE, and whose subcommands exit with
+    EXIT_BOUNDED and a one-line message when they run out of budget."""
 
     def make_context(self, *args, **extra):
         try:
@@ -43,6 +45,10 @@ class _Group(click.Group):
         except click.UsageError as e:
             e.exit_code = EXIT_USAGE
             raise
+        except BudgetError as e:
+            bounded = click.ClickException(f"budget exhausted: {e}")
+            bounded.exit_code = EXIT_BOUNDED
+            raise bounded from e
 
 
 def _word_arg(w: str) -> str:
@@ -90,7 +96,7 @@ def sep(ctx, w, x, max_states, budget_nodes, as_json):
 
 
 _LANG_BUILDERS = {
-    "L_k": lambda k: build_L_k(k)[1],
+    "L_k": build_L_k,
     "G_k": build_G_k,
     "H_k": build_H_k,
 }

@@ -39,10 +39,6 @@ def word_symbols(w: str, alphabet_size: int) -> list[int]:
     return list(syms)
 
 
-def symbols_word(symbols: Iterable[int]) -> str:
-    return "".join(chr(48 + s) for s in symbols)
-
-
 @dataclass(frozen=True)
 class Dfa:
     """A complete DFA.  transitions[q][a] is the target of state q on symbol a."""
@@ -167,7 +163,7 @@ def is_empty(d: Dfa) -> tuple[bool, Optional[str]]:
                     while cur != 0:
                         cur, sym = parent[cur][0], parent[cur][1]
                         syms.append(sym)
-                    return False, symbols_word(reversed(syms))
+                    return False, "".join(chr(48 + s) for s in reversed(syms))
                 queue.append(t)
     return True, None
 

@@ -1,9 +1,11 @@
 """Builders for the block languages and their closures.
 
-The generator family here lives over {1,2} but every automaton is carried
-over the full alphabet {0,1,2}: symbol 0 leads straight to the dead state,
-so products and concatenations with 0-runs never need an alphabet
-conversion.
+One builder per block language: build_L_k (the generator set, from its
+block rule), build_G_k (its star) and build_H_k (the complement of the
+star within {1,2}*); finite_language builds any finite word set.  The
+family lives over {1,2} but every automaton is carried over the full
+alphabet {0,1,2}: symbol 0 leads straight to the dead state, so products
+and concatenations with 0-runs never need an alphabet conversion.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ ALPHABET = 3
 DEFAULT_DETERMINIZE_BUDGET = 200_000
 
 
-def universe_12() -> Dfa:
-    """All words over {1,2}, embedded over the full alphabet."""
-    return Dfa(ALPHABET, ((1, 0, 0), (1, 1, 1)), frozenset({0}))
-
-
 def is_zero_free(d: Dfa) -> bool:
     """True when no accepted word contains symbol 0.
 
@@ -46,53 +43,7 @@ def is_zero_free(d: Dfa) -> bool:
     return all(d.transitions[q][0] not in live for q in _reachable(d))
 
 
-def words_of_L_k(k: int) -> list[str]:
-    """The finite generator set for level k, in shortlex order.
-
-    Two shapes: 1^{2i}2 for 1 <= i <= k, and block words
-    1^{i_1}2...1^{i_s}2 whose exponents sum to 2k+1 with every exponent
-    before the last even.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    words = {"1" * (2 * i) + "2" for i in range(1, k + 1)}
-
-    def compositions(total: int, prefix: list[int]):
-        # remaining parts: all but the last must be even
-        if total >= 1:
-            yield prefix + [total]
-        for part in range(2, total, 2):
-            yield from compositions(total - part, prefix + [part])
-
-    for parts in compositions(2 * k + 1, []):
-        words.add("".join("1" * p + "2" for p in parts))
-    return sorted(words, key=lambda w: (len(w), w))
-
-
-def _trie_nfa(words: list[str]) -> tuple[list[list[set[int]]], set[int]]:
-    """Deterministic trie over {1,2} as an NFA table; returns (table, accepting).
-
-    The input of finite_language, for an arbitrary finite word list.  The
-    block languages are built from their block rule instead (dfa_of_L_k).
-    """
-    table: list[list[set[int]]] = [[set() for _ in range(ALPHABET)]]
-    accepting: set[int] = set()
-    for w in words:
-        cur = 0
-        for c in w:
-            s = ord(c) - 48
-            nxt = table[cur][s]
-            if nxt:
-                cur = next(iter(nxt))
-            else:
-                table.append([set() for _ in range(ALPHABET)])
-                table[cur][s].add(len(table) - 1)
-                cur = len(table) - 1
-        accepting.add(cur)
-    return table, accepting
-
-
-def dfa_of_L_k(k: int) -> Dfa:
+def build_L_k(k: int) -> Dfa:
     """Minimal DFA of the generator set L_k, built from its block rule.
 
     A word of L_k is a sequence of blocks 1^i 2: either one even block
@@ -106,7 +57,7 @@ def dfa_of_L_k(k: int) -> Dfa:
     whether or not the block is the first, so those two share a state; the
     6k+1 states left are pairwise inequivalent, and the breadth-first
     build numbers them in canonical order: the result equals
-    finite_language(words_of_L_k(k)).
+    finite_language of the word list of L_k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -147,16 +98,11 @@ def dfa_of_L_k(k: int) -> Dfa:
     return Dfa(ALPHABET, tuple(rows), acc)
 
 
-def build_L_k(k: int) -> tuple[list[str], Dfa]:
-    """The finite generator language: its words and its minimal DFA."""
-    return words_of_L_k(k), dfa_of_L_k(k)
-
-
 @lru_cache(maxsize=None)
 def _reversed_G_k(k: int) -> Dfa:
     """Minimal DFA of the reversal of G_k, that is of (L_k^R)*.
 
-    The star of the reversed generator DFA D = reverse(dfa_of_L_k(k)):
+    The star of the reversed generator DFA D = reverse(build_L_k(k)):
     accepting states of D also take the moves of D's start, and the start
     accepts.  That is sound because D's start has no incoming moves, as
     the start of the minimal DFA of any nonempty finite language: a move
@@ -165,7 +111,7 @@ def _reversed_G_k(k: int) -> Dfa:
     k = 10, 52 once minimized), and its minimization equals
     reverse(build_G_k(k)), both being the canonical minimal DFA.
     """
-    d = reverse(dfa_of_L_k(k))
+    d = reverse(build_L_k(k))
     dead = next(q for q, row in enumerate(d.transitions)
                 if q not in d.accepting and all(t == q for t in row))
     table = [[{t} - {dead} for t in row] for row in d.transitions]
@@ -208,12 +154,28 @@ def build_H_k(k: int) -> Dfa:
 
 
 def finite_language(words: list[str]) -> Dfa:
-    """Minimal DFA of a finite set of {1,2}-words (trie then minimize)."""
+    """Minimal DFA of a finite set of {1,2}-words.
+
+    The trie of the words, made complete by one dead state that takes
+    every missing move (each 0-move among them), then minimize().
+    """
     for w in words:
-        if "0" in w:
+        if not set(w) <= {"1", "2"}:
             raise ValueError("finite_language expects {1,2}-only words")
-    table, acc = _trie_nfa(words)
-    return minimize(determinize(table, {0}, acc, ALPHABET))
+    rows = [[-1] * ALPHABET]
+    accepting = set()
+    for w in words:
+        cur = 0
+        for c in w:
+            s = ord(c) - 48
+            if rows[cur][s] < 0:
+                rows[cur][s] = len(rows)
+                rows.append([-1] * ALPHABET)
+            cur = rows[cur][s]
+        accepting.add(cur)
+    dead = len(rows)
+    table = tuple(tuple(dead if t < 0 else t for t in row) for row in rows)
+    return minimize(Dfa(ALPHABET, table + ((dead,) * ALPHABET,), frozenset(accepting)))
 
 
 def segmented_closure(r: Dfa) -> Dfa:
@@ -224,13 +186,13 @@ def segmented_closure(r: Dfa) -> Dfa:
     """
     if not is_zero_free(r):
         raise ValueError("segmented_closure requires a 0-free language")
-    return segclo_of_dfa(r)
+    return _segclo_of_dfa(r)
 
 
-def segclo_of_dfa(d: Dfa) -> Dfa:
+def _segclo_of_dfa(d: Dfa) -> Dfa:
     """L (0^+ L)* for an arbitrary language; no 0-freeness demanded.
 
-    The public operator restricts to 0-free inputs; invariants about the
+    segmented_closure restricts to 0-free inputs; invariants about the
     closure of an already-closed language need the unchecked form.
     """
     n = d.state_count

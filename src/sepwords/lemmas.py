@@ -37,11 +37,11 @@ from .dfa import (
     zpath,
 )
 from .lang import (
+    _segclo_of_dfa,
     build_G_k,
     build_H_k,
     finite_language,
     iter_words,
-    segclo_of_dfa,
     segmented_closure,
     state_complexity,
 )
@@ -172,7 +172,7 @@ def _check_peach(budget, rng, negative):
     """Closing an already-closed language adds nothing; R in {G_1, {1}}."""
     for r, label in ((build_G_k(1), "G_k k=1"), (finite_language(["1"]), "{1}")):
         s = segmented_closure(r)
-        s2 = segclo_of_dfa(s)
+        s2 = _segclo_of_dfa(s)
         target = r if negative else s
         if not includes(target, s2):
             return "fail", {}, {"r": label}

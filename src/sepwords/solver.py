@@ -96,8 +96,10 @@ class SepCertificate:
 
     @staticmethod
     def from_dict(obj: dict) -> "SepCertificate":
+        """Decode a certificate; ValueError unless the bounds are ints (not
+        bools) and the words and lower_method are strings."""
         witness = _witness_from_text(obj["witness"]) if obj["witness"] else None
-        return SepCertificate(
+        cert = SepCertificate(
             w=obj["w"],
             x=obj["x"],
             lower=obj["lower"],
@@ -107,6 +109,12 @@ class SepCertificate:
             nodes=obj.get("nodes", 0),
             millis=obj.get("millis", 0),
         )
+        if not (type(cert.lower) is int and type(cert.upper) is int
+                and isinstance(cert.w, str) and isinstance(cert.x, str)
+                and isinstance(cert.lower_method, str)):
+            raise ValueError("a certificate's bounds must be ints and its "
+                             "words and lower_method strings")
+        return cert
 
     @staticmethod
     def from_json(text: str) -> "SepCertificate":

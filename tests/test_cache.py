@@ -61,6 +61,20 @@ def test_non_utf8_line_is_skipped_and_counted(tmp_path):
     assert r.exit_code == 0 and r.output == "sep = 2\n"
 
 
+@pytest.mark.parametrize("key", [[1], {"a": 1}, 5, None],
+                         ids=["list", "dict", "int", "null"])
+def test_non_string_key_is_skipped_and_counted(tmp_path, key):
+    line = json.dumps({"key": key, "engine_version": ENGINE_VERSION, "value": 1}) + "\n"
+    path = tmp_path / "cache.jsonl"
+    path.write_text(line)
+    c = CertificateCache(path)
+    assert (len(c), c.skipped_corrupt) == (0, 1)
+    for args in (["sep", "01", "0001"], ["atlas", "--max-len", "4"]):
+        r = CliRunner().invoke(main, ["--cache", str(path), *args])
+        assert r.exception is None, r.exc_info
+        assert r.output == CliRunner().invoke(main, args).output
+
+
 def test_version_mismatch_lines_are_skipped_and_counted(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps({"key": "k", "engine_version": "older-0", "value": 1}) + "\n")
@@ -182,6 +196,34 @@ def test_over_claiming_hit_is_rejected_by_solve_cached_and_healed(tmp_path):
     healed = CertificateCache(path)  # last write wins
     cert, solved = solve_cached("01", "0001", cache=healed)
     assert not solved and cert.value == 3 and healed.rejected == 0
+
+
+@pytest.mark.parametrize("bad", [{"lower": 3.0, "upper": 3.0}, {"lower": True},
+                                 {"w": 1}, {"x": None}, {"lower_method": 0}],
+                         ids=["float-bounds", "bool-lower", "int-w", "null-x",
+                              "int-lower-method"])
+def test_hit_with_a_mistyped_field_is_rejected_and_healed(tmp_path, bad):
+    value = dict(json.loads(_exact_line("01", "0001"))["value"], **bad)
+    with pytest.raises(ValueError):
+        SepCertificate.from_dict(value)
+    for name in ("api.jsonl", "sep.jsonl", "atlas.jsonl"):
+        CertificateCache(tmp_path / name).put(sep_key("01", "0001"), value)
+    c = CertificateCache(tmp_path / "api.jsonl")
+    cert, solved = solve_cached("01", "0001", cache=c)
+    assert solved and cert.value == 3 and c.rejected == 1
+
+    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "sep.jsonl"), "sep", "01", "0001"])
+    assert r.exception is None, r.exc_info
+    assert r.exit_code == 0 and r.output == "sep = 3\n"
+    assert (tmp_path / "sep.jsonl").read_text().splitlines()[-1] == _exact_line("01", "0001")
+
+    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "atlas.jsonl"),
+                                  "atlas", "--max-len", "4"])
+    assert r.exception is None, r.exc_info
+    assert r.output == CliRunner().invoke(main, ["atlas", "--max-len", "4"]).output
+    healed = CertificateCache(tmp_path / "atlas.jsonl")
+    assert cache.cached_certificate(healed, "01", "0001").value == 3
+    assert healed.rejected == 0
 
 
 def test_witness_with_a_state_line_missing_its_id_is_rejected(tmp_path):

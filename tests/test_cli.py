@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from sepwords.cli import EXIT_USAGE, main
+from sepwords import cli, lang
+from sepwords.cli import EXIT_BOUNDED, EXIT_USAGE, main
 from sepwords.dfa import Dfa, dfa_to_text
 from sepwords.lang import build_G_k
 
@@ -74,6 +75,16 @@ def test_stc_command():
     assert r.exit_code == 0 and "12" in r.output
     r = invoke("--format", "json", "stc", "--lang", "H_k", "--k", "1")
     assert json.loads(r.output)["stc"] > 0
+
+
+def test_budget_error_exits_bounded_with_one_line(monkeypatch):
+    # G_5 has 127 states; the unmemoized builder runs under the lowered budget
+    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 126)
+    monkeypatch.setitem(cli._LANG_BUILDERS, "G_k", build_G_k.__wrapped__)
+    r = invoke("stc", "--lang", "G_k", "--k", "5")
+    assert r.exit_code == EXIT_BOUNDED
+    assert isinstance(r.exception, SystemExit)  # no traceback
+    assert r.output == "Error: budget exhausted: reversal exceeded 126 subset states\n"
 
 
 def test_witness_command_verify():

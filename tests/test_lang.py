@@ -21,21 +21,69 @@ from sepwords.dfa import (
     run,
 )
 from sepwords.lang import (
+    ALPHABET,
     DEFAULT_DETERMINIZE_BUDGET,
     _reversed_G_k,
-    _trie_nfa,
     build_G_k,
     build_H_k,
     build_L_k,
-    dfa_of_L_k,
     finite_language,
     is_zero_free,
     iter_words,
     segmented_closure,
     state_complexity,
-    universe_12,
-    words_of_L_k,
 )
+
+
+def universe_12() -> Dfa:
+    """All words over {1,2}, embedded over the full alphabet."""
+    return Dfa(ALPHABET, ((1, 0, 0), (1, 1, 1)), frozenset({0}))
+
+
+def words_of_L_k(k: int) -> list[str]:
+    """The finite generator set for level k, in shortlex order.
+
+    Two shapes: 1^{2i}2 for 1 <= i <= k, and block words
+    1^{i_1}2...1^{i_s}2 whose exponents sum to 2k+1 with every exponent
+    before the last even.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    words = {"1" * (2 * i) + "2" for i in range(1, k + 1)}
+
+    def compositions(total: int, prefix: list[int]):
+        # remaining parts: all but the last must be even
+        if total >= 1:
+            yield prefix + [total]
+        for part in range(2, total, 2):
+            yield from compositions(total - part, prefix + [part])
+
+    for parts in compositions(2 * k + 1, []):
+        words.add("".join("1" * p + "2" for p in parts))
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def _trie_nfa(words: list[str]) -> tuple[list[list[set[int]]], set[int]]:
+    """Deterministic trie over {1,2} as an NFA table; returns (table, accepting).
+
+    The reference for finite_language, which builds the same trie as a
+    complete DFA and skips determinize(), and, starred, for build_G_k.
+    """
+    table: list[list[set[int]]] = [[set() for _ in range(ALPHABET)]]
+    accepting: set[int] = set()
+    for w in words:
+        cur = 0
+        for c in w:
+            s = ord(c) - 48
+            nxt = table[cur][s]
+            if nxt:
+                cur = next(iter(nxt))
+            else:
+                table.append([set() for _ in range(ALPHABET)])
+                table[cur][s].add(len(table) - 1)
+                cur = len(table) - 1
+        accepting.add(cur)
+    return table, accepting
 
 
 def test_generator_words_level_1():
@@ -87,10 +135,24 @@ def test_generator_dfa_matches_trie_construction():
     """The L_k DFA built from the block rule is the minimal DFA of the
     word list, byte for byte, with 6k+1 states."""
     for k in range(1, 11):
-        d = dfa_of_L_k(k)
+        d = build_L_k(k)
         assert dfa_to_text(d) == dfa_to_text(finite_language(words_of_L_k(k))), k
         assert d.state_count == 6 * k + 1
-        assert build_L_k(k) == (words_of_L_k(k), d)
+
+
+def test_finite_language_matches_the_determinized_trie_reference():
+    """The complete trie DFA, minimized, equals the trie NFA sent through
+    determinize() and minimize(), byte for byte, on random word sets, the
+    empty set and sets holding the empty word."""
+    rng = random.Random(20261019)
+    word_sets = [[], [""], ["", "1"], ["2", "", "2"]]
+    for _ in range(3000):
+        word_sets.append(["".join(rng.choice("12") for _ in range(rng.randrange(7)))
+                          for _ in range(rng.randrange(8))])
+    for words in word_sets:
+        table, acc = _trie_nfa(words)
+        expected = dfa.minimize(dfa.determinize(table, {0}, acc, 3))
+        assert dfa_to_text(finite_language(words)) == dfa_to_text(expected), words
 
 
 def test_star_matches_trie_star_reference():
@@ -153,6 +215,13 @@ def test_finite_language_membership():
     assert accepts(h, "1") and accepts(h, "22")
     assert not accepts(h, "12") and not accepts(h, "")
     assert is_zero_free(h)
+
+
+@pytest.mark.parametrize("word", ["10", "3", "/", "1\u00e9"])
+def test_finite_language_rejects_words_outside_1_2(word):
+    # unchecked, ord(c) - 48 would send "/" to symbol 2 and "3" past the row
+    with pytest.raises(ValueError, match="only words"):
+        finite_language(["12", word])
 
 
 def test_star_language_level_1_membership():

@@ -1,9 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sepwords
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _package_nodes(node_type) -> list[str]:
@@ -23,3 +29,35 @@ def test_no_module_keeps_state_behind_a_global_statement():
 def test_no_module_guards_with_assert():
     # python -O strips assert statements, so a guard must raise an exception
     assert _package_nodes(ast.Assert) == []
+
+
+def test_importing_the_package_binds_every_submodule_but_the_cli():
+    # bench/job.py reads sepwords.atlas, .cache, ... after a bare import
+    src = str(Path(sepwords.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sepwords, sys; print(sorted(m for m in "
+         "('atlas', 'cache', 'cli', 'construct', 'dfa', 'lang', 'lemmas', 'solver') "
+         "if m in vars(sepwords)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(["atlas", "cache", "construct", "dfa", "lang",
+                               "lemmas", "solver"]) + "\n"
+
+
+def test_the_package_exports_the_library_twin_of_each_command():
+    assert sepwords.__all__ == [
+        "exact_sep", "SepCertificate", "SearchBudget", "solve_cached",
+        "CertificateCache", "build_L_k", "build_G_k", "build_H_k",
+        "state_complexity", "witness_pair", "verify_witness", "run_lemma_suite",
+        "compute_atlas", "Dfa", "accepts", "dfa_from_text", "dfa_to_text",
+        "BudgetError",
+    ]
+    assert all(getattr(sepwords, name) is not None for name in sepwords.__all__)
+
+
+def test_every_readme_import_from_the_package_runs():
+    lines = re.findall(r"from sepwords import [\w, ]+",
+                       (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert lines
+    for line in lines:
+        exec(line, {})
