@@ -67,10 +67,10 @@ class SeparationLevels:
     w and x to different end states, and every such structure is isomorphic
     to one that `enumerate_canonical` yields.  So level p splits the classes
     of level p - 1 by the end state under each canonical table with exactly
-    p states, computed for all words at once along the trie: in shortlex
-    order word i's parent is word (i - 1) // 2 and its last symbol is
-    (i - 1) % 2.  Refinement stops as soon as every word is alone in its
-    class.
+    p states (a yielded table of length p; no Dfa is built), computed for
+    all words at once along the trie: in shortlex order word i's parent is
+    word (i - 1) // 2 and its last symbol is (i - 1) % 2.  Refinement stops
+    as soon as every word is alone in its class.
 
     `words` are in shortlex order.  `classes[p - 1][i]` is word i's class
     under every structure with at most p states, and `tables[p - 1]` lists
@@ -90,10 +90,9 @@ class SeparationLevels:
         while count < n:
             p += 1
             level: list[Table] = []
-            for d in enumerate_canonical(p, 2):
-                if d.state_count != p:
+            for t in enumerate_canonical(p, 2):
+                if len(t) != p:
                     continue
-                t = d.transitions
                 level.append(t)
                 end = [0] * n
                 for i in range(1, n):

@@ -18,6 +18,9 @@ from typing import Iterable, Iterator, Optional
 
 MAX_ALPHABET = 3
 
+# a transition table: Table[q][a] is the target of state q on symbol a
+Table = tuple[tuple[int, ...], ...]
+
 
 @lru_cache(maxsize=None)
 def _symbol_table(alphabet_size: int) -> bytes:
@@ -375,34 +378,54 @@ def zpath(d: Dfa, q: int, i: Optional[int] = None) -> frozenset[int]:
     return frozenset(islice(seen, stop))
 
 
-def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Dfa]:
-    """One representative per isomorphism class of reachable structures.
+def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Table]:
+    """One transition table per isomorphism class of reachable structures.
 
     Yields every complete transition structure with at most p states, all
     reachable from the start, numbered in first-visit order over the scan
-    (state 0 symbol 0, state 0 symbol 1, ...).  Accepting sets are left
-    empty.
+    (state 0 symbol 0, state 0 symbol 1, ...), as the plain table that is
+    a Dfa's `transitions`; callers build a Dfa only where they use one.
+    Tables come in lexicographic order of their scans.
+
+    One explicit-stack walk.  choice[i] is the target at scan position i
+    (state i // k, symbol i % k) and before[i] the number of states
+    numbered before position i; a position may target any of them, or
+    number the next state while fewer than p exist.  A table with m
+    states is complete at m * k positions.  After each table, the last
+    position with a larger choice left takes it and every later position
+    restarts at 0, which numbers no state.  rows holds each state's row
+    as a tuple, so a step rebuilds only the rows from that position on.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     k = alphabet_size
-
-    def rec(rows: list[list[int]], m: int, idx: int) -> Iterator[Dfa]:
-        if idx == m * k:
-            yield Dfa(k, tuple(tuple(r) for r in rows), frozenset())
+    if not 2 <= k <= MAX_ALPHABET:
+        raise ValueError(f"alphabet_size must be 2 or 3, got {k}")
+    choice = [0] * (p * k)
+    before = [1] * (p * k)
+    zero = (0,) * k
+    rows = [zero] * p
+    m = 1  # states of the current table, which fills choice[:m * k]
+    while True:
+        yield tuple(rows[:m])
+        i = m * k - 1
+        while i >= 0:
+            m = before[i]
+            t = choice[i] + 1
+            if t < m or t == m < p:
+                break
+            i -= 1
+        else:
             return
-        q, a = divmod(idx, k)
-        limit = m + 1 if m < p else m
-        for t in range(limit):
-            grew = t == m
-            if grew:
-                rows.append([0] * k)
-            rows[q][a] = t
-            yield from rec(rows, m + 1 if grew else m, idx + 1)
-            if grew:
-                rows.pop()
-
-    yield from rec([[0] * k], 1, 0)
+        choice[i] = t
+        if t == m:
+            m += 1
+        q, end = i // k, m * k
+        if i + 1 < end:  # most steps change only the last position
+            choice[i + 1:end] = [0] * (end - i - 1)
+            before[i + 1:end] = [m] * (end - i - 1)
+            rows[q + 1:m] = [zero] * (m - q - 1)
+        rows[q] = tuple(choice[q * k:q * k + k])
 
 
 def dfa_to_text(d: Dfa, provenance: Optional[str] = None) -> str:

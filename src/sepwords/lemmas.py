@@ -184,7 +184,8 @@ def _check_nexus(budget, rng, negative):
     h = "0" * (5 if negative else 6)
     words = [""] + ["".join(t) for L in range(1, 5) for t in itertools.product("01", repeat=L)]
     checked = 0
-    for d in enumerate_canonical(3, 2):
+    for t in enumerate_canonical(3, 2):
+        d = Dfa(2, t, frozenset())
         for q in range(d.state_count):
             if zero_cycle_length(d, q) is None:
                 continue
@@ -192,7 +193,7 @@ def _check_nexus(budget, rng, negative):
                 checked += 1
                 if run(d, q, h + w) != run(d, q, w):
                     return "fail", {"checked": checked}, {
-                        "dfa": d.transitions, "q": q, "w": w}
+                        "dfa": t, "q": q, "w": w}
     return "pass", {"checked": checked}, None
 
 
@@ -201,23 +202,24 @@ def _per_zero_column(body):
 
     body(d) returns (items checked, first failing (q, i) or None) and may
     read nothing of d but its state count and 0-column.  So it runs once
-    per distinct 0-column, on the first structure that has it (23 columns
-    for the 229 structures with <= 3 states, 135 for the 5 477 with <= 4),
-    and every structure still adds its items to `checked`.  The result is
-    that of running body on every structure in turn.
+    per distinct 0-column, on a Dfa built from the first canonical table
+    that has it (23 columns for the 229 structures with <= 3 states, 135
+    for the 5 477 with <= 4); every other table is read only for its
+    0-column, and still adds its items to `checked`.  The result is that
+    of running body on every structure in turn.
     """
     outcomes: dict[tuple[int, ...], tuple[int, Optional[tuple[int, int]]]] = {}
     checked = 0
     for p in (3, 4):
-        for d in enumerate_canonical(p, 2):
-            column = tuple(row[0] for row in d.transitions)
+        for t in enumerate_canonical(p, 2):
+            column = tuple(row[0] for row in t)
             if column not in outcomes:
-                outcomes[column] = body(d)
+                outcomes[column] = body(Dfa(2, t, frozenset()))
             items, failure = outcomes[column]
             if failure is not None:
                 q, i = failure
                 return "fail", {"checked": checked + items}, {
-                    "dfa": d.transitions, "q": q, "i": i}
+                    "dfa": t, "q": q, "i": i}
             checked += items
     return "pass", {"checked": checked}, None
 
@@ -348,7 +350,8 @@ def _check_kebab(budget, rng, negative):
     """Small automaton pairs cannot tell the hard word from all of H_k; k=4."""
     z = search_z_k(4, budget=budget)
     h = build_H_k(4)
-    structs = rng.sample(list(enumerate_canonical(3, 3)), 60)
+    structs = [Dfa(3, t, frozenset())
+               for t in rng.sample(list(enumerate_canonical(3, 3)), 60)]
     misses = 0
     for i in range(100):
         d, d2 = rng.choice(structs), rng.choice(structs)
@@ -376,7 +379,8 @@ def _check_four(budget, rng, negative):
     h = build_H_k(4)
     closure = segmented_closure(h)
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]
-    structs = rng.sample(list(enumerate_canonical(3, 3)), 40)
+    structs = [Dfa(3, t, frozenset())
+               for t in rng.sample(list(enumerate_canonical(3, 3)), 40)]
     for i in range(30):
         d, d2 = rng.choice(structs), rng.choice(structs)
         segs = [rng.choice(blocks) for _ in range(rng.randrange(1, 4))]

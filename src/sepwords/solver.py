@@ -21,6 +21,7 @@ from typing import Container, Iterator, Optional
 from .dfa import (
     BudgetError,
     Dfa,
+    Table,
     accepts,
     dfa_from_text,
     dfa_to_text,
@@ -30,8 +31,6 @@ from .dfa import (
 from .lang import is_zero_free
 
 ENGINE_VERSION = "sepwords-1"
-
-Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -539,9 +538,10 @@ def lsep_lower_check(
 
     For every canonical structure, a suitable accepting set exists exactly
     when w's end state is not reached by any word of the language; the
-    check enumerates structures and stops at the first whose end state
-    the language misses.  Each reachability search stops at the first
-    word of the language that reaches the end state.  For a 0-free w and
+    check enumerates canonical tables, runs w on each table, and stops at
+    the first whose end state the language misses.  Each table becomes a
+    Dfa only for the reachability search, which stops at the first word
+    of the language that reaches the end state.  For a 0-free w and
     a 0-free language over {0,1,2}, structures over two effective symbols
     suffice: transitions on 0 are never exercised.  counters, when given,
     is charged one node per structure instead of a fresh pool from budget.
@@ -558,10 +558,10 @@ def lsep_lower_check(
         ws = word_symbols(w, k)
     if counters is None:
         counters = SearchCounters(budget)
-    for structure in enumerate_canonical(p, k):
+    for table in enumerate_canonical(p, k):
         counters.tick()
-        end = run_table(structure.transitions, ws)
-        if not reached_by_language(structure, proj, end):
+        end = run_table(table, ws)
+        if not reached_by_language(Dfa(k, table, frozenset()), proj, end):
             return False
     return True
 

@@ -24,7 +24,7 @@ from sepwords.construct import (
     witness_pair,
     WitnessReport,
 )
-from sepwords.dfa import BudgetError, accepts, enumerate_canonical, reverse, run
+from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, reverse, run
 from sepwords.lang import build_G_k, finite_language, segmented_closure
 from sepwords.solver import (
     SearchBudget,
@@ -34,6 +34,7 @@ from sepwords.solver import (
     run_table,
     separating_structure,
 )
+from test_dfa import canonical_dfas
 
 
 def test_canonical_triple_values():
@@ -219,7 +220,7 @@ def test_state_limit_for_pairs():
 
 def test_free_word_is_indistinguishable_and_in_closure():
     rng = random.Random(11)
-    structs = [d for d in enumerate_canonical(3, 3)]
+    structs = list(canonical_dfas(3, 3))
     # words of the complement family glued with 0-runs
     from sepwords.lang import build_H_k, iter_words
     h = build_H_k(4)
@@ -237,7 +238,7 @@ def test_free_word_is_indistinguishable_and_in_closure():
 def test_free_word_closures_are_memoized_per_k_and_z_k():
     from sepwords.construct import _h_closure
     _h_closure.cache_clear()
-    d = next(d for d in enumerate_canonical(2, 3) if d.state_count == 2)
+    d = next(Dfa(3, t, frozenset()) for t in enumerate_canonical(2, 3) if len(t) == 2)
     # "112" is outside H_4, so only the closure of H_4 + {"112"} holds it
     first = free_word(4, d, d, "112", z_k="112")
     assert free_word(4, d, d, "112", z_k="112") == first
@@ -250,7 +251,7 @@ def test_free_word_closures_are_memoized_per_k_and_z_k():
 
 
 def test_free_word_rejects_oversized_automata():
-    big = next(d for d in enumerate_canonical(4, 3) if d.state_count == 4)
+    big = next(Dfa(3, t, frozenset()) for t in enumerate_canonical(4, 3) if len(t) == 4)
     with pytest.raises(ValueError):
         free_word(4, big, big, "112")
 

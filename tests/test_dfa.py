@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,8 +371,13 @@ def zpath_reference(d, q, i=None):
     return frozenset(s for s in trajectory if zero_cycle_length(d, s) is None)
 
 
+def canonical_dfas(p, k):
+    """enumerate_canonical's tables as Dfas with no accepting state, lazily."""
+    return (Dfa(k, t, frozenset()) for t in enumerate_canonical(p, k))
+
+
 def test_zpath_matches_its_definition_exhaustively():
-    for d in [*enumerate_canonical(3, 2), *enumerate_canonical(2, 3)]:
+    for d in [*canonical_dfas(3, 2), *canonical_dfas(2, 3)]:
         for q in range(d.state_count):
             for i in (None, *range(d.state_count + 2)):
                 assert zpath(d, q, i) == zpath_reference(d, q, i), (d.transitions, q, i)
@@ -404,7 +410,7 @@ def test_run_and_zpath_match_references_on_canonical_structures():
     for p, k in ((4, 2), (3, 3)):
         words = ["".join(t) for n in range(4 - k + 2)
                  for t in itertools.product("012"[:k], repeat=n)]
-        for d in enumerate_canonical(p, k):
+        for d in canonical_dfas(p, k):
             n = d.state_count
             for q in range(n):
                 for w in words:
@@ -427,7 +433,7 @@ def test_zero_trajectory_functions_read_only_the_0_column():
 
     first: dict[tuple[int, ...], list] = {}
     repeats = 0
-    for d in enumerate_canonical(4, 2):
+    for d in canonical_dfas(4, 2):
         column = tuple(row[0] for row in d.transitions)
         if column in first:
             assert zero_trajectory(d) == first[column], d.transitions
@@ -493,10 +499,64 @@ def test_canonical_enumeration_larger_counts():
 
 def test_canonical_structures_are_reachable_and_distinct():
     seen = set()
-    for d in enumerate_canonical(3, 2):
+    for d in canonical_dfas(3, 2):
         assert d.transitions not in seen
         seen.add(d.transitions)
         assert canonicalize(d).transitions == d.transitions
+
+
+def enumerate_canonical_reference(p: int, alphabet_size: int) -> Iterator[Dfa]:
+    """The recursive enumerate_canonical that the explicit-stack walk
+    replaced, kept as a reference: it yields a Dfa per structure."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    k = alphabet_size
+
+    def rec(rows: list[list[int]], m: int, idx: int) -> Iterator[Dfa]:
+        if idx == m * k:
+            yield Dfa(k, tuple(tuple(r) for r in rows), frozenset())
+            return
+        q, a = divmod(idx, k)
+        limit = m + 1 if m < p else m
+        for t in range(limit):
+            grew = t == m
+            if grew:
+                rows.append([0] * k)
+            rows[q][a] = t
+            yield from rec(rows, m + 1 if grew else m, idx + 1)
+            if grew:
+                rows.pop()
+
+    yield from rec([[0] * k], 1, 0)
+
+
+@pytest.mark.parametrize("p,k", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)])
+def test_canonical_walk_matches_the_recursive_reference(p, k):
+    """Same tables in the same order; each builds a valid Dfa that is its
+    own canonicalize fixed point."""
+    tables = list(enumerate_canonical(p, k))
+    assert tables == [d.transitions for d in enumerate_canonical_reference(p, k)]
+    for t in tables:
+        assert type(t) is tuple and all(type(row) is tuple for row in t)
+        assert canonicalize(Dfa(k, t, frozenset())).transitions == t
+
+
+def test_canonical_count_at_five_binary_states():
+    assert canonical_count(5, 2) == 166_152
+
+
+@pytest.mark.parametrize("p,k,message", [
+    (0, 2, "p must be >= 1"),
+    (-1, 3, "p must be >= 1"),
+    (2, 1, "alphabet_size must be 2 or 3, got 1"),
+    (2, 4, "alphabet_size must be 2 or 3, got 4"),
+])
+def test_canonical_enumeration_guards(p, k, message):
+    """Bad arguments raise at the first next(), before any table."""
+    walk = enumerate_canonical(p, k)
+    with pytest.raises(ValueError) as info:
+        next(walk)
+    assert str(info.value) == message
 
 
 @given(dfas)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sepwords import dfa, lemmas
-from sepwords.dfa import enumerate_canonical, run, zero_cycle_length, zpath
+from sepwords.dfa import run, zero_cycle_length, zpath
 from sepwords.lemmas import (
     DEFAULT_SEED,
     known_ids,
@@ -16,6 +16,7 @@ from sepwords.lemmas import (
     run_lemma_suite,
 )
 from sepwords.solver import DEFAULT_BUDGET, no_separator_up_to, raw_tables
+from test_dfa import canonical_dfas
 
 ALL_IDS = [
     "fries", "pear", "five", "onep", "peach", "nexus", "icecream",
@@ -146,7 +147,7 @@ def _check_icecream(budget, rng, negative):
     """zpath splits at any cut point; exhaustive over 3- and 4-state structures."""
     checked = 0
     for p in (3, 4):
-        for d in enumerate_canonical(p, 2):
+        for d in canonical_dfas(p, 2):
             for q in range(d.state_count):
                 full = len(zpath(d, q))
                 for i in range(1, d.state_count + 1):
@@ -164,7 +165,7 @@ def _check_marshmallow(budget, rng, negative):
     """zpath prefixes are bounded by i+1 and contained in the full zpath."""
     checked = 0
     for p in (3, 4):
-        for d in enumerate_canonical(p, 2):
+        for d in canonical_dfas(p, 2):
             for q in range(d.state_count):
                 full = zpath(d, q)
                 for i in range(0, d.state_count + 1):
@@ -181,7 +182,7 @@ def _check_snake(budget, rng, negative):
     """A cycle-free 0-trajectory of length i has exactly i+1 zpath states."""
     checked = 0
     for p in (3, 4):
-        for d in enumerate_canonical(p, 2):
+        for d in canonical_dfas(p, 2):
             for q in range(d.state_count):
                 for i in range(0, d.state_count + 1):
                     if zero_cycle_length(d, run(d, q, "0" * i)) is not None:
@@ -214,6 +215,23 @@ def test_checks_equal_their_references(check_id, negative):
     got, want = _both_sides(check_id, negative)
     assert got == want
     assert got[0] == ("fail" if negative else "pass")
+
+
+def test_zpath_checks_build_one_dfa_per_zero_column(monkeypatch):
+    """icecream builds a Dfa only for the first structure with each
+    0-column: 135 in all, the 23 columns of the <= 3-state tables first.
+    The <= 4-state pass meets those 23 again and reuses their outcomes."""
+    built = []
+
+    def counting_dfa(*args):
+        built.append(args[1])
+        return dfa.Dfa(*args)
+
+    monkeypatch.setattr(lemmas, "Dfa", counting_dfa)
+    assert run_check("icecream").status == "pass"
+    columns = [tuple(row[0] for row in t) for t in built]
+    assert len(columns) == len(set(columns)) == 135
+    assert max(map(len, columns[:23])) == 3 and min(map(len, columns[23:])) == 4
 
 
 @pytest.mark.parametrize("check_id", ["icecream", "marshmallow", "snake"])

@@ -13,7 +13,7 @@ import pytest
 
 from sepwords import solver
 from sepwords.construct import canonical_triple, search_C_n
-from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, run, word_symbols
+from sepwords.dfa import BudgetError, Dfa, accepts, run, word_symbols
 from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
 from sepwords.solver import (
     DEFAULT_BUDGET,
@@ -29,6 +29,7 @@ from sepwords.solver import (
     run_table,
     separating_structure,
 )
+from test_dfa import canonical_dfas, enumerate_canonical_reference
 
 
 def recursive_distinguishing_structure(
@@ -346,7 +347,7 @@ def test_lsep_lower_check_matches_direct_ternary_check():
                 continue
             for p in (1, 2, 3):
                 direct = all(run(s, 0, w) in lsep_forbidden_states(s, lang)
-                             for s in enumerate_canonical(p, 3))
+                             for s in canonical_dfas(p, 3))
                 assert lsep_lower_check(w, lang, p) == direct, (w, p)
                 cases += 1
     assert cases == 285
@@ -364,7 +365,7 @@ def test_lsep_lower_check_words_with_0_use_ternary_structures():
                 continue
             for p in (1, 2, 3):
                 direct = all(run(s, 0, w) in lsep_forbidden_states(s, lang)
-                             for s in enumerate_canonical(p, 3))
+                             for s in canonical_dfas(p, 3))
                 assert lsep_lower_check(w, lang, p) == direct, (w, p)
                 cases += 1
     assert cases > 100
@@ -398,7 +399,7 @@ def test_early_exit_matches_full_bfs_on_block_languages(k):
     """On H_k, and on G_k as the language, reached_by_language and
     lsep_lower_check agree with the full BFS for every structure with
     <= 3 states and every nonempty word of length <= 6 of the other."""
-    structures = {p: list(enumerate_canonical(p, 2)) for p in (1, 2, 3)}
+    structures = {p: list(canonical_dfas(p, 2)) for p in (1, 2, 3)}
     g, h = build_G_k(k), build_H_k(k)
     for lang, others in ((h, g), (g, h)):
         forbidden, missed = _check_early_exit_per_state(lang, structures[3])
@@ -415,15 +416,49 @@ def test_early_exit_matches_full_bfs_on_block_languages(k):
 def test_early_exit_matches_full_bfs_at_k_10():
     """z = 112 on H_10 for p <= 3; every state on H_10 for p <= 3 and on
     G_10 for p <= 2, where three states are missed."""
-    structures = list(enumerate_canonical(3, 2))
-    two = list(enumerate_canonical(2, 2))
+    structures = list(canonical_dfas(3, 2))
+    two = list(canonical_dfas(2, 2))
     assert _check_early_exit_per_state(build_G_k(10), two)[1] == 3
     h = build_H_k(10)
     forbidden, _ = _check_early_exit_per_state(h, structures)
     ws = [0, 0, 1]  # 112 over the projected symbols
     for p in (1, 2, 3):
-        expected = _full_bfs_lsep(ws, list(enumerate_canonical(p, 2)), forbidden)
+        expected = _full_bfs_lsep(ws, canonical_dfas(p, 2), forbidden)
         assert lsep_lower_check("112", h, p) == expected
+
+
+def _lsep_reference(w, l, p):
+    """lsep_lower_check's answer and node count over the recursive
+    reference enumerator: one node per structure, up to the first whose
+    end state the language misses."""
+    proj = solver._zero_free_projection(l) if "0" not in w else None
+    if proj is not None:
+        k, ws = 2, [ord(c) - 49 for c in w]
+    else:
+        k, proj, ws = l.alphabet_size, l, word_symbols(w, l.alphabet_size)
+    nodes = 0
+    for s in enumerate_canonical_reference(p, k):
+        nodes += 1
+        if not reached_by_language(s, proj, run_table(s.transitions, ws)):
+            return False, nodes
+    return True, nodes
+
+
+def test_lsep_lower_check_charges_one_node_per_reference_structure():
+    """The table walk visits the structures of the recursive reference in
+    the same order, so answers and charged nodes are the same, on 0-free
+    words (projected to two symbols) and on words with a 0 (three)."""
+    cases = 0
+    for k in (1, 2, 3):
+        h = build_H_k(k)
+        zs = [w for w in iter_words(build_G_k(k), 5) if w] + ["0", "102", "2101"]
+        for z in zs:
+            for p in (1, 2, 3):
+                c = SearchCounters(DEFAULT_BUDGET)
+                got = lsep_lower_check(z, h, p, counters=c)
+                assert (got, c.nodes) == _lsep_reference(z, h, p), (k, z, p)
+                cases += 1
+    assert cases > 30
 
 
 def test_lsep_rejects_member_word():
