@@ -162,8 +162,11 @@ def _alphabet_for(*words: str) -> int:
 class _Jump(list):
     """A word position that stands for `count` more steps along `col`.
 
-    Every entry is -2, so a walk stops on it as on an unassigned entry
-    (-1) and the kernel tells the two apart by value; it is never
+    Every entry is -2.  The kernel reads a position's entry for the
+    current state, and an entry below -1 is an instruction, not a
+    transition: -2 is a jump, and -3, -4 and -5 are the markers of
+    `_mark_shared`.  A walk stops on -2 as on an unassigned entry (-1),
+    and the kernel tells the two apart by value; a jump is never
     assigned."""
 
     __slots__ = ("col", "count")
@@ -190,6 +193,32 @@ def _word_columns(w: list[int], cols: list[list[int]], p: int) -> list[list[int]
     return out
 
 
+def _mark_shared(ws: list[list[int]], xs: list[list[int]], p: int) -> None:
+    """Mark the prefix and the suffix that two column lists share, in place.
+
+    Columns are shared when they are the same plain cols[a] object, so a
+    `_Jump` never is, and the suffix is cut where it would overlap the
+    prefix.  A marker is one position whose p entries all hold one value
+    below -2.  It costs a walk one step, so a shared part gets one only
+    when it is longer than one column: -3 in ws where the prefix ends,
+    which is then cut from xs, and -4 in ws and -5 in xs where the suffix
+    starts.  `_distinguishing_structure` says what they do.
+    """
+    m = min(len(ws), len(xs))
+    pre = 0
+    while pre < m and ws[pre] is xs[pre]:
+        pre += 1
+    suf = 0
+    while suf < m - pre and ws[-1 - suf] is xs[-1 - suf]:
+        suf += 1
+    if suf > 1:
+        ws.insert(len(ws) - suf, [-4] * p)
+        xs.insert(len(xs) - suf, [-5] * p)
+    if pre > 1:
+        ws.insert(pre, [-3] * p)
+        del xs[:pre]
+
+
 def _distinguishing_structure(
     w: list[int], x: list[int], p: int, k: int, counters: SearchCounters
 ) -> Optional[Table]:
@@ -200,31 +229,54 @@ def _distinguishing_structure(
 
     Depth-first over an explicit stack.  The partial table is one column
     per symbol, cols[a][q], with -1 for an unassigned entry, and each word
-    is read as its list of columns (`_word_columns`).  A node is a walk
-    from (wi, pos, state) until the word ends or meets an unassigned
-    entry; there the entry branches over the used states plus one fresh
-    state, and each frame on the stack is such an entry with its next
-    target.  Finishing w and starting x counts as one more node.
+    is read as its list of columns (`_word_columns`).  A node is one walk
+    from (wi, pos, state) along word wi until it ends or meets an
+    unassigned entry; there the entry branches over the used states plus
+    one fresh state, and each frame on the stack is such an entry with
+    its next target.  Finishing w and starting x counts as one more node.
+    An entry below -1 is an instruction, not a transition, and never
+    branches:
 
-    A run of one symbol a longer than 8p is read as its first p positions
-    and one jump, a single position, over the rest; so the cost of a node
-    does not depend on run lengths.  The jump never meets an unassigned
-    entry: by then the walk has made p steps along cols[a], all through
-    assigned entries, and visited p + 1 states, so two of them are equal
-    and it is on a cycle of cols[a] whose entries are all assigned.  The
-    jump measures that cycle's length c <= p and makes the remaining
-    count mod c steps.  So it never branches, and the frames, the node
-    order, the node counts and the tables are those of a walk over every
-    position.  A word with no long run is read position by position.
+    -2  a `_Jump`.  A run of one symbol a longer than 8p is read as its
+        first p positions and one jump over the rest, so the cost of a
+        node does not depend on run lengths.  By the jump the walk has
+        made p steps along cols[a] through assigned entries and visited
+        p + 1 states, so it is on a cycle of cols[a] whose entries are
+        all assigned.  The jump measures the cycle's length c <= p and
+        makes the remaining count mod c steps.
+    -3  in w, where the prefix shared with x ends: record the state `mid`.
+        x's list starts after the prefix and its walk in state `mid`,
+        where a walk from state 0 would arrive through the entries that
+        w's walk assigned.
+    -4  in w, where the shared suffix starts: record the state `rejoin`.
+    -5  in x at the same place: in state `rejoin`, x would follow w's
+        path through assigned entries to w's end state `endw`, so its
+        walk ends there at once.  That saves steps, never a branch.
+
+    `_mark_shared` places -3 to -5 when both words are longer than 8
+    symbols; shorter pairs, such as the thousands of tiny searches of
+    the lemma checks, would spend more on finding the shared parts than
+    their few walks could save.  Frames keep no copy of `mid`, `rejoin`
+    or `endw`.  A walk resumed from a frame in w re-crosses every marker
+    after the frame and ends w again, and the states it does not
+    re-record depend only on entries assigned before the frame.  A frame
+    in x was pushed after w's last walk ended, and backtracking to it
+    resumes no walk of w, so the values are still those of that walk.
+
+    So the frames, the node order, the node counts and the tables are
+    those of a walk over every position of both words.
     """
     cols = [[-1] * p for _ in range(k)]
     if len(w) > 8 * p or len(x) > 8 * p:
         words = (_word_columns(w, cols, p), _word_columns(x, cols, p))
     else:  # no long run: the columns of every position, as in `_word_columns`
         words = ([cols[a] for a in w], [cols[a] for a in x])
-    stack: list[tuple] = []  # (col, state, next target, limit, wi, pos, used, endw)
+    if len(w) > 8 and len(x) > 8:
+        _mark_shared(*words, p)
+    stack: list[tuple] = []  # (col, state, next target, limit, wi, pos, used)
     nodes, max_nodes = counters.nodes, counters.max_nodes
-    wi, pos, state, used, endw = 0, 0, 0, 1, -1
+    wi, pos, state, used = 0, 0, 0, 1
+    mid = rejoin = endw = 0
     try:
         while True:
             nodes += 1
@@ -242,7 +294,7 @@ def _distinguishing_structure(
                     pos += 1
                 elif t == -1:
                     break
-                else:  # a _Jump: find the cycle, then skip whole laps
+                elif t == -2:  # a _Jump: find the cycle, then skip whole laps
                     jcol = col.col
                     q, c = jcol[state], 1
                     while q != state:
@@ -251,16 +303,26 @@ def _distinguishing_structure(
                     for _ in range(col.count % c):
                         state = jcol[state]
                     pos += 1
+                elif t == -3:
+                    mid = state
+                    pos += 1
+                elif t == -4:
+                    rejoin = state
+                    pos += 1
+                elif state == rejoin:  # -5: x has rejoined w's path
+                    state, pos = endw, n
+                else:
+                    pos += 1
             if pos < n:
                 # first child is target 0, which never raises used (>= 1)
                 col[state] = 0
                 limit = used + 1 if used < p else p
-                stack.append((col, state, 1, limit, wi, pos, used, endw))
+                stack.append((col, state, 1, limit, wi, pos, used))
                 state = 0
                 pos += 1
                 continue
             if wi == 0:
-                wi, pos, endw, state = 1, 0, state, 0
+                wi, pos, endw, state = 1, 0, state, mid
                 continue
             if state != endw:
                 return tuple(
@@ -268,10 +330,10 @@ def _distinguishing_structure(
                 )
             # backtrack to the deepest entry with a target left to try
             while stack:
-                col, q, t, limit, wi, pos, used, endw = stack.pop()
+                col, q, t, limit, wi, pos, used = stack.pop()
                 if t < limit:
                     col[q] = t
-                    stack.append((col, q, t + 1, limit, wi, pos, used, endw))
+                    stack.append((col, q, t + 1, limit, wi, pos, used))
                     pos += 1
                     if used <= t:
                         used = t + 1
@@ -456,6 +518,8 @@ def separating_structure(
     """
     if w == x:
         raise ValueError("sep undefined for equal words")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     k = _alphabet_for(w, x)
     if counters is None:
         counters = SearchCounters(budget)
@@ -507,7 +571,13 @@ def reached_by_language(structure: Dfa, l: Dfa, q: int) -> bool:
     k = structure.alphabet_size
     if l.alphabet_size < k:
         raise ValueError("language alphabet smaller than structure alphabet")
-    trans, ltrans, lacc = structure.transitions, l.transitions, l.accepting
+    return _reached(structure.transitions, k, l, q)
+
+
+def _reached(trans: Table, k: int, l: Dfa, q: int) -> bool:
+    """`reached_by_language` on a bare table over the first k symbols of
+    l's alphabet, which the caller checks."""
+    ltrans, lacc = l.transitions, l.accepting
     if q == 0 and 0 in lacc:
         return True
     seen = {(0, 0)}
@@ -539,9 +609,9 @@ def lsep_lower_check(
     For every canonical structure, a suitable accepting set exists exactly
     when w's end state is not reached by any word of the language; the
     check enumerates canonical tables, runs w on each table, and stops at
-    the first whose end state the language misses.  Each table becomes a
-    Dfa only for the reachability search, which stops at the first word
-    of the language that reaches the end state.  For a 0-free w and
+    the first whose end state the language misses.  The reachability
+    search runs on the bare table and stops at the first word of the
+    language that reaches the end state.  For a 0-free w and
     a 0-free language over {0,1,2}, structures over two effective symbols
     suffice: transitions on 0 are never exercised.  counters, when given,
     is charged one node per structure instead of a fresh pool from budget.
@@ -561,7 +631,7 @@ def lsep_lower_check(
     for table in enumerate_canonical(p, k):
         counters.tick()
         end = run_table(table, ws)
-        if not reached_by_language(Dfa(k, table, frozenset()), proj, end):
+        if not _reached(table, k, proj, end):
             return False
     return True
 

@@ -111,6 +111,13 @@ def test_equal_words_rejected():
         no_separator_up_to("", "", 2)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_separator_search_rejects_a_state_count_below_one(p):
+    for search in (separating_structure, no_separator_up_to):
+        with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
+            search("01", "10", p)
+
+
 def test_small_known_values():
     assert exact_sep("01", "10").value == 2
     assert exact_sep("", "0").value == 2
@@ -569,6 +576,53 @@ def test_kernel_is_blind_to_whole_laps_of_a_long_run(seed):
         assert long.nodes == short.nodes
 
 
+def _shared_part_pairs(rng):
+    """Seeded pairs u a v / u b v: long u and v built from runs (some
+    longer than 8p, some running on across the edges of a and b), a word
+    that is a prefix or a suffix of the other, the empty word, and
+    prefixes and suffixes that would overlap, over two and three symbols."""
+    pairs = [("010", "0110"), ("", "0" * 12), ("1" * 9, "")]
+    for j in range(1, 7):  # u a v / u b v with the shared parts overlapping
+        pairs += [("01" * j + "0", "01" * j + "10"), ("12" * j + "1", "12" * j + "21")]
+    for i in range(120):
+        alphabet = ("01", "012")[i % 2]
+        u, v = ("".join(a * m for a, m in _random_runs(rng, alphabet)) for _ in range(2))
+        a, b = ("".join(a * m for a, m in _random_runs(rng, alphabet)[:2])
+                for _ in range(2))
+        shape = i % 6
+        if shape == 0:
+            a = ""  # u v / u b v
+        elif shape == 1:
+            pairs.append((u, u + v))  # a prefix
+            pairs.append((v, u + v))  # a suffix
+            continue
+        elif shape == 2:
+            a, b = u[-1] * 30 + a, u[-1] * 3 + b  # the run across u's edge
+        pairs.append((u + a + v, u + b + v))
+    return [(w, x) for w, x in pairs if w != x]
+
+
+def test_kernel_matches_recursive_reference_on_shared_prefixes_and_suffixes():
+    """Equal tables and node counts on pairs that share a long prefix or
+    suffix, which x walks once and leaves where it rejoins w's path."""
+    rng = random.Random(19)
+    searched = marked = 0
+    for w, x in _shared_part_pairs(rng):
+        k = 3 if "2" in w + x else 2
+        for p in (1, 2, 3, 4, 5):
+            new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
+                                  SearchCounters(DEFAULT_BUDGET))
+            ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+                                  SearchCounters(DEFAULT_BUDGET))
+            assert new == ref, (w, x, p)
+            searched += 1
+        cols = [[-1] * 5 for _ in range(k)]
+        ws, xs = ([cols[a] for a in word_symbols(u, k)] for u in (w, x))
+        solver._mark_shared(ws, xs, 5)
+        marked += len(w) > 8 and len(x) > 8 and len(ws) > len(w)
+    assert searched > 500 and marked > 50
+
+
 _BUDGET_SWEEP = {
     "binary-none": ("1" + "00" + "1", "1" + "0" * 122 + "1", 3),
     "binary-none-wider": ("101" + "00" + "101", "101" + "0" * 122 + "101", 3),
@@ -579,6 +633,9 @@ _BUDGET_SWEEP = {
     # positions are still unassigned, so they branch there
     "long-runs-none": ("1" + "0" * 200 + "1", "1" + "0" * 206 + "1", 3),
     "long-runs-found": ("1" + "0" * 200 + "1", "1" + "0" * 212 + "1", 5),
+    # x rejoins w's path where the shared suffix starts, and is cut off
+    # there, at 31 of the 111 nodes
+    "shared-suffix-rejoins": ("011" + "0" + "111100011", "011" + "000" + "111100011", 3),
 }
 
 
