@@ -4,29 +4,34 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .cache import CertificateCache, cached_certificate, store_certificate
-from .dfa import enumerate_canonical, word_symbols
+from .dfa import _FrozenValue, _Value, enumerate_canonical, word_symbols
 from .solver import SepCertificate, Table, certificate_from_table, run_table
 
 ATLAS_MAX_LEN_CAP = 6
 
 
-@dataclass(frozen=True)
-class AtlasRow:
-    n: int
-    value: int
-    exact: bool  # every cell is exact; the field keeps the output format
-    pair: tuple[str, str]
+class AtlasRow(_FrozenValue):
+    __slots__ = ("n", "value", "exact", "pair")
+
+    def __init__(self, n: int, value: int,
+                 exact: bool,  # every cell is exact; the field keeps the output format
+                 pair: tuple[str, str]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "pair", pair)
 
 
-@dataclass
-class AtlasTable:
-    max_len: int
-    rows: list[AtlasRow]
-    searches_performed: int
+class AtlasTable(_Value):
+    __slots__ = ("max_len", "rows", "searches_performed")
+
+    def __init__(self, max_len: int, rows: list[AtlasRow], searches_performed: int):
+        self.max_len = max_len
+        self.rows = rows
+        self.searches_performed = searches_performed
 
     def to_csv(self) -> str:
         lines = ["n,value,exact,w,x"]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 
 import click
 
@@ -19,7 +18,7 @@ from .construct import verify_witness, witness_pair
 from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
 from .lang import build_G_k, build_H_k, build_L_k, state_complexity
 from .lemmas import DEFAULT_SEED, run_lemma_suite
-from .solver import DEFAULT_BUDGET
+from .solver import DEFAULT_BUDGET, SearchBudget
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -84,7 +83,7 @@ def sep(ctx, w, x, max_states, budget_nodes, as_json):
     w, x = _word_arg(w), _word_arg(x)
     if w == x:
         raise click.BadParameter("the two words must differ")
-    budget = replace(DEFAULT_BUDGET, max_states=max_states, max_nodes=budget_nodes)
+    budget = SearchBudget(max_states=max_states, max_nodes=budget_nodes)
     cert, _ = solve_cached(w, x, budget=budget, cache=ctx.obj["cache"])
     if as_json or ctx.obj["format"] == "json":
         click.echo(cert.to_json())

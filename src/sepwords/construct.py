@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .dfa import (
     BudgetError,
     Dfa,
+    _FrozenValue,
+    _Value,
     accepts,
     combine,
     dfa_from_text,
@@ -57,14 +58,16 @@ EXHAUSTIVE_STATE_CAP = 3
 Z_K_MAX_LEN = 40
 
 
-@dataclass(frozen=True)
-class CanonicalTriple:
+class CanonicalTriple(_FrozenValue):
     """The unary words 0^n, 0^{n+(2n+1)!} and 0^{(2n+1)!}."""
 
-    n: int
-    f: str
-    g: str
-    h: str
+    __slots__ = ("n", "f", "g", "h")
+
+    def __init__(self, n: int, f: str, g: str, h: str):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
 
 
 def canonical_triple(n: int) -> CanonicalTriple:
@@ -92,17 +95,29 @@ def encode(w: str, side: str) -> str:
         raise ValueError(f"encode expects a word over {{0,1,2}}, got {w!r}")
 
 
-@dataclass(frozen=True)
-class CnResult:
+class CnResult(_FrozenValue):
     """A certified pick for the blueberry word of a base block."""
 
-    n: int
-    w0: str
-    word: str
-    lower_checked: int  # states exhausted without finding a separator
-    candidates: int = 0  # candidates examined, the returned word included
-    exhaustive_searches: int = 0  # candidates that needed a full search
-    nodes: int = 0  # search nodes spent over the whole call
+    __slots__ = ("n", "w0", "word", "lower_checked", "candidates",
+                 "exhaustive_searches", "nodes")
+
+    def __init__(
+        self,
+        n: int,
+        w0: str,
+        word: str,
+        lower_checked: int,  # states exhausted without finding a separator
+        candidates: int = 0,  # candidates examined, the returned word included
+        exhaustive_searches: int = 0,  # candidates that needed a full search
+        nodes: int = 0,  # search nodes spent over the whole call
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w0", w0)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "lower_checked", lower_checked)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "exhaustive_searches", exhaustive_searches)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def _cn_candidates(
@@ -226,14 +241,17 @@ def search_C_n(
     )
 
 
-@dataclass(frozen=True)
-class ZkResult:
+class ZkResult(_FrozenValue):
     """A hard-to-accept word of the starred language."""
 
-    k: int
-    word: str
-    certified: bool
-    checked_states: int  # lsep lower bound verified through this many states
+    __slots__ = ("k", "word", "certified", "checked_states")
+
+    def __init__(self, k: int, word: str, certified: bool,
+                 checked_states: int):  # lsep lower bound verified through this many states
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "checked_states", checked_states)
 
 
 def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
@@ -361,25 +379,43 @@ def farmand_dfa(r: Dfa, n: int, on_mismatch: str = "reject") -> Dfa:
     return Dfa(2, tuple(tuple(row) for row in rows), frozenset({ACC}))
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(_Value):
     """A (k, n) witness pair with its claimed and certified bounds."""
 
-    k: int
-    n: int
-    w_prime: str
-    x_prime: str
-    lower_claim: int
-    upper_claim: int
-    z_word: str
-    c_word: str
-    z_certified: bool
-    lower_verified_to: int = 0
-    upper_witness: Optional[Dfa] = None
-    statuses: dict = field(default_factory=dict)
+    __slots__ = ("k", "n", "w_prime", "x_prime", "lower_claim", "upper_claim",
+                 "z_word", "c_word", "z_certified", "lower_verified_to",
+                 "upper_witness", "statuses")
+
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        w_prime: str,
+        x_prime: str,
+        lower_claim: int,
+        upper_claim: int,
+        z_word: str,
+        c_word: str,
+        z_certified: bool,
+        lower_verified_to: int = 0,
+        upper_witness: Optional[Dfa] = None,
+        statuses: Optional[dict] = None,
+    ):
+        self.k = k
+        self.n = n
+        self.w_prime = w_prime
+        self.x_prime = x_prime
+        self.lower_claim = lower_claim
+        self.upper_claim = upper_claim
+        self.z_word = z_word
+        self.c_word = c_word
+        self.z_certified = z_certified
+        self.lower_verified_to = lower_verified_to
+        self.upper_witness = upper_witness
+        self.statuses = {} if statuses is None else statuses
 
     def to_json(self) -> str:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj = self.as_dict()
         if self.upper_witness is not None:
             obj["upper_witness"] = dfa_to_text(self.upper_witness)
         return json.dumps(obj, sort_keys=True)
@@ -389,7 +425,7 @@ class WitnessReport:
         obj = json.loads(text)
         witness = obj.get("upper_witness")
         obj["upper_witness"] = dfa_from_text(witness)[0] if witness else None
-        return WitnessReport(**{f.name: obj[f.name] for f in fields(WitnessReport)})
+        return WitnessReport(**{f: obj[f] for f in WitnessReport.__slots__})
 
 
 def lower_claim_value(k: int, n: int) -> int:

@@ -9,10 +9,9 @@ All operations are pure and Dfa values are immutable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
 
@@ -42,29 +41,91 @@ def word_symbols(w: str, alphabet_size: int) -> list[int]:
     return list(syms)
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """A complete DFA.  transitions[q][a] is the target of state q on symbol a."""
+class _Value:
+    """A plain value class whose `__slots__` name its fields in order.
 
-    alphabet_size: int
-    transitions: tuple[tuple[int, ...], ...]
-    accepting: frozenset[int]
+    `==` compares the fields of two instances of one class, and repr reads
+    `Name(field=value, ...)`.  Instances are mutable and unhashable; each
+    subclass writes its own `__init__`.  Plain classes keep `import
+    sepwords` cheap: the standard library's class generator costs more to
+    import and apply than the rest of the package.
+    """
 
-    def __post_init__(self):
-        if not 2 <= self.alphabet_size <= MAX_ALPHABET:
-            raise ValueError(f"alphabet_size must be 2 or 3, got {self.alphabet_size}")
-        n = len(self.transitions)
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            # the field values as one tuple, in __slots__ order
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def as_dict(self) -> dict:
+        """The fields by name (a shallow copy)."""
+        return {f: getattr(self, f) for f in self.__slots__}
+
+
+class _FrozenValue(_Value):
+    """A `_Value` whose fields are set once, in `__init__` (through
+    `object.__setattr__`), and which hashes by its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class Dfa(_FrozenValue):
+    """A complete DFA.  transitions[q][a] is the target of state q on symbol a.
+
+    The rows and the accepting set must be a tuple of tuples and a
+    frozenset, so that every Dfa hashes (memoized functions key on it).
+    """
+
+    __slots__ = ("alphabet_size", "transitions", "accepting")
+
+    def __init__(self, alphabet_size: int, transitions: Table,
+                 accepting: frozenset[int]):
+        if not 2 <= alphabet_size <= MAX_ALPHABET:
+            raise ValueError(f"alphabet_size must be 2 or 3, got {alphabet_size}")
+        if not isinstance(transitions, tuple):
+            raise ValueError("transitions must be a tuple of rows, got "
+                             f"{type(transitions).__name__}")
+        n = len(transitions)
         if n == 0:
             raise ValueError("a DFA needs at least one state")
-        for q, row in enumerate(self.transitions):
-            if len(row) != self.alphabet_size:
+        for q, row in enumerate(transitions):
+            if not isinstance(row, tuple):
+                raise ValueError(f"transitions row {q} must be a tuple, got "
+                                 f"{type(row).__name__}")
+            if len(row) != alphabet_size:
                 raise ValueError(f"state {q} has a partial transition row")
             for t in row:
                 if not 0 <= t < n:
                     raise ValueError(f"transition target {t} out of range")
-        for q in self.accepting:
+        if not isinstance(accepting, frozenset):
+            raise ValueError("accepting must be a frozenset, got "
+                             f"{type(accepting).__name__}")
+        for q in accepting:
             if not 0 <= q < n:
                 raise ValueError(f"accepting state {q} out of range")
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "accepting", accepting)
 
     @property
     def state_count(self) -> int:

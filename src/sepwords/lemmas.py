@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .construct import (
@@ -26,6 +25,7 @@ from .construct import (
 )
 from .dfa import (
     Dfa,
+    _Value,
     accepts,
     combine,
     enumerate_canonical,
@@ -59,16 +59,21 @@ from .solver import (
 DEFAULT_SEED = 20240717
 
 
-@dataclass
-class LemmaCheck:
-    id: str
-    scale: str
-    status: str  # pass | fail | budget-bounded
-    evidence: dict = field(default_factory=dict)
-    counterexample: Optional[dict] = None
+class LemmaCheck(_Value):
+    __slots__ = ("id", "scale", "status", "evidence", "counterexample")
+
+    def __init__(self, id: str, scale: str,
+                 status: str,  # pass | fail | budget-bounded
+                 evidence: Optional[dict] = None,
+                 counterexample: Optional[dict] = None):
+        self.id = id
+        self.scale = scale
+        self.status = status
+        self.evidence = {} if evidence is None else evidence
+        self.counterexample = counterexample
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 def _random_dfa(rng: random.Random, max_states: int, alphabet_size: int) -> Dfa:
@@ -541,10 +546,12 @@ def run_check(
                       evidence=evidence, counterexample=counterexample)
 
 
-@dataclass
-class SuiteReport:
-    seed: int
-    checks: list[LemmaCheck]
+class SuiteReport(_Value):
+    __slots__ = ("seed", "checks")
+
+    def __init__(self, seed: int, checks: list[LemmaCheck]):
+        self.seed = seed
+        self.checks = checks
 
     @property
     def exit_code(self) -> int:
@@ -560,7 +567,7 @@ class SuiteReport:
             {
                 "seed": self.seed,
                 "exit_code": self.exit_code,
-                "checks": [asdict(c) for c in self.checks],
+                "checks": [c.as_dict() for c in self.checks],
             },
             sort_keys=True,
         )

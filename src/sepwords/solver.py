@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Container, Iterator, Optional
 
 from .dfa import (
     BudgetError,
     Dfa,
+    _FrozenValue,
+    _Value,
     Table,
     accepts,
     dfa_from_text,
@@ -33,32 +34,39 @@ from .lang import is_zero_free
 ENGINE_VERSION = "sepwords-1"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_states: int = 12
-    max_nodes: int = 50_000_000
-    wall_limit: float = 600.0  # seconds
+class SearchBudget(_FrozenValue):
+    __slots__ = ("max_states", "max_nodes", "wall_limit")
 
-    def __post_init__(self):
-        if self.max_states < 1 or self.max_nodes < 1 or self.wall_limit <= 0:
+    def __init__(self, max_states: int = 12, max_nodes: int = 50_000_000,
+                 wall_limit: float = 600.0):  # seconds
+        if max_states < 1 or max_nodes < 1 or wall_limit <= 0:
             raise ValueError("all budget fields must be positive")
+        object.__setattr__(self, "max_states", max_states)
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "wall_limit", wall_limit)
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass
-class SepCertificate:
+class SepCertificate(_Value):
     """Proven value or bounds for the separation number of a pair."""
 
-    w: str
-    x: str
-    lower: int
-    upper: int
-    witness: Optional[Dfa]
-    lower_method: str  # exhaustive-canonical | unary-analytic | none
-    nodes: int = 0
-    millis: int = 0
+    __slots__ = ("w", "x", "lower", "upper", "witness", "lower_method",
+                 "nodes", "millis")
+
+    def __init__(self, w: str, x: str, lower: int, upper: int,
+                 witness: Optional[Dfa],
+                 lower_method: str,  # exhaustive-canonical | unary-analytic | none
+                 nodes: int = 0, millis: int = 0):
+        self.w = w
+        self.x = x
+        self.lower = lower
+        self.upper = upper
+        self.witness = witness
+        self.lower_method = lower_method
+        self.nodes = nodes
+        self.millis = millis
 
     @property
     def exact(self) -> bool:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -296,7 +295,8 @@ def _unary_over_claim(w, x):
     d = cert.witness
     m = d.state_count
     witness = Dfa(d.alphabet_size, d.transitions + ((m,) * d.alphabet_size,), d.accepting)
-    return replace(cert, lower=m + 1, upper=m + 1, witness=witness).to_dict()
+    return SepCertificate(cert.w, cert.x, m + 1, m + 1, witness, cert.lower_method,
+                          cert.nodes, cert.millis).to_dict()
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])

@@ -8,6 +8,8 @@ from typing import Iterator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepwords.atlas import AtlasRow, AtlasTable
+from sepwords.construct import CanonicalTriple, CnResult, WitnessReport, ZkResult
 from sepwords.dfa import (
     BudgetError,
     Dfa,
@@ -33,7 +35,8 @@ from sepwords.dfa import (
 )
 from sepwords import dfa
 from sepwords.lang import build_G_k, build_H_k
-from sepwords.solver import raw_tables
+from sepwords.lemmas import LemmaCheck, SuiteReport
+from sepwords.solver import SearchBudget, SepCertificate, lsep_lower_check, raw_tables
 from test_lang import _build_G_k_reference, _build_H_k_reference
 
 
@@ -64,6 +67,147 @@ def test_dfa_validation():
         Dfa(2, ((0,),), frozenset())
     with pytest.raises(ValueError):
         Dfa(2, ((0, 0),), frozenset({3}))
+
+
+@pytest.mark.parametrize("transitions, accepting, message", [
+    ([(0, 1), (1, 1)], frozenset({0}), "transitions must be a tuple of rows, got list"),
+    (((0, 1), [1, 1]), frozenset({0}), "transitions row 1 must be a tuple, got list"),
+    (((0, 1), (1, 1)), {0}, "accepting must be a frozenset, got set"),
+])
+def test_dfa_rejects_unhashable_fields_at_construction(transitions, accepting, message):
+    # such a Dfa used to pass validation and then fail inside a memoized
+    # function, e.g. lsep_lower_check's lru_cache'd zero-free projection
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dfa(2, transitions, accepting)
+    with pytest.raises(ValueError, match="^transitions must be a tuple"):
+        lsep_lower_check("1", Dfa(3, [[0, 1, 0], [1, 1, 1]], {0}), 1)
+
+
+_DFA = Dfa(2, ((0, 1), (1, 1)), frozenset({1}))
+_REQUIRED = object()  # default of a field that has none
+_ALONE = object()  # a field no other value of which is valid on its own
+
+# per value class: frozen or not, and its fields in order, each as
+# (name, a value, another value, default)
+_VALUE_CLASSES = {
+    Dfa: (True, [
+        ("alphabet_size", 2, _ALONE, _REQUIRED),
+        ("transitions", ((0, 1), (1, 1)), ((1, 1), (0, 1)), _REQUIRED),
+        ("accepting", frozenset({1}), frozenset({0}), _REQUIRED),
+    ]),
+    SearchBudget: (True, [
+        ("max_states", 3, 4, 12),
+        ("max_nodes", 5, 6, 50_000_000),
+        ("wall_limit", 1.0, 2.0, 600.0),
+    ]),
+    SepCertificate: (False, [
+        ("w", "0", "00", _REQUIRED),
+        ("x", "1", "11", _REQUIRED),
+        ("lower", 2, 1, _REQUIRED),
+        ("upper", 2, 3, _REQUIRED),
+        ("witness", _DFA, None, _REQUIRED),
+        ("lower_method", "exhaustive-canonical", "none", _REQUIRED),
+        ("nodes", 7, 8, 0),
+        ("millis", 9, 10, 0),
+    ]),
+    AtlasRow: (True, [
+        ("n", 1, 2, _REQUIRED),
+        ("value", 2, 3, _REQUIRED),
+        ("exact", True, False, _REQUIRED),
+        ("pair", ("0", "1"), ("1", "0"), _REQUIRED),
+    ]),
+    AtlasTable: (False, [
+        ("max_len", 1, 2, _REQUIRED),
+        ("rows", [AtlasRow(1, 2, True, ("0", "1"))], [], _REQUIRED),
+        ("searches_performed", 0, 1, _REQUIRED),
+    ]),
+    CanonicalTriple: (True, [
+        ("n", 1, 2, _REQUIRED),
+        ("f", "0", "00", _REQUIRED),
+        ("g", "0" * 7, "0" * 8, _REQUIRED),
+        ("h", "0" * 6, "0" * 5, _REQUIRED),
+    ]),
+    CnResult: (True, [
+        ("n", 1, 2, _REQUIRED),
+        ("w0", "1", "2", _REQUIRED),
+        ("word", "101", "1001", _REQUIRED),
+        ("lower_checked", 3, 4, _REQUIRED),
+        ("candidates", 5, 6, 0),
+        ("exhaustive_searches", 7, 8, 0),
+        ("nodes", 9, 10, 0),
+    ]),
+    ZkResult: (True, [
+        ("k", 1, 2, _REQUIRED),
+        ("word", "1", "11", _REQUIRED),
+        ("certified", True, False, _REQUIRED),
+        ("checked_states", 1, 3, _REQUIRED),
+    ]),
+    WitnessReport: (False, [
+        ("k", 1, 2, _REQUIRED),
+        ("n", 1, 2, _REQUIRED),
+        ("w_prime", "0", "1", _REQUIRED),
+        ("x_prime", "1", "0", _REQUIRED),
+        ("lower_claim", 4, 5, _REQUIRED),
+        ("upper_claim", 21, 22, _REQUIRED),
+        ("z_word", "1", "11", _REQUIRED),
+        ("c_word", "1", "2", _REQUIRED),
+        ("z_certified", True, False, _REQUIRED),
+        ("lower_verified_to", 3, 4, 0),
+        ("upper_witness", _DFA, None, None),
+        ("statuses", {"lower": "pass"}, {"lower": "fail"}, {}),
+    ]),
+    LemmaCheck: (False, [
+        ("id", "fries", "pear", _REQUIRED),
+        ("scale", "s", "t", _REQUIRED),
+        ("status", "pass", "fail", _REQUIRED),
+        ("evidence", {"checked": 1}, {"checked": 2}, {}),
+        ("counterexample", {"w": "0"}, None, None),
+    ]),
+    SuiteReport: (False, [
+        ("seed", 1, 2, _REQUIRED),
+        ("checks", [LemmaCheck("fries", "s", "pass")], [], _REQUIRED),
+    ]),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_CLASSES), ids=lambda cls: cls.__name__)
+def test_value_classes_keep_their_value_semantics(cls):
+    frozen, fields = _VALUE_CLASSES[cls]
+    values = {name: value for name, value, _, _ in fields}
+    required = {name: value for name, value, _, default in fields if default is _REQUIRED}
+    a = cls(*values.values())
+    assert [getattr(a, name) for name in values] == list(values.values())
+    assert cls(**values) == a
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+
+    bare, twin = cls(*required.values()), cls(**required)
+    assert bare == twin
+    for name, _, _, default in fields:
+        if default is not _REQUIRED:
+            assert getattr(bare, name) == default
+            if isinstance(default, dict):  # a fresh {} per instance
+                assert getattr(bare, name) is not getattr(twin, name)
+
+    # == is field-wise, and only between instances of one class
+    for name, _, other, _ in fields:
+        if other is not _ALONE:
+            assert cls(**dict(values, **{name: other})) != a
+    assert type("Sub", (cls,), {"__slots__": ()})(*values.values()) != a
+    assert a != tuple(values.values())
+
+    name, _, other, _ = fields[-1]
+    if frozen:
+        assert hash(cls(**values)) == hash(a)
+        with pytest.raises(AttributeError):
+            setattr(a, name, other)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) == values[name]
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, name, other)
+        assert getattr(a, name) == other
 
 
 def test_word_symbols_rejects_foreign_letters():

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -211,7 +210,7 @@ def test_shared_counters_pool_nodes_across_searches():
     one = counters.nodes
     separating_structure(w, x, 3, counters=counters)
     assert counters.nodes == 2 * one
-    starved = SearchCounters(replace(DEFAULT_BUDGET, max_nodes=one + 1))
+    starved = SearchCounters(SearchBudget(max_nodes=one + 1))
     separating_structure(w, x, 3, counters=starved)
     with pytest.raises(BudgetError):
         separating_structure(w, x, 3, counters=starved)
@@ -247,7 +246,7 @@ def test_certificate_json_roundtrip():
 
 
 def test_budget_bounded_certificate():
-    tiny = replace(DEFAULT_BUDGET, max_states=2)
+    tiny = SearchBudget(max_states=2)
     cert = exact_sep("0010", "1000", budget=tiny)
     assert not cert.exact
     assert cert.lower == 3  # exhausted 2 states
@@ -256,8 +255,8 @@ def test_budget_bounded_certificate():
         cert.value
 
 
-_ONE_STATE = replace(DEFAULT_BUDGET, max_states=1)
-_TWO_STATES = replace(DEFAULT_BUDGET, max_states=2)
+_ONE_STATE = SearchBudget(max_states=1)
+_TWO_STATES = SearchBudget(max_states=2)
 
 # to_dict() of one certificate per witness builder, millis masked, as
 # computed before the builders returned bare tables
@@ -311,7 +310,7 @@ def test_certificates_are_pinned_per_witness_builder(args, expected):
 
 def test_node_budget_raises_only_inside_search():
     # a 1-node budget still resolves pairs settled by analytic paths
-    starved = replace(DEFAULT_BUDGET, max_nodes=1)
+    starved = SearchBudget(max_nodes=1)
     assert exact_sep("0", "00", budget=starved).exact
     cert = exact_sep("0101", "1010", budget=starved)
     assert cert.lower <= cert.upper  # degrades to bounds, never raises
@@ -647,7 +646,7 @@ def test_kernel_matches_reference_at_every_node_budget(w, x, p):
                            SearchCounters(DEFAULT_BUDGET))[1]
     assert full > 50
     for max_nodes in range(1, full + 3):
-        budget = replace(DEFAULT_BUDGET, max_nodes=max_nodes)
+        budget = SearchBudget(max_nodes=max_nodes)
         new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
                               SearchCounters(budget))
         ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,

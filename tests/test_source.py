@@ -12,12 +12,13 @@ import sepwords
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _package_nodes(node_type) -> list[str]:
-    """file:line of every node of node_type in the package source."""
+def _package_nodes(node_type, where=lambda node: True) -> list[str]:
+    """file:line of every node of node_type in the package source for
+    which `where` holds."""
     root = Path(sepwords.__file__).parent
     return [f"{path.name}:{node.lineno}" for path in sorted(root.rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, node_type)]
+            if isinstance(node, node_type) and where(node)]
 
 
 def test_no_module_keeps_state_behind_a_global_statement():
@@ -42,6 +43,27 @@ def test_importing_the_package_binds_every_submodule_but_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == str(["atlas", "cache", "construct", "dfa", "lang",
                                "lemmas", "solver"]) + "\n"
+
+
+def _imported_modules(node) -> list[str]:
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return [alias.name for alias in node.names]
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # importing dataclasses (which imports inspect, ast, dis, ...) and
+    # applying it cost more than the rest of `import sepwords`; every
+    # command pays the import, so the value classes are plain classes
+    src = str(Path(sepwords.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); import sepwords; "
+         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert _package_nodes((ast.Import, ast.ImportFrom), lambda node: any(
+        m.split(".")[0] == "dataclasses" for m in _imported_modules(node))) == []
 
 
 def test_the_package_exports_the_library_twin_of_each_command():
