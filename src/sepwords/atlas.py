@@ -155,13 +155,14 @@ def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> Atl
     first pair in shortlex `combinations` order that attains it, so the
     table is reproducible byte for byte and no pair is visited.
 
-    Only a cache makes it visit the pairs, to serve or heal certificates.
-    A hit is served, left as stored, only when `cached_certificate` accepts
-    it and its value equals the refinement's; a hit that disagrees, such as
-    a stored over-claim, is counted in `cache.rejected`.  Each pair not
+    A cache holds the certificate of each distinct row pair, and nothing
+    else (two pairs at max_len 6: ("", "0") and ("0", "000")).  A hit is
+    served, left as stored, only when `cached_certificate` accepts it and
+    its value equals the refinement's; a hit that disagrees, such as a
+    stored over-claim, is counted in `cache.rejected`.  Each row pair not
     served stores one exact certificate, which heals the file.
-    `searches_performed` counts the pairs not served from the cache, so
-    every pair when there is no cache.
+    `searches_performed` counts the row pairs not served from the cache,
+    so every row pair when there is no cache.
     """
     if not 1 <= max_len <= ATLAS_MAX_LEN_CAP:
         raise ValueError(f"max_len must be in 1..{ATLAS_MAX_LEN_CAP}")
@@ -171,10 +172,12 @@ def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> Atl
     for a, b in zip(rows, rows[1:]):
         if b.value < a.value:
             raise AssertionError(f"S({b.n}) = {b.value} < S({a.n}) = {a.value}")
-    searches = len(levels.words) * (len(levels.words) - 1) // 2
+    pairs = dict.fromkeys(r.pair for r in rows)
+    searches = len(pairs)
     if cache is not None:
         searches = 0
-        for (i, w), (j, x) in itertools.combinations(enumerate(levels.words), 2):
+        for w, x in pairs:
+            i, j = levels.words.index(w), levels.words.index(x)
             cert = cached_certificate(cache, w, x)
             if cert is None or cert.value != levels.sep(i, j):
                 cache.rejected += cert is not None

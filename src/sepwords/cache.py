@@ -11,9 +11,10 @@ bound); the stored witness is served as stored.  Any other hit is counted
 in `rejected`.  `store_certificate` is the one rule for storing: only exact
 certificates, with `nodes` and `millis` zeroed so that files are
 reproducible.  Both callers, `solve_cached` (one pair, by search) and
-`compute_atlas` (every pair, by one partition refinement), compute a pair
-that was not served and store it; the last write wins on replay, which
-heals the file.
+`compute_atlas` (the pair of each atlas row, by one partition
+refinement), compute a pair that was not served and store it; the last
+write wins on replay, which heals the file.  So a file that only `atlas`
+wrote holds row certificates only, and `sep` on any other pair misses.
 
 That rule re-checks the upper bound only, and an entry can over-claim
 with a valid but non-minimal witness (say, lower = upper = 4 for 01 vs

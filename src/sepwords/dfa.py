@@ -115,8 +115,10 @@ class Dfa(_FrozenValue):
             if len(row) != alphabet_size:
                 raise ValueError(f"state {q} has a partial transition row")
             for t in row:
-                if not 0 <= t < n:
-                    raise ValueError(f"transition target {t} out of range")
+                # a float target breaks run(), a bool one dfa_to_text()
+                if type(t) is not int or not 0 <= t < n:
+                    raise ValueError(f"transition target {t!r} of state {q} "
+                                     f"is not an int in 0..{n - 1}")
         if not isinstance(accepting, frozenset):
             raise ValueError("accepting must be a frozenset, got "
                              f"{type(accepting).__name__}")

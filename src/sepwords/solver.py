@@ -132,8 +132,9 @@ class SepCertificate(_Value):
 def _witness_from_text(text: str) -> Dfa:
     """The DFA of a witness text, parsed and validated once per distinct text.
 
-    A warm atlas decodes thousands of cached certificates that share a few
-    dozen witness texts (8 001 and 69 at n = 6).  `Dfa` is frozen, so
+    Cached certificates share few witness texts (a per-pair atlas file of
+    an earlier version held 8 001 entries and 69 texts at n = 6), so a
+    process that serves many hits parses each text once.  `Dfa` is frozen, so
     certificates may share one value; a malformed text raises on every
     call, since `lru_cache` stores no exceptions.  The bound keeps a long
     process that decodes many files from growing without limit.

@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
-from sepwords import solver
+from sepwords import atlas, solver
 from sepwords.atlas import ATLAS_MAX_LEN_CAP, SeparationLevels, compute_atlas
-from sepwords.cache import CertificateCache, cached_certificate, sep_key, solve_cached
+from sepwords.cache import (CertificateCache, cached_certificate, sep_key, solve_cached,
+                            store_certificate)
 from sepwords.dfa import dfa_from_text
 from sepwords.solver import SepCertificate, exact_sep, raw_separable
 
@@ -96,7 +97,7 @@ def test_atlas_without_a_cache_visits_no_pair(monkeypatch):
     monkeypatch.setattr(SeparationLevels, "sep", visit)
     table = compute_atlas(6)
     assert table.to_csv() == _ATLAS_6_CSV
-    assert table.searches_performed == 8001  # every pair is unserved
+    assert table.searches_performed == 2  # every row pair is unserved
 
 
 def test_warm_cache_reproduces_bytes_with_zero_searches(tmp_path):
@@ -118,15 +119,18 @@ def test_cacheless_run_agrees_with_cached_run(tmp_path):
 def test_stale_bounded_entry_is_solved_again(tmp_path):
     path = tmp_path / "cache.jsonl"
     compute_atlas(2, cache=CertificateCache(path))
-    exact = exact_sep("", "00")
-    stale = SepCertificate("", "00", lower=1, upper=exact.upper,
+    exact = exact_sep("", "0")
+    stale = SepCertificate("", "0", lower=1, upper=exact.upper,
                            witness=exact.witness, lower_method="none")
-    CertificateCache(path).put(sep_key("", "00"), stale.to_dict())
+    CertificateCache(path).put(sep_key("", "0"), stale.to_dict())
     cache = CertificateCache(path)
     table = compute_atlas(2, cache=cache)
     assert table.to_csv() == compute_atlas(2).to_csv()
     assert all(r.exact for r in table.rows)
     assert table.searches_performed == 1 and cache.rejected == 1
+    healed = CertificateCache(path)  # last write wins
+    assert healed.get(sep_key("", "0"))["lower"] == 2
+    assert compute_atlas(2, cache=healed).searches_performed == 0
 
 
 def test_levels_match_per_pair_search_past_the_cap():
@@ -157,9 +161,9 @@ def test_level_certificate_is_pinned():
 
 def test_mixed_hits_and_misses(tmp_path):
     cache = CertificateCache(tmp_path / "cache.jsonl")
-    compute_atlas(4, cache=cache)
+    compute_atlas(2, cache=cache)  # stores ("", "0") only
     table = compute_atlas(6, cache=cache)
-    assert table.searches_performed == 8001 - 465 == 7536
+    assert table.searches_performed == 1  # ("0", "000") is the one miss
     assert table.to_csv() == compute_atlas(6).to_csv()
     assert cache.rejected == 0
 
@@ -167,10 +171,11 @@ def test_mixed_hits_and_misses(tmp_path):
 def test_cold_cache_files_are_reproducible_and_servable(tmp_path):
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for path in paths:
-        assert compute_atlas(5, cache=CertificateCache(path)).searches_performed == 1953
+        assert compute_atlas(5, cache=CertificateCache(path)).searches_performed == 2
     assert paths[0].read_bytes() == paths[1].read_bytes()
     lines = [json.loads(line) for line in paths[0].read_text().splitlines()]
-    assert len(lines) == 1953  # one certificate per pair
+    # one certificate per distinct row pair
+    assert [line["key"] for line in lines] == [sep_key("", "0"), sep_key("0", "000")]
     cache = CertificateCache(paths[0])
     for line in lines:
         v = line["value"]
@@ -194,44 +199,115 @@ def test_cache_written_by_per_pair_search_is_served(tmp_path):
     assert table.to_csv() == compute_atlas(2).to_csv()
 
 
-# 01 vs 0001 cached as 4, though sep is 3: the 3-state separator padded with
-# an unreachable state, so the witness passes every per-hit check
-_OVER_CLAIM = {"w": "01", "x": "0001", "lower": 4, "upper": 4, "exact": True,
-               "witness": "dfa 2 4\naccepting 0\nstate 0: 1 1\nstate 1: 2 0\n"
-                          "state 2: 0 0\nstate 3: 3 3\n",
-               "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0}
+def test_per_pair_file_of_earlier_versions_is_served(tmp_path, monkeypatch):
+    # earlier versions stored the level certificate of every pair
+    path = tmp_path / "per-pair.jsonl"
+    levels = SeparationLevels(6)
+    writer = CertificateCache(path)
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # 8 001 appends
+    for i, j in itertools.combinations(range(len(levels.words)), 2):
+        store_certificate(writer, levels.certificate(i, j))
+    monkeypatch.undo()
+    stored = path.read_bytes()
+    assert len(stored.splitlines()) == 8001
+    for max_len in (5, 6):
+        cache = CertificateCache(path)
+        table, plain = compute_atlas(max_len, cache=cache), compute_atlas(max_len)
+        assert table.searches_performed == 0 and cache.rejected == 0
+        assert table.to_csv() == plain.to_csv()
+        assert table.to_json() == plain.to_json()
+    assert path.read_bytes() == stored  # served, nothing appended
+
+
+@pytest.mark.parametrize("max_len", range(1, ATLAS_MAX_LEN_CAP + 1))
+def test_output_is_the_same_cold_warm_and_without_a_cache(tmp_path, max_len):
+    path = tmp_path / "cache.jsonl"
+    cold = compute_atlas(max_len, cache=CertificateCache(path))
+    warm = compute_atlas(max_len, cache=CertificateCache(path))
+    plain = compute_atlas(max_len)
+    assert cold.to_csv() == warm.to_csv() == plain.to_csv()
+    assert cold.to_json() == warm.to_json() == plain.to_json()
+    row_pairs = 1 if max_len <= 2 else 2
+    assert cold.searches_performed == plain.searches_performed == row_pairs
+    assert warm.searches_performed == 0
+    assert len(path.read_text().splitlines()) == row_pairs
+
+
+def test_cache_traffic_is_one_lookup_and_one_append_per_row_pair(tmp_path, monkeypatch):
+    """Counts, not times: a per-pair loop would make 8 001 of each."""
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(atlas, "cached_certificate",
+                        counted("lookup", atlas.cached_certificate))
+    monkeypatch.setattr(CertificateCache, "put", counted("put", CertificateCache.put))
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        calls.clear()
+        compute_atlas(6, cache=CertificateCache(path))
+        assert calls["lookup"] <= 6 and calls["put"] == 2
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    calls.clear()
+    warm = compute_atlas(6, cache=CertificateCache(paths[0]))
+    assert warm.searches_performed == 0
+    assert calls["lookup"] <= 6 and calls["put"] == 0
+
+
+# each row pair cached as sep + 1: its level separator padded with an
+# unreachable state, so the witness passes every per-hit check
+_OVER_CLAIMS = {
+    ("", "0"): {"w": "", "x": "0", "lower": 3, "upper": 3, "exact": True,
+                "witness": "dfa 2 3\naccepting 0\nstate 0: 1 0\nstate 1: 0 0\n"
+                           "state 2: 2 2\n",
+                "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0},
+    ("0", "000"): {"w": "0", "x": "000", "lower": 4, "upper": 4, "exact": True,
+                   "witness": "dfa 2 4\naccepting 1\nstate 0: 1 0\nstate 1: 2 0\n"
+                              "state 2: 0 0\nstate 3: 3 3\n",
+                   "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0},
+}
+_ROW_PAIRS = sorted(_OVER_CLAIMS)
 
 
 def test_over_claiming_hit_is_rejected_and_healed(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    compute_atlas(4, cache=CertificateCache(path))
-    CertificateCache(path).put(sep_key("01", "0001"), _OVER_CLAIM)
-    assert cached_certificate(CertificateCache(path), "01", "0001").value == 4
+    for w, x in _ROW_PAIRS:
+        path = tmp_path / f"cache-{w}-{x}.jsonl"
+        compute_atlas(4, cache=CertificateCache(path))
+        forged = _OVER_CLAIMS[w, x]
+        CertificateCache(path).put(sep_key(w, x), forged)
+        assert cached_certificate(CertificateCache(path), w, x).value == forged["lower"]
 
-    cache = CertificateCache(path)
-    table = compute_atlas(4, cache=cache)
-    assert table.to_csv() == compute_atlas(4).to_csv()
-    assert "4,3,true,0,000\n" in table.to_csv()
-    assert table.searches_performed == 1 and cache.rejected == 1
+        cache = CertificateCache(path)
+        table = compute_atlas(4, cache=cache)
+        assert table.to_csv() == compute_atlas(4).to_csv()
+        assert "2,2,true,,0\n" in table.to_csv() and "4,3,true,0,000\n" in table.to_csv()
+        assert table.searches_performed == 1 and cache.rejected == 1
 
-    healed = CertificateCache(path)  # last write wins
-    assert healed.get(sep_key("01", "0001"))["lower"] == 3
-    assert compute_atlas(4, cache=healed).searches_performed == 0
-    assert healed.rejected == 0
+        healed = CertificateCache(path)  # last write wins
+        assert healed.get(sep_key(w, x))["lower"] == forged["lower"] - 1
+        assert compute_atlas(4, cache=healed).searches_performed == 0
+        assert healed.rejected == 0
 
 
 def test_over_claim_guard_survives_python_O(tmp_path):
     # python -O strips assert statements; the cross-check must still reject
-    path = tmp_path / "forged.jsonl"
-    CertificateCache(path).put(sep_key("01", "0001"), _OVER_CLAIM)
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "sepwords.cli", "--cache", str(path),
-         "atlas", "--max-len", "4"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "4,3,true,0,000"
+    for w, x in _ROW_PAIRS:
+        path = tmp_path / f"forged-{w}-{x}.jsonl"
+        CertificateCache(path).put(sep_key(w, x), _OVER_CLAIMS[w, x])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sepwords.cli", "--cache", str(path),
+             "atlas", "--max-len", "4"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == compute_atlas(4).to_csv()
+        healed = CertificateCache(path)  # last write wins
+        assert healed.get(sep_key(w, x))["lower"] == _OVER_CLAIMS[w, x]["lower"] - 1
 
 
 @pytest.fixture
@@ -261,21 +337,20 @@ def test_warm_atlas_parses_each_witness_text_once(tmp_path, parsed):
 
 def test_shared_malformed_witness_is_rejected_for_every_entry(tmp_path, parsed):
     path = tmp_path / "cache.jsonl"
-    compute_atlas(2, cache=CertificateCache(path))
+    compute_atlas(3, cache=CertificateCache(path))
     bad = "dfa 2 2\naccepting 1\nstate 0: 1 7\nstate 1: 1 1\n"  # target 7
-    pairs = [("0", "1"), ("00", "01")]
     writer = CertificateCache(path)
-    for w, x in pairs:
+    for w, x in _ROW_PAIRS:
         writer.put(sep_key(w, x), dict(exact_sep(w, x).to_dict(), witness=bad))
     cache = CertificateCache(path)
-    table = compute_atlas(2, cache=cache)
-    assert table.to_csv() == compute_atlas(2).to_csv()
+    table = compute_atlas(3, cache=cache)
+    assert table.to_csv() == compute_atlas(3).to_csv()
     assert cache.rejected == 2 and table.searches_performed == 2
     assert parsed[bad] == 2  # a failed parse is not memoized
     healed = CertificateCache(path)
-    for w, x in pairs:
+    for w, x in _ROW_PAIRS:
         assert healed.get(sep_key(w, x))["witness"] != bad
-    assert compute_atlas(2, cache=healed).searches_performed == 0
+    assert compute_atlas(3, cache=healed).searches_performed == 0
     assert healed.rejected == 0
 
 

@@ -49,7 +49,7 @@ def test_traced_atlas_runs_and_reports_every_layer_metric(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["csv"] == ["n,value,exact,w,x\n1,2,true,,0\n2,2,true,,0\n"] * 3
-    assert out["searches"] == [21, 21, 0]  # C(7, 2) pairs: all, all, none
+    assert out["searches"] == [1, 1, 0]  # the one row pair ("", "0"): all, all, none
     assert {"atlas.compute_atlas", "cache.load", "cache.get",
             "cache.put"} <= set(out["spans"])
     # job.py adds the trace.* timings; the tracer computes every other one

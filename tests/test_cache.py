@@ -205,8 +205,13 @@ def test_hit_with_a_mistyped_field_is_rejected_and_healed(tmp_path, bad):
     value = dict(json.loads(_exact_line("01", "0001"))["value"], **bad)
     with pytest.raises(ValueError):
         SepCertificate.from_dict(value)
-    for name in ("api.jsonl", "sep.jsonl", "atlas.jsonl"):
+    for name in ("api.jsonl", "sep.jsonl"):
         CertificateCache(tmp_path / name).put(sep_key("01", "0001"), value)
+    # the atlas caches only its row pairs; ("0", "000") is the row pair of S(4)
+    row_value = dict(json.loads(_exact_line("0", "000"))["value"], **bad)
+    with pytest.raises(ValueError):
+        SepCertificate.from_dict(row_value)
+    CertificateCache(tmp_path / "atlas.jsonl").put(sep_key("0", "000"), row_value)
     c = CertificateCache(tmp_path / "api.jsonl")
     cert, solved = solve_cached("01", "0001", cache=c)
     assert solved and cert.value == 3 and c.rejected == 1
@@ -221,7 +226,7 @@ def test_hit_with_a_mistyped_field_is_rejected_and_healed(tmp_path, bad):
     assert r.exception is None, r.exc_info
     assert r.output == CliRunner().invoke(main, ["atlas", "--max-len", "4"]).output
     healed = CertificateCache(tmp_path / "atlas.jsonl")
-    assert cache.cached_certificate(healed, "01", "0001").value == 3
+    assert cache.cached_certificate(healed, "0", "000").value == 3
     assert healed.rejected == 0
 
 
@@ -229,8 +234,11 @@ def test_witness_with_a_state_line_missing_its_id_is_rejected(tmp_path):
     # a corrupt line is never fatal, whichever part of the witness is broken
     value = dict(_OVER_CLAIM, lower=3, upper=3,
                  witness="dfa 2 3\naccepting 0\nstate 0: 1 1\nstate 1: 2 0\nstate :\n")
-    for name in ("api.jsonl", "sep.jsonl", "atlas.jsonl"):
+    for name in ("api.jsonl", "sep.jsonl"):
         CertificateCache(tmp_path / name).put(sep_key("01", "0001"), value)
+    # the same broken witness on ("0", "000"), the row pair of S(4)
+    CertificateCache(tmp_path / "atlas.jsonl").put(sep_key("0", "000"),
+                                                    dict(value, w="0", x="000"))
     c = CertificateCache(tmp_path / "api.jsonl")
     cert, solved = solve_cached("01", "0001", cache=c)
     assert solved and cert.value == 3 and c.rejected == 1
@@ -244,6 +252,9 @@ def test_witness_with_a_state_line_missing_its_id_is_rejected(tmp_path):
                                   "atlas", "--max-len", "4"])
     assert r.exception is None, r.exc_info
     assert r.output == CliRunner().invoke(main, ["atlas", "--max-len", "4"]).output
+    healed = CertificateCache(tmp_path / "atlas.jsonl")  # last write wins
+    assert cache.cached_certificate(healed, "0", "000").value == 3
+    assert healed.rejected == 0
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])

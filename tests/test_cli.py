@@ -121,6 +121,28 @@ def test_atlas_command(tmp_path):
     assert r1.output.splitlines()[0] == "n,value,exact,w,x"
 
 
+@pytest.mark.parametrize("max_len", range(1, 7))
+def test_atlas_output_is_the_same_cold_warm_and_without_a_cache(tmp_path, max_len):
+    for fmt in ("csv", "json"):
+        path = str(tmp_path / f"{fmt}.jsonl")
+        runs = [invoke(*cache, "--format", fmt, "atlas", "--max-len", str(max_len))
+                for cache in (("--cache", path), ("--cache", path), ())]
+        assert [r.exit_code for r in runs] == [0, 0, 0]
+        assert runs[0].output == runs[1].output == runs[2].output
+
+
+def test_atlas_cache_holds_the_row_pairs_only(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    assert invoke("--cache", str(path), "atlas").exit_code == 0
+    keys = [json.loads(line)["key"] for line in path.read_text().splitlines()]
+    assert keys == ["sep||0", "sep|0|000"]
+    # a row pair is a hit, any other pair a miss that appends its line
+    assert invoke("--cache", str(path), "sep", "0", "000").output == "sep = 3\n"
+    assert len(path.read_text().splitlines()) == 2
+    assert invoke("--cache", str(path), "sep", "01", "0001").output == "sep = 3\n"
+    assert json.loads(path.read_text().splitlines()[-1])["key"] == "sep|01|0001"
+
+
 def test_member_command(tmp_path):
     path = tmp_path / "g1.lang"
     path.write_text(dfa_to_text(build_G_k(1), provenance="G_k k=1"))

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from typing import Iterator
 
 import pytest
@@ -81,6 +82,15 @@ def test_dfa_rejects_unhashable_fields_at_construction(transitions, accepting, m
         Dfa(2, transitions, accepting)
     with pytest.raises(ValueError, match="^transitions must be a tuple"):
         lsep_lower_check("1", Dfa(3, [[0, 1, 0], [1, 1, 1]], {0}), 1)
+
+
+@pytest.mark.parametrize("target", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_dfa_rejects_a_transition_target_that_is_not_an_int(target):
+    # 1.0 and True compare in range, yet run() and minimize() cannot index
+    # with 1.0, and dfa_to_text writes True as a target no parse reads back
+    message = f"transition target {target!r} of state 0 is not an int in 0..1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dfa(2, ((0, target), (1, 1)), frozenset({1}))
 
 
 _DFA = Dfa(2, ((0, 1), (1, 1)), frozenset({1}))
