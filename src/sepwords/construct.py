@@ -28,8 +28,9 @@ from .dfa import (
     word_symbols,
 )
 from .lang import (
+    G_k_on_demand,
+    H_k_on_demand,
     _reversed_G_k,
-    build_G_k,
     build_H_k,
     finite_language,
     is_zero_free,
@@ -261,13 +262,18 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
     larger k the exhaustive bound is out of reach; the candidate is vetted
     at the exhaustible cap and flagged uncertified.  One budget (one node
     pool, one deadline) covers every candidate's check.
+
+    G_k and H_k are read with their states built on demand
+    (`G_k_on_demand`, `H_k_on_demand`): the words tried and the checks
+    touch a few of the 2^(k+2) - 1 states of G_k.  Raises BudgetError
+    when they would build more subsets than DEFAULT_DETERMINIZE_BUDGET.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     target = 2**k - 1
     certified = target <= EXHAUSTIVE_STATE_CAP
     p = target if certified else EXHAUSTIVE_STATE_CAP
-    g, h = build_G_k(k), build_H_k(k)
+    g, h = G_k_on_demand(k), H_k_on_demand(k)
     counters = SearchCounters(budget)
     for z in iter_words(g, Z_K_MAX_LEN):
         if not z:

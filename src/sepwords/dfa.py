@@ -366,49 +366,108 @@ class BudgetError(RuntimeError):
     """A construction or search ran out of its explicit resource budget."""
 
 
+class _Rows(dict):
+    """Rows by state: a missing row is built by `build(q)` on its first read.
+
+    `len` counts the states numbered so far, each of which has a row."""
+
+    __slots__ = ("build", "numbered")
+
+    def __init__(self, build, numbered: list):
+        super().__init__()
+        self.build = build
+        self.numbered = numbered
+
+    def __missing__(self, q: int) -> tuple[int, ...]:
+        if not 0 <= q < len(self.numbered):
+            raise IndexError(f"state {q!r} out of range")
+        row = self[q] = self.build(q)
+        return row
+
+    def __len__(self) -> int:
+        return len(self.numbered)
+
+
+class Reversal:
+    """The minimal DFA of the reversal of L(d), each state built when read.
+
+    The subset construction of the reversed automaton, run on d's
+    reachable part (canonicalize() drops the other states).  A subset S
+    is a membership vector over d's states: S[q] is 1 when q is in S.
+    Its move on symbol a is {q : d moves q on a into S}, one gather of S
+    along d's a-column.  The start is d's accepting set, and a subset
+    accepts when it holds d's start.
+
+    It reads as a Dfa does.  transitions[q] is state q's row, built on
+    first read; a subset is numbered when a row first reaches it, so
+    building rows in index order numbers states breadth-first, as
+    `reverse` does.  accepting and live hold the numbered states that
+    accept and that are live: every state a reader can name has been
+    numbered.  A state is live, some word leading it to acceptance,
+    exactly when its subset is non-empty, since each state of d's
+    reachable part is reached from d's start by some word.  Raises
+    BudgetError when a subset past max_states would be numbered.
+    """
+
+    __slots__ = ("source", "max_states", "alphabet_size", "transitions",
+                 "accepting", "live", "_index", "_order", "_gathers")
+
+    def __init__(self, d: Dfa, max_states: Optional[int] = None):
+        if len(_reachable(d)) < d.state_count:
+            d = canonicalize(d)
+        # itemgetter with one index would return a bare item, not a tuple
+        self._gathers = [itemgetter(*col) if d.state_count > 1
+                         else (lambda s, q=col[0]: (s[q],))
+                         for col in zip(*d.transitions)]
+        self.source = d
+        self.max_states = max_states
+        self.alphabet_size = d.alphabet_size
+        self._index: dict[bytes, int] = {}
+        self._order: list[bytes] = []
+        self.transitions = _Rows(self._row, self._order)
+        self.accepting: set[int] = set()
+        self.live: set[int] = set()
+        self._number(bytes(q in d.accepting for q in range(d.state_count)))
+
+    def _number(self, sub: bytes) -> int:
+        order = self._order
+        if self.max_states is not None and len(order) >= self.max_states:
+            raise BudgetError(f"reversal exceeded {self.max_states} subset states")
+        i = self._index[sub] = len(order)
+        order.append(sub)
+        if sub[0]:
+            self.accepting.add(i)
+        if any(sub):
+            self.live.add(i)
+        return i
+
+    def _row(self, q: int) -> tuple[int, ...]:
+        cur, index = self._order[q], self._index
+        row = []
+        for gather in self._gathers:
+            nxt = bytes(gather(cur))
+            i = index.get(nxt)
+            row.append(self._number(nxt) if i is None else i)
+        return tuple(row)
+
+
 def reverse(d: Dfa, max_states: Optional[int] = None) -> Dfa:
     """Minimal complete DFA for the reversal of L(d), in canonical order.
 
-    The subset construction of the reversed automaton, run on d's
-    reachable part (canonicalize() drops the other states; a DFA with
-    none, such as every minimize() output, is used as it is).  By
+    Every row of `Reversal(d, max_states)`, built in index order.  By
     Brzozowski's theorem the subset automaton of the reversal of an
     accessible DFA is already minimal, and its breadth-first numbering is
-    the canonical one, so no minimize() follows.
-
-    A subset S is a membership vector over d's states: S[q] is 1 when q is
-    in S.  Its move on symbol a is {q : d moves q on a into S}, one gather
-    of S along d's a-column.  The reversal starts at the accepting set and
-    accepts the subsets that hold d's start.  Raises BudgetError when the
-    subset count exceeds max_states, as determinize() does.
+    the canonical one, so no minimize() follows.  Raises BudgetError when
+    the subset count exceeds max_states, as determinize() does.
     """
-    if len(_reachable(d)) < d.state_count:
-        d = canonicalize(d)
-    if d.state_count == 1:
-        # Sigma* or the empty set, each its own reversal; and itemgetter
-        # with one index would return a bare item, not a tuple
-        return d
-    gathers = [itemgetter(*col) for col in zip(*d.transitions)]
-    start = bytes(q in d.accepting for q in range(d.state_count))
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for cur in order:  # grows while it is read: a breadth-first queue
-        row = []
-        for gather in gathers:
-            nxt = bytes(gather(cur))
-            i = index.get(nxt)
-            if i is None:
-                if max_states is not None and len(order) >= max_states:
-                    raise BudgetError(
-                        f"reversal exceeded {max_states} subset states"
-                    )
-                i = index[nxt] = len(order)
-                order.append(nxt)
-            row.append(i)
-        rows.append(tuple(row))
-    acc = frozenset(i for i, sub in enumerate(order) if sub[0])
-    return Dfa(d.alphabet_size, tuple(rows), acc)
+    r = Reversal(d, max_states)
+    rows = r.transitions
+    q = 0
+    while q < len(rows):  # len grows as the rows built number new subsets
+        rows[q]  # builds row q
+        q += 1
+    # built in index order, so the rows are stored in it
+    return Dfa(r.alphabet_size, tuple(rows.values()), frozenset(r.accepting))
 
 
 def zero_cycle_length(d: Dfa, q: int) -> Optional[int]:

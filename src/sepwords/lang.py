@@ -15,6 +15,7 @@ from typing import Iterator
 
 from .dfa import (
     Dfa,
+    Reversal,
     _reachable,
     canonicalize,
     determinize,
@@ -140,17 +141,46 @@ def build_G_k(k: int) -> Dfa:
 def build_H_k(k: int) -> Dfa:
     """The complement of the starred language within {1,2}*.
 
-    G_k with its accepting set complemented and every 0-move sent to one
-    new dead state, in canonical order.  The result is minimal: G_k is,
-    and two of its states are told apart only by 0-free words (a 0 leads
-    to its dead state), on which H_k answers the opposite; every old state
+    `_zero_free_complement` of G_k.  The result is minimal: G_k is, and
+    two of its states are told apart only by 0-free words (a 0 leads to
+    its dead state), on which H_k answers the opposite; every old state
     accepts the word 1 in H_k (no nonempty word of G_k ends in 1), so none
     is equivalent to the new dead state.
     """
-    g = build_G_k(k)
-    dead = g.state_count
-    rows = tuple((dead, t1, t2) for _, t1, t2 in g.transitions) + ((dead,) * ALPHABET,)
-    return canonicalize(Dfa(ALPHABET, rows, frozenset(range(dead)) - g.accepting))
+    return _zero_free_complement(build_G_k(k))
+
+
+def _zero_free_complement(d: Dfa) -> Dfa:
+    """d with its accepting set complemented and every 0-move sent to one
+    new dead state, in canonical order: the complement of L(d) within
+    {1,2}*."""
+    dead = d.state_count
+    rows = tuple((dead, t1, t2) for _, t1, t2 in d.transitions) + ((dead,) * ALPHABET,)
+    return canonicalize(Dfa(ALPHABET, rows, frozenset(range(dead)) - d.accepting))
+
+
+@lru_cache(maxsize=None)
+def G_k_on_demand(k: int) -> Reversal:
+    """G_k with its states built as they are read: the reversal of
+    _reversed_G_k(k), as `build_G_k` builds it in full.
+
+    Memoized per process with the states built so far;
+    DEFAULT_DETERMINIZE_BUDGET, as it reads at the first call, caps them.
+    """
+    return Reversal(_reversed_G_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
+
+
+@lru_cache(maxsize=None)
+def H_k_on_demand(k: int) -> Reversal:
+    """H_k with its states built as they are read.
+
+    H_k reversed is the complement of G_k reversed within {1,2}*, so H_k
+    is the reversal of `_zero_free_complement(_reversed_G_k(k))`, one
+    more state than the small automaton.  Memoized and capped as
+    `G_k_on_demand` is.
+    """
+    return Reversal(_zero_free_complement(_reversed_G_k(k)),
+                    max_states=DEFAULT_DETERMINIZE_BUDGET)
 
 
 def finite_language(words: list[str]) -> Dfa:
@@ -220,13 +250,14 @@ def state_complexity(l: Dfa) -> int:
     return minimize(l).state_count
 
 
-def iter_words(d: Dfa, max_len: int) -> Iterator[str]:
+def iter_words(d: Dfa | Reversal, max_len: int) -> Iterator[str]:
     """Accepted words in shortlex order, up to max_len.
 
-    Frontier size is exponential in length for rich languages; callers cap
-    max_len accordingly.
+    A `Reversal` is read as a Dfa is, with its own live set, so only the
+    states the frontier reaches are built.  Frontier size is exponential
+    in length for rich languages; callers cap max_len accordingly.
     """
-    live = _live_states(d)
+    live = d.live if isinstance(d, Reversal) else _live_states(d)
     frontier: list[tuple[int, str]] = [(0, "")]
     if 0 in d.accepting:
         yield ""

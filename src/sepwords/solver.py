@@ -20,6 +20,7 @@ from typing import Container, Iterator, Optional
 from .dfa import (
     BudgetError,
     Dfa,
+    Reversal,
     _FrozenValue,
     _Value,
     Table,
@@ -105,7 +106,7 @@ class SepCertificate(_Value):
     def from_dict(obj: dict) -> "SepCertificate":
         """Decode a certificate; ValueError unless the bounds are ints (not
         bools) and the words and lower_method are strings."""
-        witness = _witness_from_text(obj["witness"]) if obj["witness"] else None
+        witness = dfa_from_text(obj["witness"])[0] if obj["witness"] else None
         cert = SepCertificate(
             w=obj["w"],
             x=obj["x"],
@@ -126,20 +127,6 @@ class SepCertificate(_Value):
     @staticmethod
     def from_json(text: str) -> "SepCertificate":
         return SepCertificate.from_dict(json.loads(text))
-
-
-@lru_cache(maxsize=4096)
-def _witness_from_text(text: str) -> Dfa:
-    """The DFA of a witness text, parsed and validated once per distinct text.
-
-    Cached certificates share few witness texts (a per-pair atlas file of
-    an earlier version held 8 001 entries and 69 texts at n = 6), so a
-    process that serves many hits parses each text once.  `Dfa` is frozen, so
-    certificates may share one value; a malformed text raises on every
-    call, since `lru_cache` stores no exceptions.  The bound keeps a long
-    process that decodes many files from growing without limit.
-    """
-    return dfa_from_text(text)[0]
 
 
 class SearchCounters:
@@ -583,9 +570,10 @@ def reached_by_language(structure: Dfa, l: Dfa, q: int) -> bool:
     return _reached(structure.transitions, k, l, q)
 
 
-def _reached(trans: Table, k: int, l: Dfa, q: int) -> bool:
+def _reached(trans: Table, k: int, l: Dfa | Reversal, q: int) -> bool:
     """`reached_by_language` on a bare table over the first k symbols of
-    l's alphabet, which the caller checks."""
+    l's alphabet, which the caller checks.  A `Reversal` builds only the
+    states the search reaches."""
     ltrans, lacc = l.transitions, l.accepting
     if q == 0 and 0 in lacc:
         return True
@@ -608,7 +596,7 @@ def _reached(trans: Table, k: int, l: Dfa, q: int) -> bool:
 
 def lsep_lower_check(
     w: str,
-    l: Dfa,
+    l: Dfa | Reversal,
     p: int,
     budget: SearchBudget = DEFAULT_BUDGET,
     counters: Optional[SearchCounters] = None,
@@ -624,6 +612,7 @@ def lsep_lower_check(
     a 0-free language over {0,1,2}, structures over two effective symbols
     suffice: transitions on 0 are never exercised.  counters, when given,
     is charged one node per structure instead of a fresh pool from budget.
+    l may be a `Reversal`, whose states the checks build as they read them.
     """
     if accepts(l, w):
         raise ValueError("lsep undefined: the word belongs to the language")
@@ -646,13 +635,20 @@ def lsep_lower_check(
 
 
 @lru_cache(maxsize=None)
-def _zero_free_projection(l: Dfa) -> Optional[Dfa]:
+def _zero_free_projection(l: Dfa | Reversal) -> Optional[Dfa | Reversal]:
     """l restricted to symbols {1,2}, relabelled {0,1}, when it is a 0-free
     3-symbol language, else None.
 
     Memoized: the zero-freeness pass and the new automaton cost more than
-    hashing l, and callers check many words against one language.
+    hashing l, and callers check many words against one language.  A
+    `Reversal` hashes by identity, and its projection is the reversal of
+    its small source's projection, again built on demand: the reversal of
+    a language is 0-free when the language is, and reversing commutes
+    with keeping the words over {1,2}.
     """
+    if isinstance(l, Reversal):
+        proj = _zero_free_projection(l.source)
+        return None if proj is None else Reversal(proj, l.max_states)
     if l.alphabet_size == 3 and is_zero_free(l):
         return Dfa(2, tuple((row[1], row[2]) for row in l.transitions), l.accepting)
     return None

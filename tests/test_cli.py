@@ -1,6 +1,7 @@
 """Command-line interface tests via click's runner."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -85,6 +86,32 @@ def test_budget_error_exits_bounded_with_one_line(monkeypatch):
     assert r.exit_code == EXIT_BOUNDED
     assert isinstance(r.exception, SystemExit)  # no traceback
     assert r.output == "Error: budget exhausted: reversal exceeded 126 subset states\n"
+
+
+def test_witness_budget_flags_default_to_sep_defaults():
+    args = ["witness", "--k", "1", "--n", "1", "--verify"]
+    plain = invoke(*args)
+    explicit = invoke(*args, "--max-states", "12", "--budget-nodes", "50000000",
+                      "--wall-limit", "600")
+    assert plain.exit_code == explicit.exit_code == 0
+    assert plain.output == explicit.output
+
+
+def test_witness_wall_limit_ends_the_search():
+    # with no limit this runs 18 s or more, then finds no certified word
+    start = time.monotonic()
+    r = invoke("witness", "--k", "2", "--n", "2", "--wall-limit", "1")
+    assert time.monotonic() - start < 10
+    assert r.exit_code == EXIT_BOUNDED
+    assert r.output == "Error: budget exhausted: wall-clock budget exhausted\n"
+
+
+def test_witness_node_budget_and_bad_limits():
+    r = invoke("witness", "--k", "1", "--n", "1", "--budget-nodes", "10")
+    assert r.exit_code == EXIT_BOUNDED
+    assert r.output == "Error: budget exhausted: node budget exhausted at 11 nodes\n"
+    for flag in ("--wall-limit", "--max-states", "--budget-nodes"):
+        assert invoke("witness", "--k", "1", "--n", "1", flag, "0").exit_code == EXIT_USAGE
 
 
 def test_witness_command_verify():

@@ -4,11 +4,12 @@ import functools
 import itertools
 import random
 import re
+import sys
 import time
 
 import pytest
 
-from sepwords import construct
+from sepwords import construct, dfa, lang
 from sepwords.construct import (
     _cn_candidates,
     canonical_triple,
@@ -23,11 +24,13 @@ from sepwords.construct import (
     verify_witness,
     witness_pair,
     WitnessReport,
+    Z_K_MAX_LEN,
 )
 from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, reverse, run
-from sepwords.lang import build_G_k, finite_language, segmented_closure
+from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
 from sepwords.solver import (
     SearchBudget,
+    lsep_lower_check,
     check_separates,
     exact_sep,
     no_separator_up_to,
@@ -212,6 +215,81 @@ def test_search_z_k_spends_one_node_budget_on_all_candidates(monkeypatch):
     assert search_z_k(2, budget=SearchBudget(max_nodes=2 * one)).word == "11112"
     with pytest.raises(BudgetError):
         search_z_k(2, budget=SearchBudget(max_nodes=one + 1))
+
+
+def _search_z_k_eager(k):
+    """search_z_k's word, read off the eagerly built G_k and H_k."""
+    p = min(2**k - 1, construct.EXHAUSTIVE_STATE_CAP)
+    h = build_H_k(k)
+    return next(z for z in iter_words(build_G_k(k), Z_K_MAX_LEN)
+                if z and lsep_lower_check(z, h, p))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_search_z_k_on_demand_matches_the_eager_path(k):
+    z = search_z_k(k)
+    assert z.word == _search_z_k_eager(k)
+    assert z.checked_states == min(2**k - 1, construct.EXHAUSTIVE_STATE_CAP)
+
+
+@pytest.fixture
+def fresh_on_demand():
+    """Empty memos of the on-demand automata, before and after the test,
+    so a budget the test lowers applies, and leaks into no other test."""
+    memos = (lang._reversed_G_k, lang.G_k_on_demand, lang.H_k_on_demand)
+    for f in memos:
+        f.cache_clear()
+    yield
+    for f in memos:
+        f.cache_clear()
+
+
+def test_witness_pair_builds_neither_G_k_nor_H_k_in_full(monkeypatch, fresh_on_demand):
+    """witness_pair(10, 1) calls no eager builder, and its one reverse()
+    is the small one inside _reversed_G_k, not the 4 095 states of G_10."""
+    calls = []
+
+    def spy(name, f):
+        @functools.wraps(f)
+        def wrapper(*args, **kwargs):
+            out = f(*args, **kwargs)
+            calls.append((name, out.state_count))
+            return out
+        return wrapper
+
+    for name in ("build_G_k", "build_H_k", "reverse"):
+        f = getattr(dfa if name == "reverse" else lang, name)
+        wrapped = spy(name, f)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "sepwords" and getattr(mod, name, None) is f:
+                monkeypatch.setattr(mod, name, wrapped)
+    report = witness_pair(10, 1)
+    assert report.z_word == "112"
+    assert [name for name, _ in calls] == ["reverse"]
+    assert calls[0][1] < 100
+    # the words tried and their checks built a handful of states
+    assert len(lang.G_k_on_demand(10).transitions) < 20
+    assert len(lang.H_k_on_demand(10).transitions) < 20
+
+
+def test_search_z_k_raises_budget_error_past_the_subset_budget(monkeypatch,
+                                                               fresh_on_demand):
+    lang._reversed_G_k(10)  # its 53 subsets are under the default budget
+    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 2)
+    with pytest.raises(BudgetError, match="^reversal exceeded 2 subset states$"):
+        search_z_k(10)
+
+
+def test_witness_pair_past_the_eager_build_limit(fresh_on_demand):
+    """G_16 has 2^18 - 1 states, past DEFAULT_DETERMINIZE_BUDGET, so
+    build_G_k(16) raises; the on-demand path still assembles and
+    certifies the pair, the same pair as at k = 10."""
+    assert 2**18 - 1 > lang.DEFAULT_DETERMINIZE_BUDGET
+    k10 = witness_pair(10, 1)
+    k16 = verify_witness(witness_pair(16, 1))
+    assert (k16.w_prime, k16.x_prime, k16.z_word, k16.c_word) == (
+        k10.w_prime, k10.x_prime, k10.z_word, k10.c_word)
+    assert k16.statuses == {"lower": "certified", "upper": "certified"}
 
 
 def test_state_limit_for_pairs():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from sepwords import dfa, lang
-from sepwords.construct import farmand_dfa
+from sepwords.construct import Z_K_MAX_LEN, farmand_dfa
 from sepwords.dfa import (
     BudgetError,
     Dfa,
@@ -23,7 +23,10 @@ from sepwords.dfa import (
 from sepwords.lang import (
     ALPHABET,
     DEFAULT_DETERMINIZE_BUDGET,
+    G_k_on_demand,
+    H_k_on_demand,
     _reversed_G_k,
+    _zero_free_complement,
     build_G_k,
     build_H_k,
     build_L_k,
@@ -338,6 +341,25 @@ def test_segmented_closure_membership():
 def test_segmented_closure_requires_zero_free_base():
     with pytest.raises(ValueError):
         segmented_closure(segmented_closure(finite_language(["12"])))
+
+
+def test_H_k_is_the_reversal_of_the_small_automatons_complement():
+    # the source of H_k_on_demand, reversed in full, is build_H_k
+    for k in range(1, 7):
+        small = _zero_free_complement(_reversed_G_k(k))
+        assert small.state_count == _reversed_G_k(k).state_count + 1
+        assert dfa_to_text(reverse(small)) == dfa_to_text(build_H_k(k)), k
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_iter_words_on_demand_matches_the_eager_order(k):
+    """The first 3 000 words of G_k and of H_k, and their order, are the
+    same read on demand as read off the eager builds."""
+    for lazy, eager in ((G_k_on_demand(k), build_G_k(k)),
+                        (H_k_on_demand(k), build_H_k(k))):
+        got = list(itertools.islice(iter_words(lazy, Z_K_MAX_LEN), 3000))
+        assert len(got) == 3000
+        assert got == list(itertools.islice(iter_words(eager, Z_K_MAX_LEN), 3000))
 
 
 def test_iter_words_is_shortlex_and_complete():

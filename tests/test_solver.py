@@ -13,7 +13,14 @@ import pytest
 from sepwords import solver
 from sepwords.construct import canonical_triple, search_C_n
 from sepwords.dfa import BudgetError, Dfa, accepts, run, word_symbols
-from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
+from sepwords.lang import (
+    H_k_on_demand,
+    build_G_k,
+    build_H_k,
+    finite_language,
+    iter_words,
+    segmented_closure,
+)
 from sepwords.solver import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -465,6 +472,34 @@ def test_lsep_lower_check_charges_one_node_per_reference_structure():
                 assert (got, c.nodes) == _lsep_reference(z, h, p), (k, z, p)
                 cases += 1
     assert cases > 30
+
+
+def _lsep_or_member(w, l, p):
+    try:
+        return lsep_lower_check(w, l, p)
+    except ValueError:
+        return "member"
+
+
+def test_lsep_lower_check_on_demand_matches_the_eager_H_k():
+    """Random 0-free words, members of H_k included, read through the
+    projection to {1,2}, and the same words with a 0 put in, read over
+    three symbols: the same verdict on H_k read on demand as on
+    build_H_k, for k <= 4 and p <= 3.  On 0-free words at these sizes the
+    verdict is True for every non-member."""
+    rng = random.Random(20261019)
+    verdicts = {True: set(), False: set()}
+    for k in range(1, 5):
+        h, lazy = build_H_k(k), H_k_on_demand(k)
+        for _ in range(25):
+            w = "".join(rng.choice("12") for _ in range(rng.randrange(1, 11)))
+            i = rng.randrange(len(w) + 1)
+            for v in (w, w[:i] + "0" + w[i:]):
+                for p in (1, 2, 3):
+                    got = _lsep_or_member(v, lazy, p)
+                    assert got == _lsep_or_member(v, h, p), (k, v, p)
+                    verdicts["0" not in v].add(got)
+    assert verdicts == {True: {True, "member"}, False: {True, False}}
 
 
 def test_lsep_rejects_member_word():
