@@ -124,18 +124,15 @@ def stc(ctx, lang_name, k, rev):
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--verify", "do_verify", is_flag=True,
               help="Certify both bounds after assembling.")
-@click.option("--max-states", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_states,
-              help="Exhaust at most this many states when certifying the lower bound.")
 @click.option("--budget-nodes", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_nodes,
               help="Search-node budget of each search stage.")
 @click.option("--wall-limit", type=click.FloatRange(min=0, min_open=True),
               default=DEFAULT_BUDGET.wall_limit,
               help="Wall-clock budget of each search stage, in seconds.")
 @click.pass_context
-def witness(ctx, k, n, do_verify, max_states, budget_nodes, wall_limit):
+def witness(ctx, k, n, do_verify, budget_nodes, wall_limit):
     """Assemble (and optionally verify) the binary witness pair for (k, n)."""
-    budget = SearchBudget(max_states=max_states, max_nodes=budget_nodes,
-                          wall_limit=wall_limit)
+    budget = SearchBudget(max_nodes=budget_nodes, wall_limit=wall_limit)
     report = witness_pair(k, n, budget=budget)
     if do_verify:
         report = verify_witness(report, budget=budget)

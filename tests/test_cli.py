@@ -91,8 +91,7 @@ def test_budget_error_exits_bounded_with_one_line(monkeypatch):
 def test_witness_budget_flags_default_to_sep_defaults():
     args = ["witness", "--k", "1", "--n", "1", "--verify"]
     plain = invoke(*args)
-    explicit = invoke(*args, "--max-states", "12", "--budget-nodes", "50000000",
-                      "--wall-limit", "600")
+    explicit = invoke(*args, "--budget-nodes", "50000000", "--wall-limit", "600")
     assert plain.exit_code == explicit.exit_code == 0
     assert plain.output == explicit.output
 
@@ -110,8 +109,12 @@ def test_witness_node_budget_and_bad_limits():
     r = invoke("witness", "--k", "1", "--n", "1", "--budget-nodes", "10")
     assert r.exit_code == EXIT_BOUNDED
     assert r.output == "Error: budget exhausted: node budget exhausted at 11 nodes\n"
-    for flag in ("--wall-limit", "--max-states", "--budget-nodes"):
+    for flag in ("--wall-limit", "--budget-nodes"):
         assert invoke("witness", "--k", "1", "--n", "1", flag, "0").exit_code == EXIT_USAGE
+    # the lower bound is exhausted at 3 states at most, whatever sep's
+    # --max-states would say, so witness takes no such option
+    r = invoke("witness", "--k", "1", "--n", "1", "--max-states", "12")
+    assert r.exit_code == EXIT_USAGE
 
 
 def test_witness_command_verify():

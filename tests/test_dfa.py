@@ -485,10 +485,11 @@ def test_reversal_read_on_demand_agrees_with_reverse():
 
 def test_reversal_rows_are_built_once_and_only_for_numbered_states():
     lazy = Reversal(build_G_k(3))
-    assert len(lazy.transitions) == 1 and not dict(lazy.transitions)
+    assert lazy.transitions.built == [None]
     row = lazy.transitions[0]
     assert lazy.transitions[0] is row
     assert len(lazy.transitions) == 1 + len(set(row) - {0})
+    assert lazy.transitions.built == [row] + [None] * (len(lazy.transitions) - 1)
     for q in (-1, len(lazy.transitions)):
         with pytest.raises(IndexError, match="out of range"):
             lazy.transitions[q]
