@@ -6,7 +6,9 @@ so the solver searches transition structures only and fixes an accepting
 set afterwards.  The search is iterative deepening over the state count
 with lazy transition assignment: entries are created only as the runs of w
 and x demand them, and branch targets are limited to already-used states
-plus one fresh state (first-visit symmetry breaking).
+plus one fresh state (first-visit symmetry breaking).  The runs read the
+prefix the words share once, then w's middle, then x's middle, which is
+cut where it ends in w's state, and last the suffix they share.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .dfa import (
 )
 from .lang import is_zero_free
 
+# Cache lines carry this.  A change of the search order changes which
+# table a search finds, not the version: a hit's witness is re-checked and
+# its lower bound re-proved before it is served, so a line stays valid.
 ENGINE_VERSION = "sepwords-1"
 
 
@@ -158,12 +163,10 @@ def _alphabet_for(*words: str) -> int:
 class _Jump(list):
     """A word position that stands for `count` more steps along `col`.
 
-    Every entry is -2.  The kernel reads a position's entry for the
-    current state, and an entry below -1 is an instruction, not a
-    transition: -2 is a jump, and -3, -4 and -5 are the markers of
-    `_mark_shared`.  A walk stops on -2 as on an unassigned entry (-1),
-    and the kernel tells the two apart by value; a jump is never
-    assigned."""
+    Every entry is -2, the one entry below -1: the kernel reads a
+    position's entry for the current state, and a walk stops on -2 as on
+    an unassigned entry (-1).  The kernel tells the two apart by value;
+    a jump is never assigned."""
 
     __slots__ = ("col", "count")
 
@@ -177,6 +180,8 @@ def _word_columns(w: list[int], cols: list[list[int]], p: int) -> list[list[int]
     """The columns the kernel reads for w at p states: one per position,
     except that a run of one symbol longer than 8p keeps its first p
     positions and ends in one `_Jump` over the rest."""
+    if len(w) <= 8 * p:  # no run to jump
+        return [cols[a] for a in w]
     out: list[list[int]] = []
     for a, run in itertools.groupby(w):
         col = cols[a]
@@ -189,32 +194,6 @@ def _word_columns(w: list[int], cols: list[list[int]], p: int) -> list[list[int]
     return out
 
 
-def _mark_shared(ws: list[list[int]], xs: list[list[int]], p: int) -> None:
-    """Mark the prefix and the suffix that two column lists share, in place.
-
-    Columns are shared when they are the same plain cols[a] object, so a
-    `_Jump` never is, and the suffix is cut where it would overlap the
-    prefix.  A marker is one position whose p entries all hold one value
-    below -2.  It costs a walk one step, so a shared part gets one only
-    when it is longer than one column: -3 in ws where the prefix ends,
-    which is then cut from xs, and -4 in ws and -5 in xs where the suffix
-    starts.  `_distinguishing_structure` says what they do.
-    """
-    m = min(len(ws), len(xs))
-    pre = 0
-    while pre < m and ws[pre] is xs[pre]:
-        pre += 1
-    suf = 0
-    while suf < m - pre and ws[-1 - suf] is xs[-1 - suf]:
-        suf += 1
-    if suf > 1:
-        ws.insert(len(ws) - suf, [-4] * p)
-        xs.insert(len(xs) - suf, [-5] * p)
-    if pre > 1:
-        ws.insert(pre, [-3] * p)
-        del xs[:pre]
-
-
 def _distinguishing_structure(
     w: list[int], x: list[int], p: int, k: int, counters: SearchCounters
 ) -> Optional[Table]:
@@ -224,55 +203,63 @@ def _distinguishing_structure(
     state 0) or None after exhausting all canonical partial structures.
 
     Depth-first over an explicit stack.  The partial table is one column
-    per symbol, cols[a][q], with -1 for an unassigned entry, and each word
-    is read as its list of columns (`_word_columns`).  A node is one walk
-    from (wi, pos, state) along word wi until it ends or meets an
-    unassigned entry; there the entry branches over the used states plus
+    per symbol, cols[a][q], with -1 for an unassigned entry.  The kernel
+    walks five segments in this order, each read as its list of columns
+    (`_word_columns`):
+
+    0  the prefix the words share, from state 0 to a state `mid`;
+    1  w's middle, from `mid` to a state `rejoin`;
+    2  x's middle, from `mid`.  If it ends in `rejoin`, both words read
+       the rest from one state, so every completion fails: backtrack;
+    3  the suffix the words share, from `rejoin` to w's end state `endw`;
+    4  the same suffix from x's state after its middle.
+
+    The shared parts are used when both words are longer than 8 symbols
+    and one of the parts is longer than one symbol.  Other pairs, such as
+    the thousands of tiny searches of the lemma checks, would spend more
+    on finding and slicing them than their few walks could save: they
+    read w whole as segment 1 and x whole as segment 2, the rest empty.
+    Each segment starts in a state that earlier segments fixed, so
+    numbering the states by first visit in this order is canonical, and
+    the search stays exhaustive.
+
+    A node is one walk from (segment, pos, state) until it meets an
+    unassigned entry, ends w's middle, or ends x (cut, or at the end of
+    segment 4).  An unassigned entry branches over the used states plus
     one fresh state, and each frame on the stack is such an entry with
-    its next target.  Finishing w and starting x counts as one more node.
-    An entry below -1 is an instruction, not a transition, and never
-    branches:
+    its next target.  So a walk crosses the ends of segments 0, 2 and 3
+    within its node, and starting x's middle counts as one more node.
+    Frames keep no copy of `mid`, `rejoin`, `endw` or x's state: a walk
+    resumed from a frame in segment s records again every state it needs
+    from segment s on, and the states it does not re-record depend only
+    on entries assigned before the frame.
 
-    -2  a `_Jump`.  A run of one symbol a longer than 8p is read as its
-        first p positions and one jump over the rest, so the cost of a
-        node does not depend on run lengths.  By the jump the walk has
-        made p steps along cols[a] through assigned entries and visited
-        p + 1 states, so it is on a cycle of cols[a] whose entries are
-        all assigned.  The jump measures the cycle's length c <= p and
-        makes the remaining count mod c steps.
-    -3  in w, where the prefix shared with x ends: record the state `mid`.
-        x's list starts after the prefix and its walk in state `mid`,
-        where a walk from state 0 would arrive through the entries that
-        w's walk assigned.
-    -4  in w, where the shared suffix starts: record the state `rejoin`.
-    -5  in x at the same place: in state `rejoin`, x would follow w's
-        path through assigned entries to w's end state `endw`, so its
-        walk ends there at once.  That saves steps, never a branch.
-
-    `_mark_shared` places -3 to -5 when both words are longer than 8
-    symbols; shorter pairs, such as the thousands of tiny searches of
-    the lemma checks, would spend more on finding the shared parts than
-    their few walks could save.  Frames keep no copy of `mid`, `rejoin`
-    or `endw`.  A walk resumed from a frame in w re-crosses every marker
-    after the frame and ends w again, and the states it does not
-    re-record depend only on entries assigned before the frame.  A frame
-    in x was pushed after w's last walk ended, and backtracking to it
-    resumes no walk of w, so the values are still those of that walk.
-
-    So the frames, the node order, the node counts and the tables are
-    those of a walk over every position of both words.
+    An entry below -1 is a `_Jump`, -2.  A run of one symbol a longer
+    than 8p is read as its first p positions and one jump over the rest,
+    so the cost of a node does not depend on run lengths.  By the jump
+    the walk has made p steps along cols[a] through assigned entries and
+    visited p + 1 states, so it is on a cycle of cols[a] whose entries
+    are all assigned.  The jump measures the cycle's length c <= p and
+    makes the remaining count mod c steps; it never branches.
     """
     cols = [[-1] * p for _ in range(k)]
-    if len(w) > 8 * p or len(x) > 8 * p:
-        words = (_word_columns(w, cols, p), _word_columns(x, cols, p))
-    else:  # no long run: the columns of every position, as in `_word_columns`
-        words = ([cols[a] for a in w], [cols[a] for a in x])
+    pre = suf = 0
     if len(w) > 8 and len(x) > 8:
-        _mark_shared(*words, p)
-    stack: list[tuple] = []  # (col, state, next target, limit, wi, pos, used)
+        m = min(len(w), len(x))
+        while pre < m and w[pre] == x[pre]:
+            pre += 1
+        while suf < m - pre and w[-1 - suf] == x[-1 - suf]:
+            suf += 1
+    if pre > 1 or suf > 1:
+        parts = (w[:pre], w[pre:len(w) - suf], x[pre:len(x) - suf], w[len(w) - suf:])
+        segs = [_word_columns(u, cols, p) for u in parts]
+        segs.append(segs[3])
+    else:
+        segs = ((), _word_columns(w, cols, p), _word_columns(x, cols, p), (), ())
+    stack: list[tuple] = []  # (col, state, next target, limit, segment, pos, used)
     nodes, max_nodes = counters.nodes, counters.max_nodes
-    wi, pos, state, used = 0, 0, 0, 1
-    mid = rejoin = endw = 0
+    si, pos, state, used = 0, 0, 0, 1
+    mid = rejoin = endw = xstate = 0
     try:
         while True:
             nodes += 1
@@ -280,56 +267,61 @@ def _distinguishing_structure(
                 raise BudgetError(f"node budget exhausted at {nodes} nodes")
             if nodes % 4096 == 0:
                 counters.check_deadline()
-            word = words[wi]
-            n = len(word)
-            while pos < n:
-                col = word[pos]
-                t = col[state]
-                if t >= 0:
-                    state = t
-                    pos += 1
-                elif t == -1:
+            while True:
+                word = segs[si]
+                n = len(word)
+                while pos < n:
+                    col = word[pos]
+                    t = col[state]
+                    if t >= 0:
+                        state = t
+                        pos += 1
+                    elif t == -1:
+                        break
+                    else:  # a _Jump: find the cycle, then skip whole laps
+                        jcol = col.col
+                        q, c = jcol[state], 1
+                        while q != state:
+                            q = jcol[q]
+                            c += 1
+                        for _ in range(col.count % c):
+                            state = jcol[state]
+                        pos += 1
+                if pos < n:
                     break
-                elif t == -2:  # a _Jump: find the cycle, then skip whole laps
-                    jcol = col.col
-                    q, c = jcol[state], 1
-                    while q != state:
-                        q = jcol[q]
-                        c += 1
-                    for _ in range(col.count % c):
-                        state = jcol[state]
-                    pos += 1
-                elif t == -3:
+                if si == 2:
+                    if state == rejoin:  # x's middle has rejoined w's path
+                        break
+                    xstate, state = state, rejoin
+                elif si == 0:
                     mid = state
-                    pos += 1
-                elif t == -4:
-                    rejoin = state
-                    pos += 1
-                elif state == rejoin:  # -5: x has rejoined w's path
-                    state, pos = endw, n
-                else:
-                    pos += 1
+                elif si == 3:
+                    endw, state = state, xstate
+                else:  # 1 or 4
+                    break
+                si += 1
+                pos = 0
             if pos < n:
                 # first child is target 0, which never raises used (>= 1)
                 col[state] = 0
                 limit = used + 1 if used < p else p
-                stack.append((col, state, 1, limit, wi, pos, used))
+                stack.append((col, state, 1, limit, si, pos, used))
                 state = 0
                 pos += 1
                 continue
-            if wi == 0:
-                wi, pos, endw, state = 1, 0, state, mid
+            if si == 1:
+                si, pos, rejoin, state = 2, 0, state, mid
                 continue
-            if state != endw:
+            if si == 4 and state != endw:
                 return tuple(
                     tuple(c[q] if c[q] >= 0 else 0 for c in cols) for q in range(p)
                 )
             # backtrack to the deepest entry with a target left to try
             while stack:
-                col, q, t, limit, wi, pos, used = stack.pop()
+                col, q, t, limit, si, pos, used = stack.pop()
                 if t < limit:
                     col[q] = t
-                    stack.append((col, q, t + 1, limit, wi, pos, used))
+                    stack.append((col, q, t + 1, limit, si, pos, used))
                     pos += 1
                     if used <= t:
                         used = t + 1

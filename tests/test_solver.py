@@ -46,8 +46,12 @@ def recursive_distinguishing_structure(
     Returns a complete transition table (unconstrained entries point at
     state 0) or None after exhausting all canonical partial structures.
 
-    Reference for solver._distinguishing_structure: the recursive search
-    over a (state, symbol) dict that the explicit-stack kernel replaced.
+    The recursive search over a (state, symbol) dict that the
+    explicit-stack kernel replaced, walking all of w and then all of x
+    from state 0.  solver._distinguishing_structure walks pairs with no
+    shared part longer than one symbol in this order, so it gives the
+    same tables and node counts there, and the same verdict on every
+    pair.
     """
     trans: dict[tuple[int, int], int] = {}
     words = (w, x)
@@ -77,6 +81,73 @@ def recursive_distinguishing_structure(
         return None
 
     return step(0, 0, 0, 1, -1)
+
+
+def shared_ends(w: list[int], x: list[int]) -> tuple[int, int]:
+    """The lengths of the prefix and then the suffix that the kernel reads
+    once: when both words are longer than 8 symbols and one part is
+    longer than one symbol, else (0, 0).  The suffix is the shared
+    suffix of what follows the prefix in each word."""
+    if len(w) <= 8 or len(x) <= 8:
+        return 0, 0
+    pre = len(os.path.commonprefix([w, x]))
+    suf = len(os.path.commonprefix([w[pre:][::-1], x[pre:][::-1]]))
+    return (pre, suf) if pre > 1 or suf > 1 else (0, 0)
+
+
+def segment_order_reference(
+    w: list[int], x: list[int], p: int, k: int, counters: SearchCounters,
+    cuts: list | None = None,
+):
+    """Reference for solver._distinguishing_structure: the recursive
+    search in the kernel's order.  It walks the shared prefix to a state
+    mid, w's middle from mid to rejoin, and x's middle from mid, cut
+    where it ends in rejoin; then the shared suffix from rejoin to w's
+    end, and from x's state.  A cut that skips a nonempty suffix is
+    appended to cuts, when given.  A node is
+    one call of `step`: a walk resumed at a branch, or the start of x's
+    middle.
+    """
+    pre, suf = shared_ends(w, x)
+    suffix = w[len(w) - suf:]
+    segs = (w[:pre], w[pre:len(w) - suf], x[pre:len(x) - suf], suffix, suffix)
+    trans: dict[tuple[int, int], int] = {}
+
+    def step(si: int, pos: int, state: int, used: int, ends: tuple):
+        # ends: the end state of each segment before si
+        counters.tick()
+        while True:
+            seg = segs[si]
+            while pos < len(seg):
+                key = (state, seg[pos])
+                t = trans.get(key)
+                if t is None:
+                    for t in range(min(used + 1, p)):
+                        trans[key] = t
+                        res = step(si, pos + 1, t, max(used, t + 1), ends)
+                        del trans[key]
+                        if res is not None:
+                            return res
+                    return None
+                state = t
+                pos += 1
+            ends += (state,)
+            if si == 4:
+                if state == ends[3]:
+                    return None
+                return tuple(
+                    tuple(trans.get((q, a), 0) for a in range(k)) for q in range(p)
+                )
+            if si == 2 and state == ends[1]:
+                if cuts is not None and suffix:
+                    cuts.append(ends)
+                return None
+            si, pos = si + 1, 0
+            state = ends[(0, 0, 0, 1, 2)[si]]  # segment si starts where this one ended
+            if si == 2:
+                return step(si, pos, state, used, ends)
+
+    return step(0, 0, 0, 1, ())
 
 
 def lsep_forbidden_states(structure: Dfa, l: Dfa) -> frozenset[int]:
@@ -524,8 +595,29 @@ def _kernel_outcome(kernel, w, x, p, counters):
     return out, counters.nodes
 
 
+def _kernel_against_references(w, x, p, cuts=None):
+    """The kernel's outcome, checked against both references: equal to
+    the segment-order reference's (which appends its cuts to cuts), the
+    same verdict as the whole-walk reference, and equal to its outcome
+    too when no part is shared."""
+    new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
+                          SearchCounters(DEFAULT_BUDGET))
+    ref = _kernel_outcome(lambda *args: segment_order_reference(*args, cuts), w, x, p,
+                          SearchCounters(DEFAULT_BUDGET))
+    assert new == ref, (w, x, p)
+    whole = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+                            SearchCounters(DEFAULT_BUDGET))
+    assert (new[0] is None) == (whole[0] is None), (w, x, p)
+    k = 3 if "2" in w + x else 2
+    if shared_ends(word_symbols(w, k), word_symbols(x, k)) == (0, 0):
+        assert new == whole, (w, x, p)
+    return new
+
+
 def test_kernel_matches_recursive_reference_on_random_pairs():
-    """Equal tables and equal node counts on seeded binary and ternary pairs."""
+    """Equal tables and equal node counts on seeded binary and ternary
+    pairs, against the whole-walk reference too where no part is
+    shared."""
     rng = random.Random(2026)
     searched = nodes = 0
     for _ in range(600):
@@ -535,11 +627,7 @@ def test_kernel_matches_recursive_reference_on_random_pairs():
         if w == x:
             continue
         for p in (1, 2, 3, 4):
-            new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
-                                  SearchCounters(DEFAULT_BUDGET))
-            ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
-                                  SearchCounters(DEFAULT_BUDGET))
-            assert new == ref, (w, x, p)
+            new = _kernel_against_references(w, x, p)
             searched += 1
             nodes += new[1]
     assert searched > 2000 and nodes > 20_000
@@ -576,15 +664,11 @@ def test_kernel_matches_recursive_reference_on_long_runs():
         if w == x:
             continue
         for p in (1, 2, 3, 4, 5):
-            new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
-                                  SearchCounters(DEFAULT_BUDGET))
-            ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
-                                  SearchCounters(DEFAULT_BUDGET))
-            assert new == ref, (w, x, p)
+            new = _kernel_against_references(w, x, p)
             searched += 1
             nodes += new[1]
             jumped += any(m > 8 * p for _, m in rw + rx)
-    assert searched > 600 and jumped > 400 and nodes > 40_000
+    assert searched > 600 and jumped > 400 and nodes > 12_000
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -637,24 +721,19 @@ def _shared_part_pairs(rng):
 
 
 def test_kernel_matches_recursive_reference_on_shared_prefixes_and_suffixes():
-    """Equal tables and node counts on pairs that share a long prefix or
-    suffix, which x walks once and leaves where it rejoins w's path."""
+    """Equal tables and node counts against the segment-order reference,
+    and the same verdicts as the whole-walk reference, on pairs that
+    share a long prefix or suffix: the prefix is walked once, and x's
+    middle is cut where it ends in w's state at the suffix."""
     rng = random.Random(19)
-    searched = marked = 0
+    searched = cut = 0
     for w, x in _shared_part_pairs(rng):
-        k = 3 if "2" in w + x else 2
+        cuts = []
         for p in (1, 2, 3, 4, 5):
-            new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
-                                  SearchCounters(DEFAULT_BUDGET))
-            ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
-                                  SearchCounters(DEFAULT_BUDGET))
-            assert new == ref, (w, x, p)
+            _kernel_against_references(w, x, p, cuts)
             searched += 1
-        cols = [[-1] * 5 for _ in range(k)]
-        ws, xs = ([cols[a] for a in word_symbols(u, k)] for u in (w, x))
-        solver._mark_shared(ws, xs, 5)
-        marked += len(w) > 8 and len(x) > 8 and len(ws) > len(w)
-    assert searched > 500 and marked > 50
+        cut += bool(cuts)
+    assert searched > 500 and cut > 50
 
 
 _BUDGET_SWEEP = {
@@ -663,28 +742,33 @@ _BUDGET_SWEEP = {
     "ternary-none": ("12" + "00" + "12", "12" + "0" * 14 + "12", 3),
     "ternary-found": ("212" + "00" + "212", "212" + "0" * 14 + "212", 4),
     "binary-found-late": ("000001", "0" * 17 + "1", 5),
-    # both runs are jumped, and the 0-entries they meet in their first p
-    # positions are still unassigned, so they branch there
+    # the shared prefix ends in a run of 200 that is jumped, and the
+    # 0-entries it meets in its first p positions are still unassigned,
+    # so it branches there
     "long-runs-none": ("1" + "0" * 200 + "1", "1" + "0" * 206 + "1", 3),
     "long-runs-found": ("1" + "0" * 200 + "1", "1" + "0" * 212 + "1", 5),
-    # x rejoins w's path where the shared suffix starts, and is cut off
-    # there, at 31 of the 111 nodes
+    # x's middle ends where the shared suffix starts, in w's state there
+    # at 15 of the 56 nodes, and the search backtracks at once; the
+    # whole-walk order takes 111 nodes
     "shared-suffix-rejoins": ("011" + "0" + "111100011", "011" + "000" + "111100011", 3),
+    # a doubling-shaped pair, C 00 C against C 0^122 C, refuted
+    "doubling-none": ("1001001001" + "00" + "1001001001",
+                      "1001001001" + "0" * 122 + "1001001001", 3),
 }
 
 
 @pytest.mark.parametrize("w,x,p", _BUDGET_SWEEP.values(), ids=_BUDGET_SWEEP)
 def test_kernel_matches_reference_at_every_node_budget(w, x, p):
-    """Same outcome, BudgetError text and node count at every max_nodes up
-    to two past the search's full node count."""
-    full = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
-                           SearchCounters(DEFAULT_BUDGET))[1]
-    assert full > 50
+    """Same outcome, BudgetError text and node count as the segment-order
+    reference at every max_nodes up to two past the search's full node
+    count, and the whole-walk reference's verdict."""
+    full = _kernel_against_references(w, x, p)[1]
+    assert full > 25
     for max_nodes in range(1, full + 3):
         budget = SearchBudget(max_nodes=max_nodes)
         new = _kernel_outcome(solver._distinguishing_structure, w, x, p,
                               SearchCounters(budget))
-        ref = _kernel_outcome(recursive_distinguishing_structure, w, x, p,
+        ref = _kernel_outcome(segment_order_reference, w, x, p,
                               SearchCounters(budget))
         assert new == ref, max_nodes
         assert isinstance(new[0], str) == (max_nodes < full)
@@ -695,7 +779,8 @@ def test_kernel_checks_deadline_at_node_4096_of_the_pool(charged):
     """An expired deadline is noticed at pool node 4096, not before."""
     t = canonical_triple(2)
     w = "100100100001001"
-    for kernel in (solver._distinguishing_structure, recursive_distinguishing_structure):
+    for kernel in (solver._distinguishing_structure, segment_order_reference,
+                   recursive_distinguishing_structure):
         counters = SearchCounters(DEFAULT_BUDGET)
         counters.nodes = charged
         counters.deadline = time.monotonic() - 1.0
@@ -705,4 +790,33 @@ def test_kernel_checks_deadline_at_node_4096_of_the_pool(charged):
 
 def test_search_C_n_n2_counts_are_frozen():
     res = search_C_n(2, "1")
-    assert (res.candidates, res.exhaustive_searches, res.nodes) == (402, 19, 37593)
+    assert (res.candidates, res.exhaustive_searches, res.nodes) == (402, 19, 20774)
+    # its one refuted search, which holds most of those nodes
+    t = canonical_triple(2)
+    counters = SearchCounters(DEFAULT_BUDGET)
+    w, x = res.word + t.f + res.word, res.word + t.g + res.word
+    assert separating_structure(w, x, 5, counters=counters) is None
+    assert counters.nodes == 15134
+
+
+def test_kernel_verdict_matches_raw_oracle_on_long_shared_parts():
+    """The kernel's verdict equals raw_separable's, which tries every
+    table in no particular order, at p <= 3 on seeded pairs with long
+    shared parts, where the kernel walks the segments and cuts x's
+    middle.  The pairs u 0^a v / u 0^b v with a >= 2 and b - a a
+    multiple of 6 have no separator at p = 3."""
+    rng = random.Random(23)
+    pairs = _shared_part_pairs(rng)
+    for _ in range(20):
+        u, v = ("".join(rng.choice("01") for _ in range(rng.randrange(9, 16)))
+                for _ in range(2))
+        a = rng.randrange(2, 5)
+        pairs.append((u + "0" * a + v, u + "0" * (a + 6 * rng.randrange(1, 4)) + v))
+    searched = refuted = 0
+    for w, x in pairs:
+        for p in (1, 2, 3):
+            table = separating_structure(w, x, p)
+            assert (table is not None) == raw_separable(w, x, p), (w, x, p)
+            searched += 1
+            refuted += p > 1 and table is None
+    assert searched > 500 and refuted > 60
