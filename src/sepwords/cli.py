@@ -2,15 +2,15 @@
 
 Exit-code contract everywhere: 0 all pass / exact, 1 any fail, 2 only
 budget-bounded results (a BudgetError included), 64 a usage error (bad
-option, argument or word).
+option, argument or word), rather than argparse's default 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
 from .cache import CertificateCache, solve_cached
@@ -23,192 +23,205 @@ from .solver import DEFAULT_BUDGET, SearchBudget
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_BOUNDED = 2
-EXIT_USAGE = 64  # click's own code, 2, would read as budget-bounded
+EXIT_USAGE = 64  # argparse's own code, 2, would read as budget-bounded
 
 
-class _Group(click.Group):
-    """A click group whose usage errors, raised while parsing or inside a
-    subcommand, exit with EXIT_USAGE, and whose subcommands exit with
-    EXIT_BOUNDED and a one-line message when they run out of budget."""
+class _Parser(argparse.ArgumentParser):
+    """A parser that exits EXIT_USAGE on a usage error, with the usage and
+    one `Error:` line on stderr."""
 
-    def make_context(self, *args, **extra):
-        try:
-            return super().make_context(*args, **extra)
-        except click.UsageError as e:
-            e.exit_code = EXIT_USAGE
-            raise
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as e:
-            e.exit_code = EXIT_USAGE
-            raise
-        except BudgetError as e:
-            bounded = click.ClickException(f"budget exhausted: {e}")
-            bounded.exit_code = EXIT_BOUNDED
-            raise bounded from e
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"Error: {message}\n")
 
 
-def _word_arg(w: str) -> str:
+def _word(w: str) -> str:
     if any(c not in "012" for c in w):
-        raise click.BadParameter(f"words must be over {{0,1,2}}, got {w!r}")
+        raise argparse.ArgumentTypeError(f"words must be over {{0,1,2}}, got {w!r}")
     return w
 
 
-@click.group(cls=_Group)
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False), default=None,
-              help="JSON-lines result cache file.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-              default="text", help="Output format.")
-@click.pass_context
-def main(ctx, cache_path, fmt):
-    """Separating-words toolkit: exact solvers, languages, witnesses."""
-    ctx.ensure_object(dict)
-    ctx.obj["cache"] = CertificateCache(cache_path) if cache_path else None
-    ctx.obj["format"] = fmt
+def _positive(kind):
+    """A type= callable for a `kind` number > 0; the test refuses nan too."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
-@main.command()
-@click.argument("w")
-@click.argument("x")
-@click.option("--max-states", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_states,
-              help="Give up beyond this many states.")
-@click.option("--budget-nodes", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_nodes,
-              help="Search-node budget.")
-@click.option("--json", "as_json", is_flag=True, help="Emit the full certificate.")
-@click.pass_context
-def sep(ctx, w, x, max_states, budget_nodes, as_json):
+def _cache(path: str) -> CertificateCache:
+    """The --cache file: not a directory, and no regular file above it, on
+    which its first write would fail after the whole search."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    above = os.path.dirname(os.path.abspath(path))
+    while not os.path.lexists(above):
+        above = os.path.dirname(above)
+    if not os.path.isdir(above):
+        raise argparse.ArgumentTypeError(f"{above!r} is not a directory")
+    return CertificateCache(path)
+
+
+def sep(args) -> int:
     """Minimum DFA size accepting W while rejecting X."""
-    w, x = _word_arg(w), _word_arg(x)
-    if w == x:
-        raise click.BadParameter("the two words must differ")
-    budget = SearchBudget(max_states=max_states, max_nodes=budget_nodes)
-    cert, _ = solve_cached(w, x, budget=budget, cache=ctx.obj["cache"])
-    if as_json or ctx.obj["format"] == "json":
-        click.echo(cert.to_json())
+    if args.w == args.x:
+        args.parser.error("the two words must differ")
+    budget = SearchBudget(max_states=args.max_states, max_nodes=args.budget_nodes)
+    cert, _ = solve_cached(args.w, args.x, budget=budget, cache=args.cache)
+    if args.json or args.format == "json":
+        print(cert.to_json())
     elif cert.exact:
-        click.echo(f"sep = {cert.value}")
+        print(f"sep = {cert.value}")
     else:
-        click.echo(f"sep >= {cert.lower} (budget-bounded; upper known: {cert.upper})")
-    sys.exit(EXIT_PASS if cert.exact else EXIT_BOUNDED)
+        print(f"sep >= {cert.lower} (budget-bounded; upper known: {cert.upper})")
+    return EXIT_PASS if cert.exact else EXIT_BOUNDED
 
 
-_LANG_BUILDERS = {
-    "L_k": build_L_k,
-    "G_k": build_G_k,
-    "H_k": build_H_k,
-}
+_LANG_BUILDERS = {"G_k": build_G_k, "H_k": build_H_k, "L_k": build_L_k}
 
 
-@main.command()
-@click.option("--lang", "lang_name", type=click.Choice(sorted(_LANG_BUILDERS)),
-              required=True, help="Language family.")
-@click.option("--k", type=click.IntRange(min=1), required=True,
-              help="Family parameter, k >= 1.")
-@click.option("--reversed", "rev", is_flag=True, help="Measure the reversal instead.")
-@click.pass_context
-def stc(ctx, lang_name, k, rev):
+def stc(args) -> int:
     """State complexity of a family language (minimal DFA size)."""
-    lang = _LANG_BUILDERS[lang_name](k)
-    value = state_complexity(reverse(lang) if rev else lang)
-    label = f"{lang_name[:-2]}_{k}" + ("^R" if rev else "")
-    if ctx.obj["format"] == "json":
-        click.echo(json.dumps({"lang": label, "stc": value}))
+    lang = _LANG_BUILDERS[args.lang](args.k)
+    value = state_complexity(reverse(lang) if args.reversed else lang)
+    label = f"{args.lang[:-2]}_{args.k}" + ("^R" if args.reversed else "")
+    if args.format == "json":
+        print(json.dumps({"lang": label, "stc": value}))
     else:
-        click.echo(f"stc({label}) = {value}")
+        print(f"stc({label}) = {value}")
+    return EXIT_PASS
 
 
-@main.command()
-@click.option("--k", type=click.IntRange(min=1), required=True)
-@click.option("--n", type=click.IntRange(min=1), required=True)
-@click.option("--verify", "do_verify", is_flag=True,
-              help="Certify both bounds after assembling.")
-@click.option("--budget-nodes", type=click.IntRange(min=1), default=DEFAULT_BUDGET.max_nodes,
-              help="Search-node budget of each search stage.")
-@click.option("--wall-limit", type=click.FloatRange(min=0, min_open=True),
-              default=DEFAULT_BUDGET.wall_limit,
-              help="Wall-clock budget of each search stage, in seconds.")
-@click.pass_context
-def witness(ctx, k, n, do_verify, budget_nodes, wall_limit):
+def witness(args) -> int:
     """Assemble (and optionally verify) the binary witness pair for (k, n)."""
-    budget = SearchBudget(max_nodes=budget_nodes, wall_limit=wall_limit)
-    report = witness_pair(k, n, budget=budget)
-    if do_verify:
+    budget = SearchBudget(max_nodes=args.budget_nodes, wall_limit=args.wall_limit)
+    report = witness_pair(args.k, args.n, budget=budget)
+    if args.verify:
         report = verify_witness(report, budget=budget)
-    if ctx.obj["format"] == "json":
-        click.echo(report.to_json())
+    if args.format == "json":
+        print(report.to_json())
     else:
-        click.echo(f"w' = {report.w_prime}")
-        click.echo(f"x' = {report.x_prime}")
-        click.echo(f"lower claim {report.lower_claim}, verified to "
-                   f"{report.lower_verified_to}; upper claim {report.upper_claim}")
-        click.echo(f"statuses: {report.statuses}")
+        print(f"w' = {report.w_prime}")
+        print(f"x' = {report.x_prime}")
+        print(f"lower claim {report.lower_claim}, verified to "
+              f"{report.lower_verified_to}; upper claim {report.upper_claim}")
+        print(f"statuses: {report.statuses}")
         if report.upper_witness is not None:
-            click.echo(dfa_to_text(report.upper_witness))
-    if not do_verify:
-        sys.exit(EXIT_PASS)
+            print(dfa_to_text(report.upper_witness))
+    if not args.verify:
+        return EXIT_PASS
     statuses = report.statuses.values()
     if "failed" in statuses:
-        sys.exit(EXIT_FAIL)
-    sys.exit(EXIT_PASS if all(s == "certified" for s in statuses) else EXIT_BOUNDED)
+        return EXIT_FAIL
+    return EXIT_PASS if all(s == "certified" for s in statuses) else EXIT_BOUNDED
 
 
-@main.command()
-@click.argument("ids", nargs=-1, required=True)
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.pass_context
-def lemma(ctx, ids, seed):
+def lemma(args) -> int:
     """Run the named desk-scale checks (use 'all' for every check)."""
-    wanted = None if list(ids) == ["all"] else list(ids)
     try:
-        suite = run_lemma_suite(wanted, seed=seed)
+        suite = run_lemma_suite(None if args.ids == ["all"] else args.ids, seed=args.seed)
     except ValueError as e:
-        raise click.ClickException(str(e))
-    if ctx.obj["format"] == "json":
-        click.echo(suite.to_json())
+        print(f"Error: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    if args.format == "json":
+        print(suite.to_json())
     else:
-        click.echo(suite.to_text(), nl=False)
-    sys.exit(suite.exit_code)
+        print(suite.to_text(), end="")
+    return suite.exit_code
 
 
-@main.command()
-@click.option("--max-len", type=click.IntRange(1, ATLAS_MAX_LEN_CAP),
-              default=ATLAS_MAX_LEN_CAP, show_default=True,
-              help="Largest word length n in the table.")
-@click.pass_context
-def atlas(ctx, max_len):
+def atlas(args) -> int:
     """The S(n) table: max separation number over binary pairs of length <= n."""
-    table = compute_atlas(max_len, cache=ctx.obj["cache"])
-    fmt = ctx.obj["format"]
-    if fmt == "json":
-        click.echo(table.to_json())
+    table = compute_atlas(args.max_len, cache=args.cache)
+    if args.format == "json":
+        print(table.to_json())
     else:  # csv doubles as the text rendering
-        click.echo(table.to_csv(), nl=False)
-    sys.exit(EXIT_PASS)
+        print(table.to_csv(), end="")
+    return EXIT_PASS
 
 
-@main.command()
-@click.option("--lang", "lang_file", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="File holding a language in the DFA text format.")
-@click.argument("word")
-@click.pass_context
-def member(ctx, lang_file, word):
+def member(args) -> int:
     """Test whether WORD belongs to the language stored in a DFA text file."""
-    word = _word_arg(word)
     try:
-        with open(lang_file, "r", encoding="utf-8") as fh:
+        with open(args.lang, "r", encoding="utf-8") as fh:
             d, provenance = dfa_from_text(fh.read())
-        ok = accepts(d, word)
-    except ValueError as e:  # a malformed file, or a word outside its alphabet
-        raise click.UsageError(f"{lang_file}: {e}")
-    if ctx.obj["format"] == "json":
-        click.echo(json.dumps({"word": word, "member": ok,
-                               "lang": provenance or "unlabeled"}))
+        ok = accepts(d, args.word)
+    except (OSError, ValueError) as e:  # no such file, a malformed one, or a
+        args.parser.error(f"{args.lang}: {e}")  # word outside its alphabet
+    if args.format == "json":
+        print(json.dumps({"word": args.word, "member": ok, "lang": provenance or "unlabeled"}))
     else:
-        click.echo("member" if ok else "not a member")
-    sys.exit(EXIT_PASS if ok else EXIT_FAIL)
+        print("member" if ok else "not a member")
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _parser() -> _Parser:
+    # no abbreviated options: `--max` is not `--max-states`
+    parser = _Parser(prog="sepwords", allow_abbrev=False, description="Separating-words "
+                     "toolkit: exact solvers, languages, witnesses.")
+    parser.add_argument("--cache", type=_cache, help="JSON-lines result cache file.")
+    parser.add_argument("--format", choices=["json", "csv", "text"], default="text",
+                        help="Output format.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run, parser=sub)
+        return sub
+
+    positive_int = _positive(int)
+    p = command(sep)
+    p.add_argument("w", metavar="W", type=_word)
+    p.add_argument("x", metavar="X", type=_word)
+    p.add_argument("--max-states", type=positive_int, default=DEFAULT_BUDGET.max_states,
+                   help="Give up beyond this many states.")
+    p.add_argument("--budget-nodes", type=positive_int, default=DEFAULT_BUDGET.max_nodes,
+                   help="Search-node budget.")
+    p.add_argument("--json", action="store_true", help="Emit the full certificate.")
+
+    p = command(stc)
+    p.add_argument("--lang", choices=_LANG_BUILDERS, required=True, help="Language family.")
+    p.add_argument("--k", type=positive_int, required=True, help="Family parameter, k >= 1.")
+    p.add_argument("--reversed", action="store_true", help="Measure the reversal instead.")
+
+    p = command(witness)
+    p.add_argument("--k", type=positive_int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--verify", action="store_true", help="Certify both bounds after assembly.")
+    p.add_argument("--budget-nodes", type=positive_int, default=DEFAULT_BUDGET.max_nodes,
+                   help="Search-node budget of each search stage.")
+    p.add_argument("--wall-limit", type=_positive(float), default=DEFAULT_BUDGET.wall_limit,
+                   help="Wall-clock budget of each search stage, in seconds.")
+
+    p = command(lemma)
+    p.add_argument("ids", nargs="+")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="(default: %(default)s)")
+
+    p = command(atlas)
+    p.add_argument("--max-len", type=int, choices=range(1, ATLAS_MAX_LEN_CAP + 1),
+                   default=ATLAS_MAX_LEN_CAP,
+                   help="Largest word length n in the table. (default: %(default)s)")
+
+    p = command(member)
+    p.add_argument("--lang", required=True,
+                   help="File holding a language in the DFA text format.")
+    p.add_argument("word", metavar="WORD", type=_word)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code. A usage error exits EXIT_USAGE."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except BudgetError as e:
+        print(f"Error: budget exhausted: {e}", file=sys.stderr)
+        return EXIT_BOUNDED
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

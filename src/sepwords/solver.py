@@ -45,7 +45,7 @@ class SearchBudget(_FrozenValue):
 
     def __init__(self, max_states: int = 12, max_nodes: int = 50_000_000,
                  wall_limit: float = 600.0):  # seconds
-        if max_states < 1 or max_nodes < 1 or wall_limit <= 0:
+        if max_states < 1 or max_nodes < 1 or not wall_limit > 0:  # nan too
             raise ValueError("all budget fields must be positive")
         object.__setattr__(self, "max_states", max_states)
         object.__setattr__(self, "max_nodes", max_nodes)

@@ -6,11 +6,10 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
+from cli_run import invoke
 from sepwords import cache, solver
 from sepwords.cache import CertificateCache, sep_key, solve_cached
-from sepwords.cli import main
 from sepwords.dfa import Dfa
 from sepwords.solver import ENGINE_VERSION, SearchBudget, SepCertificate, exact_sep
 
@@ -55,9 +54,9 @@ def test_non_utf8_line_is_skipped_and_counted(tmp_path):
     c = CertificateCache(path)
     assert (c.get("before"), c.get("after")) == (1, 2)
     assert c.skipped_corrupt == 1
-    r = CliRunner().invoke(main, ["--cache", str(path), "sep", "01", "10"])
-    assert r.exception is None, r.exc_info
-    assert r.exit_code == 0 and r.output == "sep = 2\n"
+    r = invoke("--cache", str(path), "sep", "01", "10")
+    assert r.exit_code == 0, r.stderr
+    assert r.output == "sep = 2\n"
 
 
 @pytest.mark.parametrize("key", [[1], {"a": 1}, 5, None],
@@ -69,9 +68,9 @@ def test_non_string_key_is_skipped_and_counted(tmp_path, key):
     c = CertificateCache(path)
     assert (len(c), c.skipped_corrupt) == (0, 1)
     for args in (["sep", "01", "0001"], ["atlas", "--max-len", "4"]):
-        r = CliRunner().invoke(main, ["--cache", str(path), *args])
-        assert r.exception is None, r.exc_info
-        assert r.output == CliRunner().invoke(main, args).output
+        r = invoke("--cache", str(path), *args)
+        assert r.exit_code == 0, r.stderr
+        assert r.output == invoke(*args).output
 
 
 def test_version_mismatch_lines_are_skipped_and_counted(tmp_path):
@@ -155,18 +154,16 @@ def test_unservable_hit_is_rejected_and_solved_again(tmp_path, case):
     cert, searched = solve_cached(w, x, cache=healed)
     assert not searched and cert.value == true_sep and healed.rejected == 0
 
-    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "cli.jsonl"), "sep", w, x])
-    assert r.exception is None, r.exc_info
-    assert r.exit_code == 0
+    r = invoke("--cache", str(tmp_path / "cli.jsonl"), "sep", w, x)
+    assert r.exit_code == 0, r.stderr
     assert r.output == f"sep = {true_sep}\n"
 
 
 def test_budget_bounded_cli_run_does_not_poison_the_cache(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    r = CliRunner().invoke(main, ["--cache", path, "sep", "01", "0001",
-                                  "--budget-nodes", "1"])
+    r = invoke("--cache", path, "sep", "01", "0001", "--budget-nodes", "1")
     assert r.exit_code == 2 and r.output.startswith("sep >= 1")
-    r = CliRunner().invoke(main, ["--cache", path, "sep", "01", "0001"])
+    r = invoke("--cache", path, "sep", "01", "0001")
     assert r.exit_code == 0 and r.output == "sep = 3\n"
 
 
@@ -216,15 +213,14 @@ def test_hit_with_a_mistyped_field_is_rejected_and_healed(tmp_path, bad):
     cert, solved = solve_cached("01", "0001", cache=c)
     assert solved and cert.value == 3 and c.rejected == 1
 
-    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "sep.jsonl"), "sep", "01", "0001"])
-    assert r.exception is None, r.exc_info
-    assert r.exit_code == 0 and r.output == "sep = 3\n"
+    r = invoke("--cache", str(tmp_path / "sep.jsonl"), "sep", "01", "0001")
+    assert r.exit_code == 0, r.stderr
+    assert r.output == "sep = 3\n"
     assert (tmp_path / "sep.jsonl").read_text().splitlines()[-1] == _exact_line("01", "0001")
 
-    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "atlas.jsonl"),
-                                  "atlas", "--max-len", "4"])
-    assert r.exception is None, r.exc_info
-    assert r.output == CliRunner().invoke(main, ["atlas", "--max-len", "4"]).output
+    r = invoke("--cache", str(tmp_path / "atlas.jsonl"), "atlas", "--max-len", "4")
+    assert r.exit_code == 0, r.stderr
+    assert r.output == invoke("atlas", "--max-len", "4").output
     healed = CertificateCache(tmp_path / "atlas.jsonl")
     assert cache.cached_certificate(healed, "0", "000").value == 3
     assert healed.rejected == 0
@@ -243,15 +239,14 @@ def test_witness_with_a_state_line_missing_its_id_is_rejected(tmp_path):
     cert, solved = solve_cached("01", "0001", cache=c)
     assert solved and cert.value == 3 and c.rejected == 1
 
-    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "sep.jsonl"), "sep", "01", "0001"])
-    assert r.exception is None, r.exc_info
+    r = invoke("--cache", str(tmp_path / "sep.jsonl"), "sep", "01", "0001")
+    assert r.exit_code == 0, r.stderr
     assert r.output == "sep = 3\n"
     assert (tmp_path / "sep.jsonl").read_text().splitlines()[-1] == _exact_line("01", "0001")
 
-    r = CliRunner().invoke(main, ["--cache", str(tmp_path / "atlas.jsonl"),
-                                  "atlas", "--max-len", "4"])
-    assert r.exception is None, r.exc_info
-    assert r.output == CliRunner().invoke(main, ["atlas", "--max-len", "4"]).output
+    r = invoke("--cache", str(tmp_path / "atlas.jsonl"), "atlas", "--max-len", "4")
+    assert r.exit_code == 0, r.stderr
+    assert r.output == invoke("atlas", "--max-len", "4").output
     healed = CertificateCache(tmp_path / "atlas.jsonl")  # last write wins
     assert cache.cached_certificate(healed, "0", "000").value == 3
     assert healed.rejected == 0
@@ -295,7 +290,7 @@ def test_genuine_hits_are_served(tmp_path, w, x):
     hit, solved = solve_cached(w, x, cache=c)
     assert not solved and c.rejected == 0
     assert hit.to_dict() == dict(cert.to_dict(), nodes=0, millis=0)
-    r = CliRunner().invoke(main, ["--cache", str(path), "sep", w, x])
+    r = invoke("--cache", str(path), "sep", w, x)
     assert r.exit_code == 0 and r.output == f"sep = {cert.value}\n"
 
 

@@ -1,19 +1,15 @@
-"""Command-line interface tests via click's runner."""
+"""Command-line interface tests, run in-process through `cli_run.invoke`."""
 
 import json
 import time
 
 import pytest
-from click.testing import CliRunner
 
+from cli_run import invoke
 from sepwords import cli, lang
-from sepwords.cli import EXIT_BOUNDED, EXIT_USAGE, main
+from sepwords.cli import EXIT_BOUNDED, EXIT_USAGE
 from sepwords.dfa import Dfa, dfa_to_text
 from sepwords.lang import build_G_k
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def test_sep_text_output():
@@ -32,7 +28,7 @@ def test_sep_json_output():
 
 def assert_usage_error(r):
     assert r.exit_code == EXIT_USAGE  # not 2, which means budget-bounded
-    assert isinstance(r.exception, SystemExit)  # a clean usage error, no traceback
+    # a clean usage error, no traceback: invoke re-raises any exception but SystemExit
     assert "Traceback" not in r.output and "Error:" in r.output
 
 
@@ -51,13 +47,21 @@ def test_sep_rejects_bad_words():
     ("stc", "--lang", "G_k", "--k", "0"),
     ("--format", "bogus", "atlas"),  # an error while parsing the group itself
     ("nosuch",),
+    ("sep", "01", "10", "--max", "3"),  # an abbreviation of --max-states
+    ("lemma",),  # no check ids
 ])
 def test_out_of_range_options_are_usage_errors(args):
     assert_usage_error(invoke(*args))
 
 
 def test_cache_naming_a_directory_is_a_usage_error(tmp_path):
-    assert_usage_error(invoke("--cache", str(tmp_path), "sep", "01", "10"))
+    # a path under a regular file, too: its first write would fail after the search
+    (tmp_path / "file").write_text("")
+    for path in (tmp_path, tmp_path / "file" / "c.jsonl"):
+        for args in (("sep", "01", "10"), ("atlas",)):
+            r = invoke("--cache", str(path), *args)
+            assert_usage_error(r)
+            assert r.stdout == ""
 
 
 def test_sep_uses_cache(tmp_path):
@@ -84,7 +88,7 @@ def test_budget_error_exits_bounded_with_one_line(monkeypatch):
     monkeypatch.setitem(cli._LANG_BUILDERS, "G_k", build_G_k.__wrapped__)
     r = invoke("stc", "--lang", "G_k", "--k", "5")
     assert r.exit_code == EXIT_BOUNDED
-    assert isinstance(r.exception, SystemExit)  # no traceback
+    # no traceback: invoke re-raises any exception but SystemExit
     assert r.output == "Error: budget exhausted: reversal exceeded 126 subset states\n"
 
 
@@ -109,8 +113,11 @@ def test_witness_node_budget_and_bad_limits():
     r = invoke("witness", "--k", "1", "--n", "1", "--budget-nodes", "10")
     assert r.exit_code == EXIT_BOUNDED
     assert r.output == "Error: budget exhausted: node budget exhausted at 11 nodes\n"
-    for flag in ("--wall-limit", "--budget-nodes"):
-        assert invoke("witness", "--k", "1", "--n", "1", flag, "0").exit_code == EXIT_USAGE
+    # nan would never reach the deadline; inf is bounded by the node budget
+    for flag, value in (("--wall-limit", "0"), ("--budget-nodes", "0"),
+                        ("--wall-limit", "nan")):
+        assert invoke("witness", "--k", "1", "--n", "1", flag, value).exit_code == EXIT_USAGE
+    assert invoke("witness", "--k", "1", "--n", "1", "--wall-limit", "inf").exit_code == 0
     # the lower bound is exhausted at 3 states at most, whatever sep's
     # --max-states would say, so witness takes no such option
     r = invoke("witness", "--k", "1", "--n", "1", "--max-states", "12")
@@ -203,4 +210,6 @@ def test_member_bad_file_or_word_is_a_usage_error(tmp_path, text, word):
 
 
 def test_member_directory_is_a_usage_error(tmp_path):
-    assert_usage_error(invoke("member", "--lang", str(tmp_path), "01"))
+    # a missing file, too
+    for path in (tmp_path, tmp_path / "missing.lang"):
+        assert_usage_error(invoke("member", "--lang", str(path), "01"))

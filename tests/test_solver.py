@@ -179,6 +179,8 @@ def test_budget_validation():
         SearchBudget(max_states=0)
     with pytest.raises(ValueError):
         SearchBudget(wall_limit=0)
+    with pytest.raises(ValueError):  # nan > 0 is False, yet so is nan <= 0
+        SearchBudget(wall_limit=float("nan"))
 
 
 def test_equal_words_rejected():

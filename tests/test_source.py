@@ -54,16 +54,27 @@ def _imported_modules(node) -> list[str]:
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # importing dataclasses (which imports inspect, ast, dis, ...) and
     # applying it cost more than the rest of `import sepwords`; every
-    # command pays the import, so the value classes are plain classes
+    # command pays the import, so the value classes are plain classes; the
+    # command line loads nothing beyond the package and the standard library
     src = str(Path(sepwords.__file__).parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; before = set(sys.modules); import sepwords; "
-         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for module in ("sepwords", "sepwords.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; before = set(sys.modules); import {module}; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; print(sorted("
+             "new - (sys.stdlib_module_names - {'dataclasses', 'inspect'}) - {'sepwords'}))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", (module, proc.stdout)
     assert _package_nodes((ast.Import, ast.ImportFrom), lambda node: any(
         m.split(".")[0] == "dataclasses" for m in _imported_modules(node))) == []
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # no runtime dependency: `pip install` pulls in nothing else
+    assert _package_nodes((ast.Import, ast.ImportFrom), lambda node: (
+        getattr(node, "level", 0) == 0  # not relative, as `from .dfa import ...` is
+        and any(m.split(".")[0] not in sys.stdlib_module_names
+                for m in _imported_modules(node)))) == []
 
 
 def test_the_package_exports_the_library_twin_of_each_command():
