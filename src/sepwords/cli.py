@@ -16,7 +16,8 @@ from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
 from .cache import CertificateCache, solve_cached
 from .construct import verify_witness, witness_pair
 from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
-from .lang import build_G_k, build_H_k, build_L_k, state_complexity
+from .lang import (_reversed_G_k, _reversed_H_k, build_G_k, build_H_k, build_L_k,
+                   state_complexity)
 from .lemmas import DEFAULT_SEED, run_lemma_suite
 from .solver import DEFAULT_BUDGET, SearchBudget
 
@@ -80,13 +81,16 @@ def sep(args) -> int:
     return EXIT_PASS if cert.exact else EXIT_BOUNDED
 
 
-_LANG_BUILDERS = {"G_k": build_G_k, "H_k": build_H_k, "L_k": build_L_k}
+# each language's builder and that of its reversal: G_k and H_k come from
+# their small reversals, so --reversed never builds the exponential DFA
+_LANG_BUILDERS = {"G_k": (build_G_k, _reversed_G_k), "H_k": (build_H_k, _reversed_H_k),
+                  "L_k": (build_L_k, lambda k: reverse(build_L_k(k)))}
 
 
 def stc(args) -> int:
     """State complexity of a family language (minimal DFA size)."""
-    lang = _LANG_BUILDERS[args.lang](args.k)
-    value = state_complexity(reverse(lang) if args.reversed else lang)
+    forward, backward = _LANG_BUILDERS[args.lang]
+    value = state_complexity((backward if args.reversed else forward)(args.k))
     label = f"{args.lang[:-2]}_{args.k}" + ("^R" if args.reversed else "")
     if args.format == "json":
         print(json.dumps({"lang": label, "stc": value}))

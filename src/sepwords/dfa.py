@@ -133,10 +133,6 @@ class Dfa(_FrozenValue):
     def state_count(self) -> int:
         return len(self.transitions)
 
-    @property
-    def start(self) -> int:
-        return 0
-
 
 # symbol id of each character, per alphabet size
 _SYMBOL_IDS = {k: {chr(48 + s): s for s in range(k)} for k in range(2, MAX_ALPHABET + 1)}
@@ -278,7 +274,7 @@ def canonicalize(d: Dfa) -> Dfa:
     """
     reach, pos, succ = _reach_columns(d)
     # pos's int objects, which the rows already hold: fresh ones from
-    # enumerate kept about 80 KiB more alive per build_H_k(10)
+    # enumerate would keep a second int alive per accepting state past 256
     acc = frozenset(pos[q] for q in reach if q in d.accepting)
     return Dfa(d.alphabet_size, tuple(zip(*succ)), acc)
 
@@ -318,8 +314,8 @@ def minimize(d: Dfa) -> Dfa:
     for i, c in enumerate(cls):
         first.setdefault(c, i)
     # built as one column per symbol, then transposed: a generator per row
-    # raised the peak RSS of verify_witness(witness_pair(10, 1)) by about
-    # 1 MiB on CPython 3.11
+    # once raised the peak RSS of a large minimize (CPython 3.11); on
+    # minimize(build_G_k(14)), 65 535 states, the two now peak alike
     rows = tuple(zip(*([cls[col[i]] for i in first.values()] for col in succ)))
     acc = frozenset(c for c, i in first.items() if reach[i] in d.accepting)
     return Dfa(d.alphabet_size, rows, acc)

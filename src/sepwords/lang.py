@@ -2,8 +2,15 @@
 
 One builder per block language: build_L_k (the generator set, from its
 block rule), build_G_k (its star) and build_H_k (the complement of the
-star within {1,2}*); finite_language builds any finite word set.  The
-family lives over {1,2} but every automaton is carried over the full
+star within {1,2}*); finite_language builds any finite word set.
+
+G_k and H_k have one source each, the small minimal DFA of their
+reversal: _reversed_G_k and _reversed_H_k, 5k + 2 and 5k + 3 states,
+where G_k has 2^(k+2) - 1.  build_G_k and build_H_k reverse the source in
+full; G_k_on_demand and H_k_on_demand build the reversal's states as they
+are read.
+
+The family lives over {1,2} but every automaton is carried over the full
 alphabet {0,1,2}: symbol 0 leads straight to the dead state, so products
 and concatenations with 0-runs never need an alphabet conversion.
 """
@@ -137,26 +144,28 @@ def build_G_k(k: int) -> Dfa:
     return reverse(_reversed_G_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
 
 
-@lru_cache(maxsize=None)
-def build_H_k(k: int) -> Dfa:
-    """The complement of the starred language within {1,2}*.
+def _reversed_H_k(k: int) -> Dfa:
+    """DFA of the reversal of H_k: the complement of _reversed_G_k(k)
+    within {1,2}*, since reversal commutes with complement there.
 
-    `_zero_free_complement` of G_k.  The result is minimal: G_k is, and
-    two of its states are told apart only by 0-free words (a 0 leads to
-    its dead state), on which H_k answers the opposite; every old state
-    accepts the word 1 in H_k (no nonempty word of G_k ends in 1), so none
-    is equivalent to the new dead state.
+    Its accepting set complemented and every 0-move sent to one new dead
+    state, in canonical order.  It is minimal, one state more than
+    _reversed_G_k(k): two old states are told apart only by 0-free words,
+    on which the complement answers the opposite, and every old state
+    accepts the word 22 (no word of G_k holds two 2s in a row), so none is
+    equivalent to the new dead state.
     """
-    return _zero_free_complement(build_G_k(k))
-
-
-def _zero_free_complement(d: Dfa) -> Dfa:
-    """d with its accepting set complemented and every 0-move sent to one
-    new dead state, in canonical order: the complement of L(d) within
-    {1,2}*."""
+    d = _reversed_G_k(k)
     dead = d.state_count
     rows = tuple((dead, t1, t2) for _, t1, t2 in d.transitions) + ((dead,) * ALPHABET,)
     return canonicalize(Dfa(ALPHABET, rows, frozenset(range(dead)) - d.accepting))
+
+
+@lru_cache(maxsize=None)
+def build_H_k(k: int) -> Dfa:
+    """The complement of the starred language within {1,2}*, as a minimal
+    DFA: the reversal of _reversed_H_k(k), as build_G_k is of G_k's."""
+    return reverse(_reversed_H_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
 
 
 @lru_cache(maxsize=None)
@@ -172,15 +181,11 @@ def G_k_on_demand(k: int) -> Reversal:
 
 @lru_cache(maxsize=None)
 def H_k_on_demand(k: int) -> Reversal:
-    """H_k with its states built as they are read.
-
-    H_k reversed is the complement of G_k reversed within {1,2}*, so H_k
-    is the reversal of `_zero_free_complement(_reversed_G_k(k))`, one
-    more state than the small automaton.  Memoized and capped as
-    `G_k_on_demand` is.
+    """H_k with its states built as they are read: the reversal of
+    _reversed_H_k(k), as `build_H_k` builds it in full.  Memoized and
+    capped as `G_k_on_demand` is.
     """
-    return Reversal(_zero_free_complement(_reversed_G_k(k)),
-                    max_states=DEFAULT_DETERMINIZE_BUDGET)
+    return Reversal(_reversed_H_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
 
 
 def finite_language(words: list[str]) -> Dfa:

@@ -1,6 +1,8 @@
 """Command-line interface tests, run in-process through `cli_run.invoke`."""
 
 import json
+import pathlib
+import shlex
 import time
 
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from cli_run import invoke
 from sepwords import cli, lang
 from sepwords.cli import EXIT_BOUNDED, EXIT_USAGE
-from sepwords.dfa import Dfa, dfa_to_text
-from sepwords.lang import build_G_k
+from sepwords.dfa import Dfa, dfa_to_text, reverse
+from sepwords.lang import build_G_k, build_H_k, build_L_k, state_complexity
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_sep_text_output():
@@ -82,10 +86,28 @@ def test_stc_command():
     assert json.loads(r.output)["stc"] > 0
 
 
+def test_stc_reversed_answers_past_the_eager_build_limit():
+    # G_16 (262 143 states) exceeds the subset budget; its reversal has 82
+    for name, value in (("G_k", 82), ("H_k", 83)):
+        r = invoke("stc", "--lang", name, "--k", "16", "--reversed")
+        assert r.exit_code == 0
+        assert r.output == f"stc({name[0]}_16^R) = {value}\n"
+
+
+@pytest.mark.parametrize("name, builder", [("L_k", build_L_k), ("G_k", build_G_k),
+                                           ("H_k", build_H_k)])
+def test_stc_reversed_is_the_state_complexity_of_the_reversal(name, builder):
+    for k in range(1, 11):
+        r = invoke("--format", "json", "stc", "--lang", name, "--k", str(k), "--reversed")
+        assert r.exit_code == 0
+        assert json.loads(r.output)["stc"] == state_complexity(reverse(builder(k))), k
+
+
 def test_budget_error_exits_bounded_with_one_line(monkeypatch):
     # G_5 has 127 states; the unmemoized builder runs under the lowered budget
     monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 126)
-    monkeypatch.setitem(cli._LANG_BUILDERS, "G_k", build_G_k.__wrapped__)
+    monkeypatch.setitem(cli._LANG_BUILDERS, "G_k",
+                        (build_G_k.__wrapped__, cli._LANG_BUILDERS["G_k"][1]))
     r = invoke("stc", "--lang", "G_k", "--k", "5")
     assert r.exit_code == EXIT_BOUNDED
     # no traceback: invoke re-raises any exception but SystemExit
@@ -213,3 +235,20 @@ def test_member_directory_is_a_usage_error(tmp_path):
     # a missing file, too
     for path in (tmp_path, tmp_path / "missing.lang"):
         assert_usage_error(invoke("member", "--lang", str(path), "01"))
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    """Every `sepwords ...` line of README's command-line usage block is a
+    valid command line; none is run."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line.split("#", 1)[0])
+             for line in block.split("```", 1)[0].splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["sepwords"]]
+    assert len(commands) == 13
+    monkeypatch.chdir(tmp_path)  # --cache opens its file as it is parsed
+    for argv in commands:
+        try:
+            cli._parser().parse_args(argv)
+        except SystemExit as e:
+            pytest.fail(f"sepwords {shlex.join(argv)}: exit {e.code}")

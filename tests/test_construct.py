@@ -292,6 +292,19 @@ def test_witness_pair_past_the_eager_build_limit(fresh_on_demand):
     assert k16.statuses == {"lower": "certified", "upper": "certified"}
 
 
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_shipped_witness_pair_has_reversal_gap_0(k):
+    """witness_pair(k, 1) is one pair for every k, with sep 4 both ways.
+    ROADMAP item 1, which vets z_k past 3 states, must update this."""
+    report = witness_pair(k, 1)
+    assert (report.z_word, report.c_word) == ("112", "11200112")
+    w, x = report.w_prime, report.x_prime
+    assert (len(w), len(x)) == (29, 35)
+    for pair in ((w, x), (w[::-1], x[::-1])):
+        cert = exact_sep(*pair)
+        assert cert.exact and cert.value == 4
+
+
 def test_state_limit_for_pairs():
     assert [state_limit_for_pairs(k) for k in (1, 2, 3, 4, 6)] == [0, 1, 1, 3, 7]
 

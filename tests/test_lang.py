@@ -26,7 +26,7 @@ from sepwords.lang import (
     G_k_on_demand,
     H_k_on_demand,
     _reversed_G_k,
-    _zero_free_complement,
+    _reversed_H_k,
     build_G_k,
     build_H_k,
     build_L_k,
@@ -260,10 +260,11 @@ def test_state_complexity_of_star_family():
 def test_star_and_complement_builders_are_memoized_per_process():
     build_G_k.cache_clear()
     build_H_k.cache_clear()
+    _reversed_G_k.cache_clear()
     h = build_H_k(3)
     g = build_G_k(3)
-    # one build of G_3, shared by the H_3 build and the direct call
-    info = build_G_k.cache_info()
+    # one build of the small G_3^R, shared by the H_3 build and the G_3 build
+    info = _reversed_G_k.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert build_H_k(3) is h and build_G_k(3) is g
 
@@ -346,9 +347,32 @@ def test_segmented_closure_requires_zero_free_base():
 def test_H_k_is_the_reversal_of_the_small_automatons_complement():
     # the source of H_k_on_demand, reversed in full, is build_H_k
     for k in range(1, 7):
-        small = _zero_free_complement(_reversed_G_k(k))
+        small = _reversed_H_k(k)
         assert small.state_count == _reversed_G_k(k).state_count + 1
         assert dfa_to_text(reverse(small)) == dfa_to_text(build_H_k(k)), k
+
+
+def test_H_k_build_reverses_only_its_small_source(monkeypatch):
+    """build_H_k(k) builds no G_k, and every automaton it reverses (the
+    small source, and L_k inside _reversed_G_k) has at most 6k + 3
+    states."""
+    reversed_sizes = []
+
+    def spy_reverse(d, max_states=None):
+        reversed_sizes.append(d.state_count)
+        return reverse(d, max_states)
+
+    def no_G_k(k):
+        raise AssertionError("build_H_k built G_k")
+
+    monkeypatch.setattr(lang, "reverse", spy_reverse)
+    monkeypatch.setattr(lang, "build_G_k", no_G_k)
+    for k in (1, 2, 5, 10):
+        _reversed_G_k.cache_clear()
+        reversed_sizes.clear()
+        h = build_H_k.__wrapped__(k)
+        assert h.state_count == 2**(k + 2)
+        assert reversed_sizes and max(reversed_sizes) <= 6 * k + 3, (k, reversed_sizes)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
