@@ -18,7 +18,7 @@ from .construct import verify_witness, witness_pair
 from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
 from .lang import (_reversed_G_k, _reversed_H_k, build_G_k, build_H_k, build_L_k,
                    state_complexity)
-from .lemmas import DEFAULT_SEED, run_lemma_suite
+from .lemmas import DEFAULT_SEED, known_ids, run_lemma_suite
 from .solver import DEFAULT_BUDGET, SearchBudget
 
 EXIT_PASS = 0
@@ -125,11 +125,14 @@ def witness(args) -> int:
 
 def lemma(args) -> int:
     """Run the named desk-scale checks (use 'all' for every check)."""
-    try:
-        suite = run_lemma_suite(None if args.ids == ["all"] else args.ids, seed=args.seed)
-    except ValueError as e:
-        print(f"Error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    ids = None if args.ids == ["all"] else args.ids
+    if ids is not None and "all" in ids:
+        args.parser.error("'all' must stand alone, without other check ids")
+    unknown = [i for i in ids or () if i not in known_ids()]
+    if unknown:
+        args.parser.error(f"unknown check ids {unknown}; valid ids: all, "
+                          f"{', '.join(known_ids())}")
+    suite = run_lemma_suite(ids, seed=args.seed)
     if args.format == "json":
         print(suite.to_json())
     else:

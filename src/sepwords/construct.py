@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -22,7 +23,6 @@ from .dfa import (
     combine,
     dfa_from_text,
     dfa_to_text,
-    is_empty,
     minimize,
     run,
     word_symbols,
@@ -310,11 +310,14 @@ def free_word(
 ) -> str:
     """A word of H_k (0^+ H_k)* that neither d nor d2 distinguishes from w.
 
-    Emptiness search over the product of d, d2 (each accepting only its
-    end state on w) and the closure of H_k; the shortest accepted word,
-    first in symbol order, is returned.  When z_k is supplied, w is checked
-    against the closure of H_k + {z_k}; otherwise the caller vouches for
-    the membership precondition.
+    One breadth-first search over (d-state, d2-state, closure-state)
+    triples of d, d2 and the closure of H_k, built as they are reached, in
+    symbol order.  It stops at the first triple that pairs the end states
+    of d and d2 on w with an accepting closure state, so it returns the
+    shortest such word, first in symbol order: the word an emptiness
+    search over the full product automaton would return.  When z_k is
+    supplied, w is checked against the closure of H_k + {z_k}; otherwise
+    the caller vouches for the membership precondition.
     """
     limit = state_limit_for_pairs(k)
     if d.state_count > limit or d2.state_count > limit:
@@ -326,15 +329,33 @@ def free_word(
         raise ValueError("free_word expects full-alphabet automata")
     if z_k is not None and not accepts(_h_closure(k, z_k), w):
         raise ValueError("w is not in the closure of H'_k")
-    same_ends = combine(Dfa(3, d.transitions, frozenset({run(d, 0, w)})),
-                        Dfa(3, d2.transitions, frozenset({run(d2, 0, w)})), "and")
-    empty, word = is_empty(combine(same_ends, _h_closure(k, None), "and"))
-    if empty:
-        # the small-pair lemma rules this out when the preconditions hold
-        raise ValueError(
-            "no indistinguishable closure word exists; a precondition is violated"
-        )
-    return word
+    closure = _h_closure(k, None)
+    rows, rows2, crows = d.transitions, d2.transitions, closure.transitions
+    end, end2, accepting = run(d, 0, w), run(d2, 0, w), closure.accepting
+    start = (0, 0, 0)
+    if end == end2 == 0 and 0 in accepting:
+        return ""
+    parent: dict[tuple[int, int, int], Optional[tuple]] = {start: None}
+    queue = deque([start])
+    while queue:
+        triple = queue.popleft()
+        p, q, c = triple
+        for s in range(3):
+            t = (rows[p][s], rows2[q][s], crows[c][s])
+            if t in parent:
+                continue
+            parent[t] = (triple, s)
+            if t[0] == end and t[1] == end2 and t[2] in accepting:
+                syms = []
+                while t != start:
+                    t, sym = parent[t]
+                    syms.append(sym)
+                return "".join("012"[sym] for sym in reversed(syms))
+            queue.append(t)
+    # the small-pair lemma rules this out when the preconditions hold
+    raise ValueError(
+        "no indistinguishable closure word exists; a precondition is violated"
+    )
 
 
 def farmand_dfa(r: Dfa, n: int, on_mismatch: str = "reject") -> Dfa:

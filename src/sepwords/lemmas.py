@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .construct import (
@@ -89,26 +90,38 @@ def _random_word(rng: random.Random, max_len: int, alphabet: str) -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
 
 
+def _binary_words(max_len: int) -> list[str]:
+    """The binary words of length <= max_len in shortlex order."""
+    return [""] + ["".join(t) for L in range(1, max_len + 1)
+                   for t in itertools.product("01", repeat=L)]
+
+
+def _trie_ends(table, q: int, count: int) -> bytearray:
+    """End states from q of the first `count` binary words in shortlex order.
+
+    Word i > 0 is word (i - 1) // 2 followed by symbol (i - 1) % 2, so
+    each end state is one step from an earlier one.  A bytearray (states
+    are < 256), not a list: fries keeps one per raw table, 746 in all,
+    and rows of 63 list items raised the suite's peak resident memory.
+    """
+    ends = bytearray([q]) * count
+    for i in range(1, count):
+        ends[i] = table[ends[(i - 1) >> 1]][(i - 1) & 1]
+    return ends
+
+
 def _check_fries(budget, rng, negative):
     """Structure-only search agrees with raw enumeration; |w|,|x| <= 5, p <= 3."""
-    words = [""] + ["".join(t) for L in range(1, 6) for t in itertools.product("01", repeat=L)]
-    tables = []
-    for m, table in raw_tables(3, 2):
-        ends = {}
-        for w in words:
-            q = 0
-            for ch in w:
-                q = table[q][ord(ch) - 48]
-            ends[w] = q
-        tables.append((m, ends))
+    words = _binary_words(5)
+    tables = [(m, _trie_ends(table, 0, len(words))) for m, table in raw_tables(3, 2)]
     checked = 0
-    for w, x in itertools.combinations(words, 2):
+    for (i, w), (j, x) in itertools.combinations(enumerate(words), 2):
         # raw_tables yields ascending m, so the first table that separates
-        # the pair has the fewest states; an accepting set picking ends[w]
+        # the pair has the fewest states; an accepting set picking ends[i]
         # alone realizes the separation
         raw_m = next((m for m, ends in tables
-                      if ends[w] != ends[x] and any(
-                          (mask >> ends[w] & 1) and not (mask >> ends[x] & 1)
+                      if ends[i] != ends[j] and any(
+                          (mask >> ends[i] & 1) and not (mask >> ends[j] & 1)
                           for mask in range(1 << m))), None)
         for p in (1, 2, 3):
             lazy = not no_separator_up_to(w, x, p if not negative else max(1, p - 1))
@@ -187,19 +200,43 @@ def _check_peach(budget, rng, negative):
 def _check_nexus(budget, rng, negative):
     """0^{(2n+1)!} is absorbed on zero-cycle states; exhaustive, n=1."""
     h = "0" * (5 if negative else 6)
-    words = [""] + ["".join(t) for L in range(1, 5) for t in itertools.product("01", repeat=L)]
+    words = _binary_words(4)
     checked = 0
     for t in enumerate_canonical(3, 2):
         d = Dfa(2, t, frozenset())
         for q in range(d.state_count):
             if zero_cycle_length(d, q) is None:
                 continue
-            for w in words:
-                checked += 1
-                if run(d, q, h + w) != run(d, q, w):
-                    return "fail", {"checked": checked}, {
-                        "dfa": t, "q": q, "w": w}
+            # the end states of h + w are those of w read from run(d, q, h)
+            plain = _trie_ends(t, q, len(words))
+            shifted = _trie_ends(t, run(d, q, h), len(words))
+            if plain != shifted:
+                i = next(i for i, (a, b) in enumerate(zip(plain, shifted)) if a != b)
+                return "fail", {"checked": checked + i + 1}, {
+                    "dfa": t, "q": q, "w": words[i]}
+            checked += len(words)
     return "pass", {"checked": checked}, None
+
+
+@lru_cache(maxsize=None)
+def _zero_columns() -> tuple[tuple, tuple[int, ...]]:
+    """The 0-columns of the binary structures with <= 3, then <= 4 states.
+
+    Returns (firsts, ids): firsts[c] is the first table with 0-column c,
+    columns numbered in order of first appearance, and ids[j] the column
+    of the j-th table of the two scans.  Shared by the zpath checks.
+    """
+    index: dict[tuple[int, ...], int] = {}
+    firsts = []
+    ids = []
+    for p in (3, 4):
+        for t in enumerate_canonical(p, 2):
+            column = tuple(row[0] for row in t)
+            if column not in index:
+                index[column] = len(firsts)
+                firsts.append(t)
+            ids.append(index[column])
+    return tuple(firsts), tuple(ids)
 
 
 def _per_zero_column(body):
@@ -209,23 +246,23 @@ def _per_zero_column(body):
     read nothing of d but its state count and 0-column.  So it runs once
     per distinct 0-column, on a Dfa built from the first canonical table
     that has it (23 columns for the 229 structures with <= 3 states, 135
-    for the 5 477 with <= 4); every other table is read only for its
-    0-column, and still adds its items to `checked`.  The result is that
-    of running body on every structure in turn.
+    for the 5 477 with <= 4); every other table only adds its column's
+    items to `checked`.  The result is that of running body on every
+    structure in turn: a failure shows first at the first table with its
+    column, which is the table the counterexample names.
     """
-    outcomes: dict[tuple[int, ...], tuple[int, Optional[tuple[int, int]]]] = {}
+    firsts, ids = _zero_columns()
+    outcomes: list[tuple[int, Optional[tuple[int, int]]]] = []
     checked = 0
-    for p in (3, 4):
-        for t in enumerate_canonical(p, 2):
-            column = tuple(row[0] for row in t)
-            if column not in outcomes:
-                outcomes[column] = body(Dfa(2, t, frozenset()))
-            items, failure = outcomes[column]
-            if failure is not None:
-                q, i = failure
-                return "fail", {"checked": checked + items}, {
-                    "dfa": t, "q": q, "i": i}
-            checked += items
+    for c in ids:
+        if c == len(outcomes):
+            outcomes.append(body(Dfa(2, firsts[c], frozenset())))
+        items, failure = outcomes[c]
+        if failure is not None:
+            q, i = failure
+            return "fail", {"checked": checked + items}, {
+                "dfa": firsts[c], "q": q, "i": i}
+        checked += items
     return "pass", {"checked": checked}, None
 
 
@@ -351,12 +388,17 @@ def _check_spider(budget, rng, negative):
     return "pass", {"samples": len(samples)}, None
 
 
+@lru_cache(maxsize=None)
+def _ternary_structures() -> tuple:
+    """Every ternary structure with <= 3 states, sampled by kebab and four."""
+    return tuple(enumerate_canonical(3, 3))
+
+
 def _check_kebab(budget, rng, negative):
     """Small automaton pairs cannot tell the hard word from all of H_k; k=4."""
     z = search_z_k(4, budget=budget)
     h = build_H_k(4)
-    structs = [Dfa(3, t, frozenset())
-               for t in rng.sample(list(enumerate_canonical(3, 3)), 60)]
+    structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 60)]
     misses = 0
     for i in range(100):
         d, d2 = rng.choice(structs), rng.choice(structs)
@@ -384,8 +426,7 @@ def _check_four(budget, rng, negative):
     h = build_H_k(4)
     closure = segmented_closure(h)
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]
-    structs = [Dfa(3, t, frozenset())
-               for t in rng.sample(list(enumerate_canonical(3, 3)), 40)]
+    structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 40)]
     for i in range(30):
         d, d2 = rng.choice(structs), rng.choice(structs)
         segs = [rng.choice(blocks) for _ in range(rng.randrange(1, 4))]

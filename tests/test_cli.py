@@ -160,8 +160,11 @@ def test_lemma_command():
     r = invoke("lemma", "kebab")
     assert r.exit_code == 2  # budget-bounded only
     r = invoke("lemma", "bogus")
-    assert r.exit_code == 1
+    assert r.exit_code == 64
     assert "valid ids" in r.output
+    r = invoke("lemma", "all", "three")
+    assert_usage_error(r)
+    assert "'all' must stand alone" in r.output and r.stdout == ""
 
 
 def test_lemma_json_format():

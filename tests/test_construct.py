@@ -26,7 +26,8 @@ from sepwords.construct import (
     WitnessReport,
     Z_K_MAX_LEN,
 )
-from sepwords.dfa import BudgetError, Dfa, accepts, enumerate_canonical, reverse, run
+from sepwords.dfa import (BudgetError, Dfa, accepts, combine, enumerate_canonical,
+                          is_empty, reverse, run)
 from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
 from sepwords.solver import (
     SearchBudget,
@@ -339,6 +340,65 @@ def test_free_word_closures_are_memoized_per_k_and_z_k():
     assert (info.misses, info.hits) == (2, 3)
     with pytest.raises(ValueError, match="closure of H'_k"):
         free_word(4, d, d, "0", z_k="112")
+
+
+def _free_word_reference(k, d, d2, w, z_k=None):
+    """free_word as an emptiness search over the full product automaton."""
+    limit = state_limit_for_pairs(k)
+    if d.state_count > limit or d2.state_count > limit:
+        raise ValueError(
+            f"automata must have at most {limit} states for k={k} "
+            f"(got {d.state_count} and {d2.state_count})"
+        )
+    if d.alphabet_size != 3 or d2.alphabet_size != 3:
+        raise ValueError("free_word expects full-alphabet automata")
+    if z_k is not None and not accepts(construct._h_closure(k, z_k), w):
+        raise ValueError("w is not in the closure of H'_k")
+    same_ends = combine(Dfa(3, d.transitions, frozenset({run(d, 0, w)})),
+                        Dfa(3, d2.transitions, frozenset({run(d2, 0, w)})), "and")
+    empty, word = is_empty(combine(same_ends, construct._h_closure(k, None), "and"))
+    if empty:
+        # the small-pair lemma rules this out when the preconditions hold
+        raise ValueError(
+            "no indistinguishable closure word exists; a precondition is violated"
+        )
+    return word
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "word", fn(*args, **kwargs)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def test_free_word_equals_the_product_emptiness_search():
+    # the closure words of the lemma check `four`, glued from the first 20
+    # words of H_4 and z_4; every sixth gets a trailing 0, which leaves the
+    # closure, so with z_k given the membership error is reached too
+    z = search_z_k(4).word
+    h = build_H_k(4)
+    blocks = [w for w in iter_words(h, 6) if w][:20] + [z]
+    structs = [Dfa(3, t, frozenset()) for t in enumerate_canonical(3, 3)]
+    rng = random.Random(5)
+    outcomes = set()
+    for i in range(240):
+        d, d2 = rng.choice(structs), rng.choice(structs)
+        segs = [rng.choice(blocks) for _ in range(rng.randrange(1, 4))]
+        w = segs[0] + "".join("0" * rng.randrange(1, 3) + s for s in segs[1:])
+        if i % 6 == 5:
+            w += "0"
+        z_k = z if i % 2 else None
+        got = _outcome(free_word, 4, d, d2, w, z_k=z_k)
+        assert got == _outcome(_free_word_reference, 4, d, d2, w, z_k=z_k), (d, d2, w, z_k)
+        outcomes.add(got[0] if got[0] == "word" else got[1])
+    assert outcomes == {"word", "w is not in the closure of H'_k"}
+    # a leading 0 sends this structure to state 1, which no closure word
+    # reaches: each starts with a word of H_4, zero-free and nonempty
+    trap = Dfa(3, ((1, 2, 2), (1, 1, 1), (2, 2, 2)), frozenset())
+    got = _outcome(free_word, 4, trap, trap, "0")
+    assert got == _outcome(_free_word_reference, 4, trap, trap, "0")
+    assert got[0] == "error" and "precondition" in got[1]
 
 
 def test_free_word_rejects_oversized_automata():

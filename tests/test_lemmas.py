@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sepwords import dfa, lemmas
-from sepwords.dfa import run, zero_cycle_length, zpath
+from sepwords.dfa import Dfa, enumerate_canonical, run, zero_cycle_length, zpath
 from sepwords.lemmas import (
     DEFAULT_SEED,
     known_ids,
@@ -86,8 +86,8 @@ def test_check_json_is_serializable():
 
 def _frozen_lines() -> list[str]:
     """The suite JSON at the default seed and at seed 7, then the JSON of
-    every negative control, as produced before the zpath checks and fries
-    were rewritten (one per line)."""
+    every negative control, as produced before the zpath checks, fries
+    and nexus were rewritten (one per line)."""
     return (Path(__file__).parent / "lemma_frozen.jsonl").read_text().splitlines()
 
 
@@ -141,6 +141,24 @@ def _check_fries(budget, rng, negative):
             if lazy != raw:
                 return "fail", {"checked": checked}, {"w": w, "x": x, "p": p}
     return "pass", {"pairs_times_levels": checked}, None
+
+
+def _check_nexus(budget, rng, negative):
+    """0^{(2n+1)!} is absorbed on zero-cycle states; exhaustive, n=1."""
+    h = "0" * (5 if negative else 6)
+    words = [""] + ["".join(t) for L in range(1, 5) for t in itertools.product("01", repeat=L)]
+    checked = 0
+    for t in enumerate_canonical(3, 2):
+        d = Dfa(2, t, frozenset())
+        for q in range(d.state_count):
+            if zero_cycle_length(d, q) is None:
+                continue
+            for w in words:
+                checked += 1
+                if run(d, q, h + w) != run(d, q, w):
+                    return "fail", {"checked": checked}, {
+                        "dfa": t, "q": q, "w": w}
+    return "pass", {"checked": checked}, None
 
 
 def _check_icecream(budget, rng, negative):
@@ -197,6 +215,7 @@ def _check_snake(budget, rng, negative):
 
 REFERENCES = {
     "fries": _check_fries,
+    "nexus": _check_nexus,
     "icecream": _check_icecream,
     "marshmallow": _check_marshmallow,
     "snake": _check_snake,
@@ -215,6 +234,29 @@ def test_checks_equal_their_references(check_id, negative):
     got, want = _both_sides(check_id, negative)
     assert got == want
     assert got[0] == ("fail" if negative else "pass")
+
+
+def test_shared_memos_never_change_a_result():
+    """kebab and four sample from one memo of the ternary structures, the
+    zpath checks read one memo of the binary 0-columns.  Whichever check
+    fills a memo, each check's result is the frozen one."""
+    frozen_suite = json.loads(next(line for line in _frozen_lines()
+                                   if f'"seed": {DEFAULT_SEED}' in line))
+    positive = {c["id"]: c for c in frozen_suite["checks"]}
+    negative = {json.loads(line)["id"]: line
+                for line in _frozen_lines() if '"seed"' not in line}
+    memos = (lemmas._ternary_structures, lemmas._zero_columns)
+    for negative_control in (False, True):
+        for memo in memos:
+            memo.cache_clear()
+        # the reverse of the registry order: four and snake fill the memos
+        for check_id in ("four", "kebab", "snake", "icecream"):
+            c = run_check(check_id, negative=negative_control)
+            if negative_control:
+                assert c.to_json() == negative[check_id]
+            else:
+                assert c.as_dict() == positive[check_id]
+        assert [memo.cache_info().misses for memo in memos] == [1, 1]
 
 
 def test_zpath_checks_build_one_dfa_per_zero_column(monkeypatch):
