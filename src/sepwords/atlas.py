@@ -6,7 +6,7 @@ import itertools
 import json
 from typing import Optional
 
-from .cache import CertificateCache, cached_certificate, store_certificate
+from .cache import CertificateCache, store_certificate
 from .dfa import _FrozenValue, _Value, enumerate_canonical, word_symbols
 from .solver import SepCertificate, Table, certificate_from_table, run_table
 
@@ -155,14 +155,13 @@ def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> Atl
     first pair in shortlex `combinations` order that attains it, so the
     table is reproducible byte for byte and no pair is visited.
 
-    A cache holds the certificate of each distinct row pair, and nothing
-    else (two pairs at max_len 6: ("", "0") and ("0", "000")).  A hit is
-    served, left as stored, only when `cached_certificate` accepts it and
-    its value equals the refinement's; a hit that disagrees, such as a
-    stored over-claim, is counted in `cache.rejected`.  Each row pair not
-    served stores one exact certificate, which heals the file.
-    `searches_performed` counts the row pairs not served from the cache,
-    so every row pair when there is no cache.
+    A cache records the certificate of each distinct row pair, and
+    nothing else (two pairs at max_len 6: ("", "0") and ("0", "000")).
+    Each is built from the refinement (`SeparationLevels.certificate`) and
+    stored; a line whose JSON text is already that certificate's is not
+    written again, and any other line for the pair is replaced.  No line
+    is served.  `searches_performed` counts the certificates written, so
+    every row pair when there is no cache and none on a warm run.
     """
     if not 1 <= max_len <= ATLAS_MAX_LEN_CAP:
         raise ValueError(f"max_len must be in 1..{ATLAS_MAX_LEN_CAP}")
@@ -175,12 +174,7 @@ def compute_atlas(max_len: int, cache: Optional[CertificateCache] = None) -> Atl
     pairs = dict.fromkeys(r.pair for r in rows)
     searches = len(pairs)
     if cache is not None:
-        searches = 0
-        for w, x in pairs:
-            i, j = levels.words.index(w), levels.words.index(x)
-            cert = cached_certificate(cache, w, x)
-            if cert is None or cert.value != levels.sep(i, j):
-                cache.rejected += cert is not None
-                searches += 1
-                store_certificate(cache, levels.certificate(i, j))
+        index = levels.words.index
+        searches = sum(store_certificate(cache, levels.certificate(index(w), index(x)))
+                       for w, x in pairs)
     return AtlasTable(max_len=max_len, rows=rows, searches_performed=searches)

@@ -1,33 +1,10 @@
-"""Append-only JSON-lines result cache, and the one rule for serving a hit.
+"""An append-only JSON-lines record of exact certificates.
 
-Each line is {"key": str, "engine_version": str, "value": object}.  Hits
-are served only at a matching engine version; corrupted or mismatched
-lines are skipped and counted, never fatal.
-
-`cached_certificate` serves a hit only when it decodes as an exact
-certificate for the requested pair that passes the solver's one validity
-rule, `SepCertificate.witness_checks` (a linear re-check of the upper
-bound); the stored witness is served as stored.  Any other hit is counted
-in `rejected`.  `store_certificate` is the one rule for storing: only exact
-certificates, with `nodes` and `millis` zeroed so that files are
-reproducible.  Both callers, `solve_cached` (one pair, by search) and
-`compute_atlas` (the pair of each atlas row, by one partition
-refinement), compute a pair that was not served and store it; the last
-write wins on replay, which heals the file.  So a file that only `atlas`
-wrote holds row certificates only, and `sep` on any other pair misses.
-
-That rule re-checks the upper bound only, and an entry can over-claim
-with a valid but non-minimal witness (say, lower = upper = 4 for 01 vs
-0001, whose true value is 3, with the 3-state separator plus an
-unreachable state).  So each caller also re-proves the lower bound of a
-hit before it serves it.  `solve_cached` applies the solver's re-proof
-rule, `lower_bound_holds`: a hit with lower = p > 1 is served only when
-no structure with p - 1 states separates the pair, by one search at that
-level under the caller's budget (exhausting the budget rejects the hit),
-or for a unary pair by the formula `exact_sep` uses on a miss.
-`compute_atlas` serves a hit only when its value equals that of its own
-partition refinement.  Both reject the forged entry above and store the
-exact certificate.  An under-claim cannot pass the re-check.
+Each line is {"key": str, "engine_version": str, "value": object}.  Lines
+of another engine version, and corrupted ones, are skipped and counted,
+never fatal.  `compute_atlas` writes the certificate of each row pair
+here; no certificate is ever served from it, so no line can change an
+output.
 """
 
 from __future__ import annotations
@@ -35,10 +12,8 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional
 
-from .solver import (DEFAULT_BUDGET, ENGINE_VERSION, SearchBudget, SepCertificate,
-                     exact_sep, lower_bound_holds)
+from .solver import ENGINE_VERSION, SepCertificate
 
 
 class CertificateCache:
@@ -48,7 +23,6 @@ class CertificateCache:
         self.path = Path(path)
         self.skipped_corrupt = 0
         self.skipped_version = 0
-        self.rejected = 0  # hits cached_certificate refused to serve
         self._entries: dict[str, object] = {}
         self._load()
 
@@ -83,15 +57,17 @@ class CertificateCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def put(self, key: str, value) -> None:
-        """Store and append; idempotent replays produce identical state.
+    def put(self, key: str, value) -> bool:
+        """Store and append; return whether a line was written.
 
-        A value replays a stored one only when their JSON texts match: a
-        stored bound of 3.0 equals 3 in Python, yet must be overwritten.
+        A value replays a stored one, and writes nothing, only when their
+        JSON texts match: a stored bound of 3.0 equals 3 in Python, yet
+        must be overwritten.
         """
-        if key in self._entries and (json.dumps(self._entries[key], sort_keys=True)
-                                     == json.dumps(value, sort_keys=True)):
-            return
+        # looked up through __contains__ and get, so a tracer sees each lookup
+        if key in self and (json.dumps(self.get(key), sort_keys=True)
+                            == json.dumps(value, sort_keys=True)):
+            return False
         self._entries[key] = value
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(
@@ -103,6 +79,7 @@ class CertificateCache:
             fh.write(line + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        return True
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -112,54 +89,9 @@ def sep_key(w: str, x: str) -> str:
     return f"sep|{w}|{x}"
 
 
-def cached_certificate(
-    cache: CertificateCache, w: str, x: str
-) -> Optional[SepCertificate]:
-    """The cached certificate for (w, x) if it may be served, else None.
-
-    The one rule for serving a hit: it decodes as an exact certificate for
-    the requested pair whose witness passes `witness_checks`.  A hit that
-    breaks the rule is counted in `cache.rejected`.
-    """
-    key = sep_key(w, x)
-    if key not in cache:
-        return None
-    try:
-        cert = SepCertificate.from_dict(cache.get(key))
-        if (cert.w, cert.x) == (w, x) and cert.exact and cert.witness_checks():
-            return cert
-    except (AttributeError, KeyError, TypeError, ValueError):
-        pass
-    cache.rejected += 1
-    return None
-
-
-def store_certificate(cache: CertificateCache, cert: SepCertificate) -> None:
+def store_certificate(cache: CertificateCache, cert: SepCertificate) -> bool:
     """Store an exact certificate with `nodes` and `millis` zeroed, so that
-    files are reproducible; a budget-bounded certificate is never stored."""
-    if cert.exact:
-        cache.put(sep_key(cert.w, cert.x), dict(cert.to_dict(), nodes=0, millis=0))
-
-
-def solve_cached(
-    w: str,
-    x: str,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    cache: Optional[CertificateCache] = None,
-) -> tuple[SepCertificate, bool]:
-    """The certificate for (w, x) and whether it was solved, not served from cache.
-
-    A hit is served only after its lower bound is re-proved under budget;
-    a hit that fails `cached_certificate` or that re-proof is counted in
-    `cache.rejected`, solved again and stored.
-    """
-    if cache is not None:
-        cert = cached_certificate(cache, w, x)
-        if cert is not None:
-            if lower_bound_holds(cert, budget):
-                return cert, False
-            cache.rejected += 1
-    cert = exact_sep(w, x, budget=budget)
-    if cache is not None:
-        store_certificate(cache, cert)
-    return cert, True
+    files are reproducible; return whether a line was written.  A
+    budget-bounded certificate is never stored."""
+    return cert.exact and cache.put(sep_key(cert.w, cert.x),
+                                    dict(cert.to_dict(), nodes=0, millis=0))

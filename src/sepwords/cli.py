@@ -13,13 +13,13 @@ import os
 import sys
 
 from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
-from .cache import CertificateCache, solve_cached
-from .construct import verify_witness, witness_pair
+from .cache import CertificateCache
+from .construct import MAX_TRIPLE_N, verify_witness, witness_pair
 from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
 from .lang import (_reversed_G_k, _reversed_H_k, build_G_k, build_H_k, build_L_k,
                    state_complexity)
 from .lemmas import DEFAULT_SEED, known_ids, run_lemma_suite
-from .solver import DEFAULT_BUDGET, SearchBudget
+from .solver import DEFAULT_BUDGET, SearchBudget, exact_sep
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -55,7 +55,7 @@ def _positive(kind):
 
 def _cache(path: str) -> CertificateCache:
     """The --cache file: not a directory, and no regular file above it, on
-    which its first write would fail after the whole search."""
+    which its first write would fail after the whole table."""
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
     above = os.path.dirname(os.path.abspath(path))
@@ -71,7 +71,7 @@ def sep(args) -> int:
     if args.w == args.x:
         args.parser.error("the two words must differ")
     budget = SearchBudget(max_states=args.max_states, max_nodes=args.budget_nodes)
-    cert, _ = solve_cached(args.w, args.x, budget=budget, cache=args.cache)
+    cert = exact_sep(args.w, args.x, budget=budget)
     if args.json or args.format == "json":
         print(cert.to_json())
     elif cert.exact:
@@ -169,7 +169,6 @@ def _parser() -> _Parser:
     # no abbreviated options: `--max` is not `--max-states`
     parser = _Parser(prog="sepwords", allow_abbrev=False, description="Separating-words "
                      "toolkit: exact solvers, languages, witnesses.")
-    parser.add_argument("--cache", type=_cache, help="JSON-lines result cache file.")
     parser.add_argument("--format", choices=["json", "csv", "text"], default="text",
                         help="Output format.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -197,7 +196,7 @@ def _parser() -> _Parser:
 
     p = command(witness)
     p.add_argument("--k", type=positive_int, required=True)
-    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--n", type=int, choices=range(1, MAX_TRIPLE_N + 1), required=True)
     p.add_argument("--verify", action="store_true", help="Certify both bounds after assembly.")
     p.add_argument("--budget-nodes", type=positive_int, default=DEFAULT_BUDGET.max_nodes,
                    help="Search-node budget of each search stage.")
@@ -212,6 +211,8 @@ def _parser() -> _Parser:
     p.add_argument("--max-len", type=int, choices=range(1, ATLAS_MAX_LEN_CAP + 1),
                    default=ATLAS_MAX_LEN_CAP,
                    help="Largest word length n in the table. (default: %(default)s)")
+    p.add_argument("--cache", type=_cache,
+                   help="JSON-lines file that records the row pairs' certificates.")
 
     p = command(member)
     p.add_argument("--lang", required=True,

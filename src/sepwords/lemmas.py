@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .construct import (
+    _h_closure,
     canonical_triple,
     encode,
     farmand_dfa,
@@ -424,7 +425,7 @@ def _check_four(budget, rng, negative):
     """Substituting a closure word fools any small automaton pair; k=4."""
     z = search_z_k(4, budget=budget)
     h = build_H_k(4)
-    closure = segmented_closure(h)
+    closure = _h_closure(4, None)  # the automaton free_word searches
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]
     structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 40)]
     for i in range(30):

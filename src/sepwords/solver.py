@@ -34,9 +34,8 @@ from .dfa import (
 )
 from .lang import is_zero_free
 
-# Cache lines carry this.  A change of the search order changes which
-# table a search finds, not the version: a hit's witness is re-checked and
-# its lower bound re-proved before it is served, so a line stays valid.
+# Cache lines carry this.  No certificate is ever served from a cache, so
+# a change of the search order needs no new version.
 ENGINE_VERSION = "sepwords-1"
 
 
@@ -108,9 +107,10 @@ class SepCertificate(_Value):
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
-    def from_dict(obj: dict) -> "SepCertificate":
+    def from_json(text: str) -> "SepCertificate":
         """Decode a certificate; ValueError unless the bounds are ints (not
         bools) and the words and lower_method are strings."""
+        obj = json.loads(text)
         witness = dfa_from_text(obj["witness"])[0] if obj["witness"] else None
         cert = SepCertificate(
             w=obj["w"],
@@ -128,10 +128,6 @@ class SepCertificate(_Value):
             raise ValueError("a certificate's bounds must be ints and its "
                              "words and lower_method strings")
         return cert
-
-    @staticmethod
-    def from_json(text: str) -> "SepCertificate":
-        return SepCertificate.from_dict(json.loads(text))
 
 
 class SearchCounters:
@@ -462,24 +458,6 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
     return certificate_from_table(w, x, table, p,
                                   "exhaustive-canonical" if p > 1 else "none",
                                   counters.nodes, start)
-
-
-def lower_bound_holds(cert: SepCertificate, budget: SearchBudget) -> bool:
-    """Whether no structure with cert.lower - 1 states separates the pair:
-    the one rule for re-proving a lower bound that `exact_sep` did not
-    just prove, such as a cache hit's.
-
-    A unary pair is checked against `_unary_sep`, the formula `exact_sep`
-    trusts; any other pair by one exhaustive search at that level, which
-    is False when the budget runs out."""
-    if cert.lower == 1:
-        return True
-    if _is_unary_pair(cert.w, cert.x) is not None:
-        return cert.lower <= _unary_sep(len(cert.w), len(cert.x))
-    try:
-        return separating_structure(cert.w, cert.x, cert.lower - 1, budget) is None
-    except BudgetError:
-        return False
 
 
 def run_table(table: Table, syms: list[int], q: int = 0) -> int:

@@ -9,10 +9,9 @@ import sys
 
 import pytest
 
-from sepwords import atlas, solver
+from sepwords import solver
 from sepwords.atlas import ATLAS_MAX_LEN_CAP, SeparationLevels, compute_atlas
-from sepwords.cache import (CertificateCache, cached_certificate, sep_key, solve_cached,
-                            store_certificate)
+from sepwords.cache import CertificateCache, sep_key, store_certificate
 from sepwords.dfa import dfa_from_text
 from sepwords.solver import SepCertificate, exact_sep, raw_separable
 
@@ -127,7 +126,7 @@ def test_stale_bounded_entry_is_solved_again(tmp_path):
     table = compute_atlas(2, cache=cache)
     assert table.to_csv() == compute_atlas(2).to_csv()
     assert all(r.exact for r in table.rows)
-    assert table.searches_performed == 1 and cache.rejected == 1
+    assert table.searches_performed == 1
     healed = CertificateCache(path)  # last write wins
     assert healed.get(sep_key("", "0"))["lower"] == 2
     assert compute_atlas(2, cache=healed).searches_performed == 0
@@ -165,7 +164,6 @@ def test_mixed_hits_and_misses(tmp_path):
     table = compute_atlas(6, cache=cache)
     assert table.searches_performed == 1  # ("0", "000") is the one miss
     assert table.to_csv() == compute_atlas(6).to_csv()
-    assert cache.rejected == 0
 
 
 def test_cold_cache_files_are_reproducible_and_servable(tmp_path):
@@ -176,27 +174,13 @@ def test_cold_cache_files_are_reproducible_and_servable(tmp_path):
     lines = [json.loads(line) for line in paths[0].read_text().splitlines()]
     # one certificate per distinct row pair
     assert [line["key"] for line in lines] == [sep_key("", "0"), sep_key("0", "000")]
-    cache = CertificateCache(paths[0])
     for line in lines:
         v = line["value"]
         assert line["key"] == sep_key(v["w"], v["x"])
         assert (v["lower_method"], v["nodes"], v["millis"]) == ("exhaustive-canonical", 0, 0)
-        cert = cached_certificate(cache, v["w"], v["x"])
-        assert cert is not None and cert.exact
-        assert cert.witness.state_count == cert.upper
+        cert = SepCertificate.from_json(json.dumps(v))
+        assert cert.exact and cert.witness_checks()
         assert cert.lower == exact_sep(v["w"], v["x"]).value
-    assert cache.rejected == 0
-
-
-def test_cache_written_by_per_pair_search_is_served(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    words = ["", "0", "1", "00", "01", "10", "11"]
-    for w, x in itertools.combinations(words, 2):
-        solve_cached(w, x, cache=CertificateCache(path))
-    cache = CertificateCache(path)
-    table = compute_atlas(2, cache=cache)
-    assert table.searches_performed == 0 and cache.rejected == 0
-    assert table.to_csv() == compute_atlas(2).to_csv()
 
 
 def test_per_pair_file_of_earlier_versions_is_served(tmp_path, monkeypatch):
@@ -213,10 +197,10 @@ def test_per_pair_file_of_earlier_versions_is_served(tmp_path, monkeypatch):
     for max_len in (5, 6):
         cache = CertificateCache(path)
         table, plain = compute_atlas(max_len, cache=cache), compute_atlas(max_len)
-        assert table.searches_performed == 0 and cache.rejected == 0
+        assert table.searches_performed == 0
         assert table.to_csv() == plain.to_csv()
         assert table.to_json() == plain.to_json()
-    assert path.read_bytes() == stored  # served, nothing appended
+    assert path.read_bytes() == stored  # its row-pair lines are the refinement's
 
 
 @pytest.mark.parametrize("max_len", range(1, ATLAS_MAX_LEN_CAP + 1))
@@ -243,23 +227,23 @@ def test_cache_traffic_is_one_lookup_and_one_append_per_row_pair(tmp_path, monke
             return f(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(atlas, "cached_certificate",
-                        counted("lookup", atlas.cached_certificate))
+    monkeypatch.setattr(CertificateCache, "__contains__",
+                        counted("lookup", CertificateCache.__contains__))
     monkeypatch.setattr(CertificateCache, "put", counted("put", CertificateCache.put))
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
     for path in paths:
         calls.clear()
         compute_atlas(6, cache=CertificateCache(path))
-        assert calls["lookup"] <= 6 and calls["put"] == 2
+        assert calls["lookup"] == calls["put"] == 2
     assert paths[0].read_bytes() == paths[1].read_bytes()
     calls.clear()
     warm = compute_atlas(6, cache=CertificateCache(paths[0]))
     assert warm.searches_performed == 0
-    assert calls["lookup"] <= 6 and calls["put"] == 0
+    assert calls["lookup"] == calls["put"] == 2  # each put finds its line and writes nothing
 
 
 # each row pair cached as sep + 1: its level separator padded with an
-# unreachable state, so the witness passes every per-hit check
+# unreachable state, so the witness passes every per-line check
 _OVER_CLAIMS = {
     ("", "0"): {"w": "", "x": "0", "lower": 3, "upper": 3, "exact": True,
                 "witness": "dfa 2 3\naccepting 0\nstate 0: 1 0\nstate 1: 0 0\n"
@@ -279,30 +263,29 @@ def test_over_claiming_hit_is_rejected_and_healed(tmp_path):
         compute_atlas(4, cache=CertificateCache(path))
         forged = _OVER_CLAIMS[w, x]
         CertificateCache(path).put(sep_key(w, x), forged)
-        assert cached_certificate(CertificateCache(path), w, x).value == forged["lower"]
+        cert = SepCertificate.from_json(json.dumps(forged))
+        assert cert.exact and cert.witness_checks()
 
-        cache = CertificateCache(path)
-        table = compute_atlas(4, cache=cache)
+        table = compute_atlas(4, cache=CertificateCache(path))
         assert table.to_csv() == compute_atlas(4).to_csv()
         assert "2,2,true,,0\n" in table.to_csv() and "4,3,true,0,000\n" in table.to_csv()
-        assert table.searches_performed == 1 and cache.rejected == 1
+        assert table.searches_performed == 1
 
         healed = CertificateCache(path)  # last write wins
         assert healed.get(sep_key(w, x))["lower"] == forged["lower"] - 1
         assert compute_atlas(4, cache=healed).searches_performed == 0
-        assert healed.rejected == 0
 
 
 def test_over_claim_guard_survives_python_O(tmp_path):
-    # python -O strips assert statements; the cross-check must still reject
+    # python -O strips assert statements; the forged line is still replaced
     src = os.path.dirname(os.path.dirname(solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for w, x in _ROW_PAIRS:
         path = tmp_path / f"forged-{w}-{x}.jsonl"
         CertificateCache(path).put(sep_key(w, x), _OVER_CLAIMS[w, x])
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "sepwords.cli", "--cache", str(path),
-             "atlas", "--max-len", "4"],
+            [sys.executable, "-O", "-m", "sepwords.cli", "atlas", "--max-len", "4",
+             "--cache", str(path)],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == compute_atlas(4).to_csv()
@@ -323,15 +306,11 @@ def parsed(monkeypatch):
     return counts
 
 
-def test_warm_atlas_parses_each_witness_text_once(tmp_path, parsed):
+def test_warm_atlas_parses_no_witness_text(tmp_path, parsed):
     path = tmp_path / "cache.jsonl"
     compute_atlas(6, cache=CertificateCache(path))
-    texts = {json.loads(line)["value"]["witness"]
-             for line in path.read_text().splitlines()}
-    cache = CertificateCache(path)
-    assert compute_atlas(6, cache=cache).searches_performed == 0
-    assert cache.rejected == 0
-    assert set(parsed) == texts and set(parsed.values()) == {1}
+    assert compute_atlas(6, cache=CertificateCache(path)).searches_performed == 0
+    assert not parsed  # nothing stored is decoded
 
 
 def test_shared_malformed_witness_is_rejected_for_every_entry(tmp_path, parsed):
@@ -341,27 +320,26 @@ def test_shared_malformed_witness_is_rejected_for_every_entry(tmp_path, parsed):
     writer = CertificateCache(path)
     for w, x in _ROW_PAIRS:
         writer.put(sep_key(w, x), dict(exact_sep(w, x).to_dict(), witness=bad))
-    cache = CertificateCache(path)
-    table = compute_atlas(3, cache=cache)
+    table = compute_atlas(3, cache=CertificateCache(path))
     assert table.to_csv() == compute_atlas(3).to_csv()
-    assert cache.rejected == 2 and table.searches_performed == 2
-    assert parsed[bad] == 2  # once per row pair
+    assert table.searches_performed == 2
+    assert not parsed  # replaced, never parsed
     healed = CertificateCache(path)
     for w, x in _ROW_PAIRS:
         assert healed.get(sep_key(w, x))["witness"] != bad
     assert compute_atlas(3, cache=healed).searches_performed == 0
-    assert healed.rejected == 0
 
 
 def test_decoded_witnesses_equal_fresh_parses(tmp_path):
     path = tmp_path / "cache.jsonl"
     compute_atlas(5, cache=CertificateCache(path))
-    cache = CertificateCache(path)
+    levels = SeparationLevels(5)
     for line in path.read_text().splitlines():
         v = json.loads(line)["value"]
-        cert = cached_certificate(cache, v["w"], v["x"])
+        cert = SepCertificate.from_json(json.dumps(v))
         assert cert.witness == dfa_from_text(v["witness"])[0]
-    assert cache.rejected == 0
+        fresh = levels.certificate(levels.words.index(v["w"]), levels.words.index(v["x"]))
+        assert cert.witness == fresh.witness
 
 
 def test_csv_shape():

@@ -53,28 +53,21 @@ def test_sep_rejects_bad_words():
     ("nosuch",),
     ("sep", "01", "10", "--max", "3"),  # an abbreviation of --max-states
     ("lemma",),  # no check ids
+    ("witness", "--k", "1", "--n", "5"),  # canonical_triple takes n in 1..4
+    ("--cache", "c.jsonl", "sep", "0", "1"),  # --cache is an atlas option only
+    ("--cache", "c.jsonl", "atlas"),
 ])
 def test_out_of_range_options_are_usage_errors(args):
     assert_usage_error(invoke(*args))
 
 
 def test_cache_naming_a_directory_is_a_usage_error(tmp_path):
-    # a path under a regular file, too: its first write would fail after the search
+    # a path under a regular file, too: its first write would fail after the table
     (tmp_path / "file").write_text("")
     for path in (tmp_path, tmp_path / "file" / "c.jsonl"):
-        for args in (("sep", "01", "10"), ("atlas",)):
-            r = invoke("--cache", str(path), *args)
-            assert_usage_error(r)
-            assert r.stdout == ""
-
-
-def test_sep_uses_cache(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
-    assert invoke("--cache", path, "sep", "01", "10").exit_code == 0
-    first = (tmp_path / "cache.jsonl").read_text()
-    r = invoke("--cache", path, "sep", "01", "10")
-    assert r.exit_code == 0
-    assert (tmp_path / "cache.jsonl").read_text() == first  # served from cache
+        r = invoke("atlas", "--cache", str(path))
+        assert_usage_error(r)
+        assert r.stdout == ""
 
 
 def test_stc_command():
@@ -175,11 +168,13 @@ def test_lemma_json_format():
 
 
 def test_atlas_command(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
-    r1 = invoke("--cache", path, "atlas", "--max-len", "4")
-    r2 = invoke("--cache", path, "atlas", "--max-len", "4")
+    path = tmp_path / "cache.jsonl"
+    r1 = invoke("atlas", "--max-len", "4", "--cache", str(path))
+    written = path.read_bytes()
+    r2 = invoke("atlas", "--max-len", "4", "--cache", str(path))
     assert r1.exit_code == r2.exit_code == 0
-    assert r1.output == r2.output
+    assert r1.output == r2.output == invoke("atlas", "--max-len", "4").output
+    assert path.read_bytes() == written  # a warm run appends nothing
     assert r1.output.splitlines()[0] == "n,value,exact,w,x"
 
 
@@ -187,7 +182,7 @@ def test_atlas_command(tmp_path):
 def test_atlas_output_is_the_same_cold_warm_and_without_a_cache(tmp_path, max_len):
     for fmt in ("csv", "json"):
         path = str(tmp_path / f"{fmt}.jsonl")
-        runs = [invoke(*cache, "--format", fmt, "atlas", "--max-len", str(max_len))
+        runs = [invoke("--format", fmt, "atlas", "--max-len", str(max_len), *cache)
                 for cache in (("--cache", path), ("--cache", path), ())]
         assert [r.exit_code for r in runs] == [0, 0, 0]
         assert runs[0].output == runs[1].output == runs[2].output
@@ -195,14 +190,9 @@ def test_atlas_output_is_the_same_cold_warm_and_without_a_cache(tmp_path, max_le
 
 def test_atlas_cache_holds_the_row_pairs_only(tmp_path):
     path = tmp_path / "cache.jsonl"
-    assert invoke("--cache", str(path), "atlas").exit_code == 0
+    assert invoke("atlas", "--cache", str(path)).exit_code == 0
     keys = [json.loads(line)["key"] for line in path.read_text().splitlines()]
     assert keys == ["sep||0", "sep|0|000"]
-    # a row pair is a hit, any other pair a miss that appends its line
-    assert invoke("--cache", str(path), "sep", "0", "000").output == "sep = 3\n"
-    assert len(path.read_text().splitlines()) == 2
-    assert invoke("--cache", str(path), "sep", "01", "0001").output == "sep = 3\n"
-    assert json.loads(path.read_text().splitlines()[-1])["key"] == "sep|01|0001"
 
 
 def test_member_command(tmp_path):

@@ -79,8 +79,8 @@ def test_the_package_imports_only_itself_and_the_standard_library():
 
 def test_the_package_exports_the_library_twin_of_each_command():
     assert sepwords.__all__ == [
-        "exact_sep", "SepCertificate", "SearchBudget", "solve_cached",
-        "CertificateCache", "build_L_k", "build_G_k", "build_H_k",
+        "exact_sep", "SepCertificate", "SearchBudget", "CertificateCache",
+        "build_L_k", "build_G_k", "build_H_k",
         "state_complexity", "witness_pair", "verify_witness", "run_lemma_suite",
         "compute_atlas", "Dfa", "accepts", "dfa_from_text", "dfa_to_text",
         "BudgetError",
