@@ -59,10 +59,28 @@ class AtlasTable(_Value):
 
 
 def _binary_words(max_len: int) -> list[str]:
+    """The binary words of length <= max_len in shortlex order."""
     words = [""]
     for length in range(1, max_len + 1):
         words.extend("".join(p) for p in itertools.product("01", repeat=length))
     return words
+
+
+def _trie_ends(table: Table, q: int, count: int) -> bytearray:
+    """End states from q of the first `count` binary words in shortlex order.
+
+    The children of word j are words 2j + 1 and 2j + 2, its extensions by
+    symbols 0 and 1, so after the first the end states are the rows of the
+    earlier ones, in order.  A bytearray (states are < 256), not a list:
+    the fries lemma check keeps one per raw table, 746 in all, and rows of
+    63 list items raised the lemma suite's peak resident memory.
+    """
+    ends = [q]
+    for e in ends:  # grows while it is read
+        if len(ends) >= count:
+            break
+        ends += table[e]
+    return bytearray(ends[:count])
 
 
 class SeparationLevels:
@@ -73,8 +91,7 @@ class SeparationLevels:
     to one that `enumerate_canonical` yields.  So level p splits the classes
     of level p - 1 by the end state under each canonical table with exactly
     p states (a yielded table of length p; no Dfa is built), computed for
-    all words at once along the trie: in shortlex order word i's parent is
-    word (i - 1) // 2 and its last symbol is (i - 1) % 2.  Refinement stops
+    all words at once along the trie (`_trie_ends`).  Refinement stops
     as soon as every word is alone in its class.
 
     `words` are in shortlex order.  `classes[p - 1][i]` is word i's class
@@ -99,11 +116,9 @@ class SeparationLevels:
                 if len(t) != p:
                     continue
                 level.append(t)
-                end = [0] * n
-                for i in range(1, n):
-                    end[i] = t[end[(i - 1) >> 1]][(i - 1) & 1]
                 ids: dict[tuple[int, int], int] = {}
-                cls = [ids.setdefault(key, len(ids)) for key in zip(cls, end)]
+                cls = [ids.setdefault(key, len(ids))
+                       for key in zip(cls, _trie_ends(t, 0, n))]
                 count = len(ids)
                 if count == n:
                     break

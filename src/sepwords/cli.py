@@ -72,7 +72,7 @@ def sep(args) -> int:
         args.parser.error("the two words must differ")
     budget = SearchBudget(max_states=args.max_states, max_nodes=args.budget_nodes)
     cert = exact_sep(args.w, args.x, budget=budget)
-    if args.json or args.format == "json":
+    if args.format == "json":
         print(cert.to_json())
     elif cert.exact:
         print(f"sep = {cert.value}")
@@ -187,7 +187,6 @@ def _parser() -> _Parser:
                    help="Give up beyond this many states.")
     p.add_argument("--budget-nodes", type=positive_int, default=DEFAULT_BUDGET.max_nodes,
                    help="Search-node budget.")
-    p.add_argument("--json", action="store_true", help="Emit the full certificate.")
 
     p = command(stc)
     p.add_argument("--lang", choices=_LANG_BUILDERS, required=True, help="Language family.")

@@ -19,9 +19,9 @@ from .dfa import (
     Dfa,
     _FrozenValue,
     _Value,
+    _zero_walk,
     accepts,
     combine,
-    dfa_from_text,
     dfa_to_text,
     minimize,
     run,
@@ -162,17 +162,9 @@ def _zero_power(table: Table, count: int) -> list[int]:
     and 0-cycle: O(p) per state, whatever count is."""
     out = []
     for q in range(len(table)):
-        path: list[int] = []
-        seen: dict[int, int] = {}
-        while q not in seen:
-            seen[q] = len(path)
-            path.append(q)
-            q = table[q][0]
-        if count < len(path):
-            out.append(path[count])
-        else:
-            tail = seen[q]
-            out.append(path[tail + (count - tail) % (len(path) - tail)])
+        path, tail = _zero_walk(table, q)
+        out.append(path[count] if count < len(path)
+                   else path[tail + (count - tail) % (len(path) - tail)])
     return out
 
 
@@ -446,13 +438,6 @@ class WitnessReport(_Value):
         if self.upper_witness is not None:
             obj["upper_witness"] = dfa_to_text(self.upper_witness)
         return json.dumps(obj, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "WitnessReport":
-        obj = json.loads(text)
-        witness = obj.get("upper_witness")
-        obj["upper_witness"] = dfa_from_text(witness)[0] if witness else None
-        return WitnessReport(**{f: obj[f] for f in WitnessReport.__slots__})
 
 
 def lower_claim_value(k: int, n: int) -> int:

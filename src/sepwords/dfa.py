@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
 
 MAX_ALPHABET = 3
+
+# The one cap on subset states, for `determinize` and `reverse` alike: the
+# starred block languages blow up exponentially, which is the point.
+DEFAULT_DETERMINIZE_BUDGET = 200_000
 
 # a transition table: Table[q][a] is the target of state q on symbol a
 Table = tuple[tuple[int, ...], ...]
@@ -326,12 +329,12 @@ def determinize(
     start: Iterable[int],
     accepting: Iterable[int],
     alphabet_size: int,
-    max_states: Optional[int] = None,
 ) -> Dfa:
     """Subset construction for an internal NFA (no public NFA type).
 
     transitions[q][a] is a set of targets; missing moves are empty sets.
-    Raises BudgetError when the subset count exceeds max_states.
+    Raises BudgetError when the subset count exceeds
+    DEFAULT_DETERMINIZE_BUDGET.
     """
     acc = set(accepting)
     start_set = frozenset(start)
@@ -345,10 +348,9 @@ def determinize(
         for s in range(alphabet_size):
             nxt = frozenset(t for q in cur for t in transitions[q][s])
             if nxt not in index:
-                if max_states is not None and len(order) >= max_states:
-                    raise BudgetError(
-                        f"determinization exceeded {max_states} subset states"
-                    )
+                if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
+                    raise BudgetError(f"determinization exceeded "
+                                      f"{DEFAULT_DETERMINIZE_BUDGET} subset states")
                 index[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
@@ -419,14 +421,14 @@ class Reversal:
     exactly those whose subset is non-empty, since each state of d's
     reachable part is reached from d's start by some word.  accepting and
     live are asked only of numbered states, which are all a reader can
-    name.  Raises BudgetError when a subset past max_states would be
-    numbered.
+    name.  Raises BudgetError when a subset past DEFAULT_DETERMINIZE_BUDGET
+    would be numbered.
     """
 
-    __slots__ = ("source", "max_states", "alphabet_size", "transitions",
+    __slots__ = ("source", "alphabet_size", "transitions",
                  "accepting", "live", "_index", "_order", "_gathers")
 
-    def __init__(self, d: Dfa, max_states: Optional[int] = None):
+    def __init__(self, d: Dfa):
         if len(_reachable(d)) < d.state_count:
             d = canonicalize(d)
         # itemgetter with one index would return a bare item, not a tuple
@@ -434,7 +436,6 @@ class Reversal:
                          else (lambda s, q=col[0]: (s[q],))
                          for col in zip(*d.transitions)]
         self.source = d
-        self.max_states = max_states
         self.alphabet_size = d.alphabet_size
         self._index: dict[bytes, int] = {}
         self._order: list[bytes] = []
@@ -445,8 +446,9 @@ class Reversal:
 
     def _number(self, sub: bytes) -> int:
         order = self._order
-        if self.max_states is not None and len(order) >= self.max_states:
-            raise BudgetError(f"reversal exceeded {self.max_states} subset states")
+        if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
+            raise BudgetError(
+                f"reversal exceeded {DEFAULT_DETERMINIZE_BUDGET} subset states")
         i = self._index[sub] = len(order)
         order.append(sub)
         self.transitions.built.append(None)
@@ -462,16 +464,16 @@ class Reversal:
         return tuple(row)
 
 
-def reverse(d: Dfa, max_states: Optional[int] = None) -> Dfa:
+def reverse(d: Dfa) -> Dfa:
     """Minimal complete DFA for the reversal of L(d), in canonical order.
 
-    Every row of `Reversal(d, max_states)`, read in index order.  By
-    Brzozowski's theorem the subset automaton of the reversal of an
-    accessible DFA is already minimal, and its breadth-first numbering is
-    the canonical one, so no minimize() follows.  Raises BudgetError when
-    the subset count exceeds max_states, as determinize() does.
+    Every row of `Reversal(d)`, read in index order.  By Brzozowski's
+    theorem the subset automaton of the reversal of an accessible DFA is
+    already minimal, and its breadth-first numbering is the canonical one,
+    so no minimize() follows.  Raises BudgetError when the subset count
+    exceeds DEFAULT_DETERMINIZE_BUDGET, as determinize() does.
     """
-    r = Reversal(d, max_states)
+    r = Reversal(d)
     # list() first: a tuple built from a sequence that grows as it is read
     # is resized step by step, which peaks higher (G_15: 1.3 MiB)
     rows = tuple(list(r.transitions))
@@ -479,34 +481,36 @@ def reverse(d: Dfa, max_states: Optional[int] = None) -> Dfa:
     return Dfa(r.alphabet_size, rows, acc)
 
 
-def zero_cycle_length(d: Dfa, q: int) -> Optional[int]:
-    """Least i >= 1 with run(d, q, 0^i) == q, if q lies on a 0-cycle."""
-    if not 0 <= q < d.state_count:
-        raise ValueError(f"state {q} out of range")
-    cur = q
-    for i in range(1, d.state_count + 1):
-        cur = d.transitions[cur][0]
-        if cur == q:
-            return i
-    return None
+def _zero_walk(rows: Table, q: int) -> tuple[list[int], int]:
+    """The 0-trajectory of q in a transition table, as (path, tail).
 
-
-def zpath(d: Dfa, q: int, i: Optional[int] = None) -> frozenset[int]:
-    """States reached from q by 0^j for j <= i that are not in a zero-cycle.
-
-    With i omitted, every such state (the full zpath).  One walk along the
-    0-trajectory: the first state visited twice starts the 0-cycle, so the
-    states visited before it are exactly those in no zero-cycle.
+    path lists the states visited from q along symbol 0 until the first
+    state visited twice, which is path[tail]: path[:tail] is the tail,
+    the states in no zero-cycle, and path[tail:] the zero-cycle.
     """
-    rows = d.transitions
     if not 0 <= q < len(rows):
         raise ValueError(f"state {q} out of range")
     seen: dict[int, int] = {}  # state -> index of its first visit, in visit order
     while q not in seen:
         seen[q] = len(seen)
         q = rows[q][0]
-    stop = seen[q] if i is None else max(0, min(seen[q], i + 1))
-    return frozenset(islice(seen, stop))
+    return list(seen), seen[q]
+
+
+def zero_cycle_length(d: Dfa, q: int) -> Optional[int]:
+    """Least i >= 1 with run(d, q, 0^i) == q, if q lies on a 0-cycle."""
+    path, tail = _zero_walk(d.transitions, q)
+    return len(path) if tail == 0 else None
+
+
+def zpath(d: Dfa, q: int, i: Optional[int] = None) -> frozenset[int]:
+    """States reached from q by 0^j for j <= i that are not in a zero-cycle.
+
+    With i omitted, every such state (the full zpath): the tail of q's
+    0-trajectory, or its first i + 1 states.
+    """
+    path, tail = _zero_walk(d.transitions, q)
+    return frozenset(path[:tail if i is None else max(0, min(tail, i + 1))])
 
 
 def enumerate_canonical(p: int, alphabet_size: int) -> Iterator[Table]:

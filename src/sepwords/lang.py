@@ -32,10 +32,6 @@ from .dfa import (
 
 ALPHABET = 3
 
-# Default cap on subset states during determinization; the starred block
-# languages blow up exponentially, which is the point.
-DEFAULT_DETERMINIZE_BUDGET = 200_000
-
 
 def is_zero_free(d: Dfa) -> bool:
     """True when no accepted word contains symbol 0.
@@ -126,8 +122,7 @@ def _reversed_G_k(k: int) -> Dfa:
     for q in d.accepting:
         for s in range(ALPHABET):
             table[q][s] |= table[0][s]
-    return minimize(determinize(table, {0}, d.accepting | {0}, ALPHABET,
-                                max_states=DEFAULT_DETERMINIZE_BUDGET))
+    return minimize(determinize(table, {0}, d.accepting | {0}, ALPHABET))
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +132,11 @@ def build_G_k(k: int) -> Dfa:
     The reversal of the small minimal DFA of G_k^R (_reversed_G_k).  By
     Brzozowski's theorem reverse() returns the minimal DFA in canonical
     order, so no minimize() follows; its subset count is the size of G_k,
-    2^(k+2) - 1 states, and exceeding DEFAULT_DETERMINIZE_BUDGET raises
-    BudgetError (k = 15 builds, k = 16 does not).  Memoized per process,
+    2^(k+2) - 1 states, and exceeding dfa.DEFAULT_DETERMINIZE_BUDGET
+    raises BudgetError (k = 15 builds, k = 16 does not).  Memoized per process,
     like build_H_k: a Dfa is immutable.
     """
-    return reverse(_reversed_G_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
+    return reverse(_reversed_G_k(k))
 
 
 def _reversed_H_k(k: int) -> Dfa:
@@ -165,7 +160,7 @@ def _reversed_H_k(k: int) -> Dfa:
 def build_H_k(k: int) -> Dfa:
     """The complement of the starred language within {1,2}*, as a minimal
     DFA: the reversal of _reversed_H_k(k), as build_G_k is of G_k's."""
-    return reverse(_reversed_H_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
+    return reverse(_reversed_H_k(k))
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +169,9 @@ def G_k_on_demand(k: int) -> Reversal:
     _reversed_G_k(k), as `build_G_k` builds it in full.
 
     Memoized per process with the states built so far;
-    DEFAULT_DETERMINIZE_BUDGET, as it reads at the first call, caps them.
+    dfa.DEFAULT_DETERMINIZE_BUDGET caps them.
     """
-    return Reversal(_reversed_G_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
+    return Reversal(_reversed_G_k(k))
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +180,7 @@ def H_k_on_demand(k: int) -> Reversal:
     _reversed_H_k(k), as `build_H_k` builds it in full.  Memoized and
     capped as `G_k_on_demand` is.
     """
-    return Reversal(_reversed_H_k(k), max_states=DEFAULT_DETERMINIZE_BUDGET)
+    return Reversal(_reversed_H_k(k))
 
 
 def finite_language(words: list[str]) -> Dfa:
@@ -246,8 +241,7 @@ def _segclo_of_dfa(d: Dfa) -> Dfa:
     acc = set(d.accepting)
     if 0 in d.accepting:  # a trailing block may be empty when R accepts the empty word
         acc.add(gap)
-    return minimize(determinize(table, {0}, acc, ALPHABET,
-                                max_states=DEFAULT_DETERMINIZE_BUDGET))
+    return minimize(determinize(table, {0}, acc, ALPHABET))
 
 
 def state_complexity(l: Dfa) -> int:

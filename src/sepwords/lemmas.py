@@ -14,6 +14,7 @@ import random
 from functools import lru_cache
 from typing import Callable, Optional
 
+from .atlas import _binary_words, _trie_ends
 from .construct import (
     _h_closure,
     canonical_triple,
@@ -48,8 +49,6 @@ from .lang import (
     state_complexity,
 )
 from .solver import (
-    DEFAULT_BUDGET,
-    SearchBudget,
     check_separates,
     exact_sep,
     lsep_lower_check,
@@ -91,27 +90,7 @@ def _random_word(rng: random.Random, max_len: int, alphabet: str) -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
 
 
-def _binary_words(max_len: int) -> list[str]:
-    """The binary words of length <= max_len in shortlex order."""
-    return [""] + ["".join(t) for L in range(1, max_len + 1)
-                   for t in itertools.product("01", repeat=L)]
-
-
-def _trie_ends(table, q: int, count: int) -> bytearray:
-    """End states from q of the first `count` binary words in shortlex order.
-
-    Word i > 0 is word (i - 1) // 2 followed by symbol (i - 1) % 2, so
-    each end state is one step from an earlier one.  A bytearray (states
-    are < 256), not a list: fries keeps one per raw table, 746 in all,
-    and rows of 63 list items raised the suite's peak resident memory.
-    """
-    ends = bytearray([q]) * count
-    for i in range(1, count):
-        ends[i] = table[ends[(i - 1) >> 1]][(i - 1) & 1]
-    return ends
-
-
-def _check_fries(budget, rng, negative):
+def _check_fries(rng, negative):
     """Structure-only search agrees with raw enumeration; |w|,|x| <= 5, p <= 3."""
     words = _binary_words(5)
     tables = [(m, _trie_ends(table, 0, len(words))) for m, table in raw_tables(3, 2)]
@@ -133,7 +112,7 @@ def _check_fries(budget, rng, negative):
     return "pass", {"pairs_times_levels": checked}, None
 
 
-def _check_pear(budget, rng, negative):
+def _check_pear(rng, negative):
     """Same end state forces the same end state after any suffix; 200 samples."""
     hits = 0
     tried = 0
@@ -153,7 +132,7 @@ def _check_pear(budget, rng, negative):
     return "pass", {"samples": hits}, None
 
 
-def _check_five(budget, rng, negative):
+def _check_five(rng, negative):
     """Affixing a common prefix and suffix never shrinks the separation number."""
     for i in range(200):
         w = _random_word(rng, 5, "01")
@@ -162,8 +141,8 @@ def _check_five(budget, rng, negative):
             continue
         u = _random_word(rng, 3, "01")
         v = _random_word(rng, 3, "01")
-        inner = exact_sep(w, x, budget).value
-        outer = exact_sep(u + w + v, u + x + v, budget).value
+        inner = exact_sep(w, x).value
+        outer = exact_sep(u + w + v, u + x + v).value
         ok = outer > inner if negative else outer >= inner
         if not ok:
             return "fail", {"samples": i + 1}, {"u": u, "w": w, "x": x, "v": v,
@@ -171,7 +150,7 @@ def _check_five(budget, rng, negative):
     return "pass", {"samples": 200}, None
 
 
-def _check_onep(budget, rng, negative):
+def _check_onep(rng, negative):
     """The image of the full state set never grows under a longer word."""
     for i in range(200):
         d = _random_dfa(rng, 6, rng.choice((2, 3)))
@@ -187,7 +166,7 @@ def _check_onep(budget, rng, negative):
     return "pass", {"samples": 200}, None
 
 
-def _check_peach(budget, rng, negative):
+def _check_peach(rng, negative):
     """Closing an already-closed language adds nothing; R in {G_1, {1}}."""
     for r, label in ((build_G_k(1), "G_k k=1"), (finite_language(["1"]), "{1}")):
         s = segmented_closure(r)
@@ -198,7 +177,7 @@ def _check_peach(budget, rng, negative):
     return "pass", {"languages": 2}, None
 
 
-def _check_nexus(budget, rng, negative):
+def _check_nexus(rng, negative):
     """0^{(2n+1)!} is absorbed on zero-cycle states; exhaustive, n=1."""
     h = "0" * (5 if negative else 6)
     words = _binary_words(4)
@@ -267,7 +246,7 @@ def _per_zero_column(body):
     return "pass", {"checked": checked}, None
 
 
-def _check_icecream(budget, rng, negative):
+def _check_icecream(rng, negative):
     """zpath splits at any cut point; exhaustive over 3- and 4-state structures."""
     def body(d):
         items = 0
@@ -284,7 +263,7 @@ def _check_icecream(budget, rng, negative):
     return _per_zero_column(body)
 
 
-def _check_marshmallow(budget, rng, negative):
+def _check_marshmallow(rng, negative):
     """zpath prefixes are bounded by i+1 and contained in the full zpath."""
     def body(d):
         items = 0
@@ -300,7 +279,7 @@ def _check_marshmallow(budget, rng, negative):
     return _per_zero_column(body)
 
 
-def _check_snake(budget, rng, negative):
+def _check_snake(rng, negative):
     """A cycle-free 0-trajectory of length i has exactly i+1 zpath states."""
     def body(d):
         items = 0
@@ -316,7 +295,7 @@ def _check_snake(budget, rng, negative):
     return _per_zero_column(body)
 
 
-def _check_ketchup(budget, rng, negative):
+def _check_ketchup(rng, negative):
     """Splicing 1^{2k+1}2 between u and v lands in G_k iff both halves do."""
     langs = {k: build_G_k(k) for k in (1, 2)}
     for i in range(500):
@@ -333,7 +312,7 @@ def _check_ketchup(budget, rng, negative):
     return "pass", {"samples": 500}, None
 
 
-def _check_three(budget, rng, negative):
+def _check_three(rng, negative):
     """The starred language needs at least 2^k states; k = 1..3."""
     sizes = {}
     for k in (1, 2, 3):
@@ -345,7 +324,7 @@ def _check_three(budget, rng, negative):
     return "pass", {"sizes": sizes}, None
 
 
-def _check_jellybean(budget, rng, negative):
+def _check_jellybean(rng, negative):
     """The reversal stays linear: at most 5k+3 states; k = 1..5."""
     sizes = {}
     for k in range(1, 6):
@@ -357,20 +336,20 @@ def _check_jellybean(budget, rng, negative):
     return "pass", {"sizes": sizes}, None
 
 
-def _check_two(budget, rng, negative):
+def _check_two(rng, negative):
     """Certified hard words: no 2^k - 1 state acceptor avoids H_k; k = 1, 2."""
     evidence = {}
     for k in (1, 2):
-        z = search_z_k(k, budget=budget)
+        z = search_z_k(k)
         p = 2**k - 1 if not negative else 2**k
-        ok = lsep_lower_check(z.word, build_H_k(k), p, budget=budget)
+        ok = lsep_lower_check(z.word, build_H_k(k), p)
         evidence[k] = {"z": z.word, "states_exhausted": p}
         if not ok:
             return "fail", evidence, {"k": k, "z": z.word, "p": p}
     return "pass", evidence, None
 
 
-def _check_spider(budget, rng, negative):
+def _check_spider(rng, negative):
     """Product size never exceeds the factor sizes multiplied; 100 pairs."""
     samples = [(_random_dfa(rng, 4, 2), _random_dfa(rng, 4, 2)) for _ in range(99)]
     # include a saturating pair so the strict-bound mutation has a victim
@@ -395,9 +374,9 @@ def _ternary_structures() -> tuple:
     return tuple(enumerate_canonical(3, 3))
 
 
-def _check_kebab(budget, rng, negative):
+def _check_kebab(rng, negative):
     """Small automaton pairs cannot tell the hard word from all of H_k; k=4."""
-    z = search_z_k(4, budget=budget)
+    z = search_z_k(4)
     h = build_H_k(4)
     structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 60)]
     misses = 0
@@ -421,9 +400,9 @@ def _check_kebab(budget, rng, negative):
     return status, evidence, None
 
 
-def _check_four(budget, rng, negative):
+def _check_four(rng, negative):
     """Substituting a closure word fools any small automaton pair; k=4."""
-    z = search_z_k(4, budget=budget)
+    z = search_z_k(4)
     h = build_H_k(4)
     closure = _h_closure(4, None)  # the automaton free_word searches
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]
@@ -446,7 +425,7 @@ def _check_four(budget, rng, negative):
     return status, {"samples": 30, "z_certified": z.certified}, None
 
 
-def _check_candy(budget, rng, negative):
+def _check_candy(rng, negative):
     """Reversing the right encoding equals left-encoding the reversal."""
     for i in range(500):
         w = _random_word(rng, 12, "012")
@@ -457,15 +436,15 @@ def _check_candy(budget, rng, negative):
     return "pass", {"samples": 500}, None
 
 
-def _check_redfish(budget, rng, negative):
+def _check_redfish(rng, negative):
     """Left-encoding never shrinks the separation number; 100 ternary pairs."""
     for i in range(100):
         w = _random_word(rng, 4, "012")
         x = _random_word(rng, 4, "012")
         if w == x:
             continue
-        plain = exact_sep(w, x, budget).value
-        coded = exact_sep(encode(w, "left"), encode(x, "left"), budget).value
+        plain = exact_sep(w, x).value
+        coded = exact_sep(encode(w, "left"), encode(x, "left")).value
         ok = coded > plain if negative else coded >= plain
         if not ok:
             return "fail", {"samples": i + 1}, {"w": w, "x": x,
@@ -489,7 +468,7 @@ def _conforming_prefix(rng: random.Random, r: Dfa) -> str:
     return "".join(s + "0" * rng.randrange(1, 4) for s in segs) + last
 
 
-def _check_farmand(budget, rng, negative):
+def _check_farmand(rng, negative):
     """The decoder machine separates around the middle block; R = G_1^R, n=1."""
     r = reverse(build_G_k(1))
     n = 1
@@ -508,33 +487,33 @@ def _check_farmand(budget, rng, negative):
     return "pass", {"samples": 100, "states": machine.state_count}, None
 
 
-def _check_blueberry(budget, rng, negative):
+def _check_blueberry(rng, negative):
     """The certified doubling word exists and its bound is exhaustive; n=1."""
     n = 1
-    res = search_C_n(n, "1", budget=budget)
+    res = search_C_n(n, "1")
     trip = canonical_triple(n)
     w = res.word + trip.f + res.word
     x = res.word + trip.g + res.word
     p = 2 * n + 2 if negative else 2 * n + 1
-    ok = no_separator_up_to(w, x, p, budget=budget)
+    ok = no_separator_up_to(w, x, p)
     evidence = {"word": res.word, "states_exhausted": p}
     if not ok:
         return "fail", evidence, {"word": res.word, "p": p}
     return "pass", evidence, None
 
 
-def _check_main(budget, rng, negative):
+def _check_main(rng, negative):
     """End-to-end witness pairs verify both bounds; (k, n) in {(1,1), (2,1)}."""
     evidence = {}
     for k, n in ((1, 1), (2, 1)):
-        rep = witness_pair(k, n, budget=budget)
+        rep = witness_pair(k, n)
         if negative:
             # flip the bit that turns the long middle run into a short one
             lc = len(encode(rep.c_word, "left"))
             idx = len(rep.x_prime) - 1 - (lc + n)
             flipped = "1" if rep.x_prime[idx] == "0" else "0"
             rep.x_prime = rep.x_prime[:idx] + flipped + rep.x_prime[idx + 1:]
-        rep = verify_witness(rep, budget=budget)
+        rep = verify_witness(rep)
         evidence[f"k={k},n={n}"] = dict(rep.statuses,
                                         lower_verified_to=rep.lower_verified_to)
         if rep.statuses["lower"] != "certified" or rep.statuses["upper"] != "certified":
@@ -542,7 +521,7 @@ def _check_main(budget, rng, negative):
     return "pass", evidence, None
 
 
-CheckFn = Callable[[SearchBudget, random.Random, bool], tuple[str, dict, Optional[dict]]]
+CheckFn = Callable[[random.Random, bool], tuple[str, dict, Optional[dict]]]
 
 REGISTRY: dict[str, tuple[CheckFn, str]] = {
     "fries": (_check_fries, "all binary pairs |w|,|x| <= 5, p <= 3, exhaustive"),
@@ -573,17 +552,12 @@ def known_ids() -> list[str]:
     return list(REGISTRY)
 
 
-def run_check(
-    id: str,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    seed: int = DEFAULT_SEED,
-    negative: bool = False,
-) -> LemmaCheck:
+def run_check(id: str, seed: int = DEFAULT_SEED, negative: bool = False) -> LemmaCheck:
     if id not in REGISTRY:
         raise ValueError(f"unknown check {id!r}; valid ids: {', '.join(REGISTRY)}")
     fn, scale = REGISTRY[id]
     rng = random.Random(seed)
-    status, evidence, counterexample = fn(budget, rng, negative)
+    status, evidence, counterexample = fn(rng, negative)
     return LemmaCheck(id=id, scale=scale, status=status,
                       evidence=evidence, counterexample=counterexample)
 
@@ -625,9 +599,7 @@ class SuiteReport(_Value):
 
 
 def run_lemma_suite(
-    ids: Optional[list[str]] = None,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    seed: int = DEFAULT_SEED,
+    ids: Optional[list[str]] = None, seed: int = DEFAULT_SEED
 ) -> SuiteReport:
     """Run the named checks (all of them by default) at their desk scales."""
     if ids is None:
@@ -637,5 +609,5 @@ def run_lemma_suite(
         raise ValueError(
             f"unknown check ids {unknown}; valid ids: {', '.join(REGISTRY)}"
         )
-    checks = [run_check(i, budget=budget, seed=seed) for i in ids]
+    checks = [run_check(i, seed=seed) for i in ids]
     return SuiteReport(seed=seed, checks=checks)

@@ -108,25 +108,32 @@ class SepCertificate(_Value):
 
     @staticmethod
     def from_json(text: str) -> "SepCertificate":
-        """Decode a certificate; ValueError unless the bounds are ints (not
-        bools) and the words and lower_method are strings."""
+        """Decode a certificate; ValueError unless the text is a JSON object
+        with every field, the bounds are ints (not bools), the words and
+        lower_method are strings and the witness is null or DFA text."""
         obj = json.loads(text)
-        witness = dfa_from_text(obj["witness"])[0] if obj["witness"] else None
-        cert = SepCertificate(
-            w=obj["w"],
-            x=obj["x"],
-            lower=obj["lower"],
-            upper=obj["upper"],
-            witness=witness,
-            lower_method=obj["lower_method"],
-            nodes=obj.get("nodes", 0),
-            millis=obj.get("millis", 0),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("a certificate must be a JSON object")
+        try:
+            cert = SepCertificate(
+                w=obj["w"],
+                x=obj["x"],
+                lower=obj["lower"],
+                upper=obj["upper"],
+                witness=obj["witness"],
+                lower_method=obj["lower_method"],
+                nodes=obj.get("nodes", 0),
+                millis=obj.get("millis", 0),
+            )
+        except KeyError as e:
+            raise ValueError(f"a certificate needs the field {e}") from None
         if not (type(cert.lower) is int and type(cert.upper) is int
                 and isinstance(cert.w, str) and isinstance(cert.x, str)
-                and isinstance(cert.lower_method, str)):
-            raise ValueError("a certificate's bounds must be ints and its "
-                             "words and lower_method strings")
+                and isinstance(cert.lower_method, str)
+                and (cert.witness is None or isinstance(cert.witness, str))):
+            raise ValueError("a certificate's bounds must be ints, its words and "
+                             "lower_method strings and its witness null or text")
+        cert.witness = dfa_from_text(cert.witness)[0] if cert.witness else None
         return cert
 
 
@@ -468,11 +475,7 @@ def run_table(table: Table, syms: list[int], q: int = 0) -> int:
 
 
 def separating_structure(
-    w: str,
-    x: str,
-    p: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    counters: Optional[SearchCounters] = None,
+    w: str, x: str, p: int, counters: Optional[SearchCounters] = None
 ) -> Optional[Table]:
     """A transition table with at most p states sending w and x to different
     end states, or None when no DFA with at most p states separates them.
@@ -480,7 +483,8 @@ def separating_structure(
     With accepting set {end state of w} the table is a separating DFA.
     Exhaustive: the lazy canonical search at level p covers every smaller
     structure as well, since branch targets may stay within used states.
-    counters, when given, is charged instead of a fresh pool from budget.
+    The search is charged to counters, a fresh pool of DEFAULT_BUDGET when
+    none is given.
     """
     if w == x:
         raise ValueError("sep undefined for equal words")
@@ -488,7 +492,7 @@ def separating_structure(
         raise ValueError(f"p must be >= 1, got {p}")
     k = _alphabet_for(w, x)
     if counters is None:
-        counters = SearchCounters(budget)
+        counters = SearchCounters(DEFAULT_BUDGET)
     ws, xs = word_symbols(w, k), word_symbols(x, k)
     return _distinguishing_structure(ws, xs, p, k, counters)
 
@@ -497,7 +501,7 @@ def no_separator_up_to(
     w: str, x: str, p: int, budget: SearchBudget = DEFAULT_BUDGET
 ) -> bool:
     """True iff no DFA with at most p states separates the pair."""
-    return separating_structure(w, x, p, budget) is None
+    return separating_structure(w, x, p, SearchCounters(budget)) is None
 
 
 def raw_tables(p: int, k: int) -> Iterator[tuple[int, Table]]:
@@ -565,11 +569,7 @@ def _reached(trans: Table, k: int, l: Dfa | Reversal, q: int) -> bool:
 
 
 def lsep_lower_check(
-    w: str,
-    l: Dfa | Reversal,
-    p: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    counters: Optional[SearchCounters] = None,
+    w: str, l: Dfa | Reversal, p: int, counters: Optional[SearchCounters] = None
 ) -> bool:
     """True iff no DFA with <= p states accepts w while rejecting all of L(l).
 
@@ -580,8 +580,9 @@ def lsep_lower_check(
     search runs on the bare table and stops at the first word of the
     language that reaches the end state.  For a 0-free w and
     a 0-free language over {0,1,2}, structures over two effective symbols
-    suffice: transitions on 0 are never exercised.  counters, when given,
-    is charged one node per structure instead of a fresh pool from budget.
+    suffice: transitions on 0 are never exercised.  counters is charged
+    one node per structure, a fresh pool of DEFAULT_BUDGET when none is
+    given.
     l may be a `Reversal`, whose states the checks build as they read them.
     """
     if accepts(l, w):
@@ -595,7 +596,7 @@ def lsep_lower_check(
         proj = l
         ws = word_symbols(w, k)
     if counters is None:
-        counters = SearchCounters(budget)
+        counters = SearchCounters(DEFAULT_BUDGET)
     for table in enumerate_canonical(p, k):
         counters.tick()
         end = run_table(table, ws)
@@ -618,7 +619,7 @@ def _zero_free_projection(l: Dfa | Reversal) -> Optional[Dfa | Reversal]:
     """
     if isinstance(l, Reversal):
         proj = _zero_free_projection(l.source)
-        return None if proj is None else Reversal(proj, l.max_states)
+        return None if proj is None else Reversal(proj)
     if l.alphabet_size == 3 and is_zero_free(l):
         return Dfa(2, tuple((row[1], row[2]) for row in l.transitions), l.accepting)
     return None

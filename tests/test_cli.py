@@ -8,7 +8,7 @@ import time
 import pytest
 
 from cli_run import invoke
-from sepwords import cli, lang
+from sepwords import cli, dfa
 from sepwords.cli import EXIT_BOUNDED, EXIT_USAGE
 from sepwords.dfa import Dfa, dfa_to_text, reverse
 from sepwords.lang import build_G_k, build_H_k, build_L_k, state_complexity
@@ -56,6 +56,7 @@ def test_sep_rejects_bad_words():
     ("witness", "--k", "1", "--n", "5"),  # canonical_triple takes n in 1..4
     ("--cache", "c.jsonl", "sep", "0", "1"),  # --cache is an atlas option only
     ("--cache", "c.jsonl", "atlas"),
+    ("sep", "0", "1", "--json"),  # the global --format json emits the certificate
 ])
 def test_out_of_range_options_are_usage_errors(args):
     assert_usage_error(invoke(*args))
@@ -98,7 +99,7 @@ def test_stc_reversed_is_the_state_complexity_of_the_reversal(name, builder):
 
 def test_budget_error_exits_bounded_with_one_line(monkeypatch):
     # G_5 has 127 states; the unmemoized builder runs under the lowered budget
-    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 126)
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 126)
     monkeypatch.setitem(cli._LANG_BUILDERS, "G_k",
                         (build_G_k.__wrapped__, cli._LANG_BUILDERS["G_k"][1]))
     r = invoke("stc", "--lang", "G_k", "--k", "5")

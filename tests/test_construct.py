@@ -23,7 +23,6 @@ from sepwords.construct import (
     upper_claim_value,
     verify_witness,
     witness_pair,
-    WitnessReport,
     Z_K_MAX_LEN,
 )
 from sepwords.dfa import (BudgetError, Dfa, accepts, combine, enumerate_canonical,
@@ -276,7 +275,7 @@ def test_witness_pair_builds_neither_G_k_nor_H_k_in_full(monkeypatch, fresh_on_d
 def test_search_z_k_raises_budget_error_past_the_subset_budget(monkeypatch,
                                                                fresh_on_demand):
     lang._reversed_G_k(10)  # its 53 subsets are under the default budget
-    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 2)
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 2)
     with pytest.raises(BudgetError, match="^reversal exceeded 2 subset states$"):
         search_z_k(10)
 
@@ -285,7 +284,7 @@ def test_witness_pair_past_the_eager_build_limit(fresh_on_demand):
     """G_16 has 2^18 - 1 states, past DEFAULT_DETERMINIZE_BUDGET, so
     build_G_k(16) raises; the on-demand path still assembles and
     certifies the pair, the same pair as at k = 10."""
-    assert 2**18 - 1 > lang.DEFAULT_DETERMINIZE_BUDGET
+    assert 2**18 - 1 > dfa.DEFAULT_DETERMINIZE_BUDGET
     k10 = witness_pair(10, 1)
     k16 = verify_witness(witness_pair(16, 1))
     assert (k16.w_prime, k16.x_prime, k16.z_word, k16.c_word) == (
@@ -456,9 +455,3 @@ def test_witness_negative_control_bit_flip():
     corrupted.x_prime = corrupted.x_prime[:idx] + flipped + corrupted.x_prime[idx + 1:]
     corrupted = verify_witness(corrupted)
     assert corrupted.statuses["upper"] == "failed"
-
-
-def test_witness_report_json_roundtrip():
-    rep = verify_witness(witness_pair(1, 1))
-    back = WitnessReport.from_json(rep.to_json())
-    assert back == rep

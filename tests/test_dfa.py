@@ -495,11 +495,14 @@ def test_reversal_rows_are_built_once_and_only_for_numbered_states():
             lazy.transitions[q]
 
 
-def test_reverse_raises_past_its_state_budget():
+def test_reverse_raises_past_its_state_budget(monkeypatch):
     g = build_G_k(5)  # its reversal has 27 states
-    assert reverse(g, max_states=27) == reverse(g)
+    full = reverse(g)
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 27)
+    assert reverse(g) == full
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 26)
     with pytest.raises(BudgetError, match="26 subset states"):
-        reverse(g, max_states=26)
+        reverse(g)
 
 
 def test_is_empty_returns_shortest_witness():

@@ -9,6 +9,7 @@ import pytest
 from sepwords import dfa, lang
 from sepwords.construct import Z_K_MAX_LEN, farmand_dfa
 from sepwords.dfa import (
+    DEFAULT_DETERMINIZE_BUDGET,
     BudgetError,
     Dfa,
     _reachable,
@@ -22,7 +23,6 @@ from sepwords.dfa import (
 )
 from sepwords.lang import (
     ALPHABET,
-    DEFAULT_DETERMINIZE_BUDGET,
     G_k_on_demand,
     H_k_on_demand,
     _reversed_G_k,
@@ -177,9 +177,9 @@ def test_reversed_star_equals_reversal_of_G_k():
 def test_star_build_raises_past_the_determinize_budget(monkeypatch):
     # G_k has 2^(k+2) - 1 states, all of them subsets in the final reversal
     assert build_G_k(5).state_count == 127
-    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 127)
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 127)
     assert build_G_k.__wrapped__(5) == build_G_k(5)
-    monkeypatch.setattr(lang, "DEFAULT_DETERMINIZE_BUDGET", 126)
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 126)
     with pytest.raises(BudgetError):
         build_G_k.__wrapped__(5)
     # so with the real budget, k = 15 (131 071 states) builds and k = 16
@@ -358,9 +358,9 @@ def test_H_k_build_reverses_only_its_small_source(monkeypatch):
     states."""
     reversed_sizes = []
 
-    def spy_reverse(d, max_states=None):
+    def spy_reverse(d):
         reversed_sizes.append(d.state_count)
-        return reverse(d, max_states)
+        return reverse(d)
 
     def no_G_k(k):
         raise AssertionError("build_H_k built G_k")

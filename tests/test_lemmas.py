@@ -15,7 +15,7 @@ from sepwords.lemmas import (
     run_check,
     run_lemma_suite,
 )
-from sepwords.solver import DEFAULT_BUDGET, no_separator_up_to, raw_tables
+from sepwords.solver import no_separator_up_to, raw_tables
 from test_dfa import canonical_dfas
 
 ALL_IDS = [
@@ -109,7 +109,7 @@ def test_negative_controls_are_frozen():
 # The per-structure and per-(pair, p) loops of these checks before they
 # were rewritten, kept verbatim as references.
 
-def _check_fries(budget, rng, negative):
+def _check_fries(rng, negative):
     """Structure-only search agrees with raw enumeration; |w|,|x| <= 5, p <= 3."""
     words = [""] + ["".join(t) for L in range(1, 6) for t in itertools.product("01", repeat=L)]
     tables = []
@@ -143,7 +143,7 @@ def _check_fries(budget, rng, negative):
     return "pass", {"pairs_times_levels": checked}, None
 
 
-def _check_nexus(budget, rng, negative):
+def _check_nexus(rng, negative):
     """0^{(2n+1)!} is absorbed on zero-cycle states; exhaustive, n=1."""
     h = "0" * (5 if negative else 6)
     words = [""] + ["".join(t) for L in range(1, 5) for t in itertools.product("01", repeat=L)]
@@ -161,7 +161,7 @@ def _check_nexus(budget, rng, negative):
     return "pass", {"checked": checked}, None
 
 
-def _check_icecream(budget, rng, negative):
+def _check_icecream(rng, negative):
     """zpath splits at any cut point; exhaustive over 3- and 4-state structures."""
     checked = 0
     for p in (3, 4):
@@ -179,7 +179,7 @@ def _check_icecream(budget, rng, negative):
     return "pass", {"checked": checked}, None
 
 
-def _check_marshmallow(budget, rng, negative):
+def _check_marshmallow(rng, negative):
     """zpath prefixes are bounded by i+1 and contained in the full zpath."""
     checked = 0
     for p in (3, 4):
@@ -196,7 +196,7 @@ def _check_marshmallow(budget, rng, negative):
     return "pass", {"checked": checked}, None
 
 
-def _check_snake(budget, rng, negative):
+def _check_snake(rng, negative):
     """A cycle-free 0-trajectory of length i has exactly i+1 zpath states."""
     checked = 0
     for p in (3, 4):
@@ -224,7 +224,7 @@ REFERENCES = {
 
 def _both_sides(check_id, negative):
     fn, _ = lemmas.REGISTRY[check_id]
-    args = (DEFAULT_BUDGET, random.Random(DEFAULT_SEED), negative)
+    args = (random.Random(DEFAULT_SEED), negative)
     return fn(*args), REFERENCES[check_id](*args)
 
 

@@ -1,6 +1,7 @@
 """Exact separation-number solver tests."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -214,7 +215,7 @@ def searched_sep(w, x, budget=DEFAULT_BUDGET):
     """sep(w, x) by exhaustive search alone: the first level up to
     budget.max_states with a separating structure, or None."""
     return next((p for p in range(1, budget.max_states + 1)
-                 if separating_structure(w, x, p, budget) is not None), None)
+                 if separating_structure(w, x, p, SearchCounters(budget)) is not None), None)
 
 
 def test_unary_fast_path_matches_search():
@@ -323,6 +324,15 @@ def test_certificate_json_roundtrip():
         cert.w, cert.x, cert.lower, cert.upper)
     assert back.witness == cert.witness
     assert back.exact
+
+
+@pytest.mark.parametrize("text", [
+    "5", "[1]", "null", '"x"', '{"w": "0"}',
+    json.dumps(dict(json.loads(exact_sep("0", "000").to_json()), witness=5)),
+], ids=["int", "list", "null", "string", "missing-fields", "int-witness"])
+def test_certificate_from_malformed_json_raises_value_error(text):
+    with pytest.raises(ValueError):
+        SepCertificate.from_json(text)
 
 
 def test_budget_bounded_certificate():

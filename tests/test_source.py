@@ -94,3 +94,70 @@ def test_every_readme_import_from_the_package_runs():
     assert lines
     for line in lines:
         exec(line, {})
+
+
+def _defaulted_parameters() -> list[tuple[str, str, str]]:
+    """(module, function, parameter) for every parameter with a default of
+    a function or method in the package source, in source order; a method
+    is named Class.method."""
+    root = Path(sepwords.__file__).parent
+    found = []
+
+    def visit(module, body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(module, node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                with_default = positional[len(positional) - len(a.defaults):] + [
+                    arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found.extend((module, prefix + node.name, arg.arg) for arg in with_default)
+                visit(module, node.body, f"{prefix}{node.name}.")
+
+    for path in sorted(root.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")).body, "")
+    return found
+
+
+def test_the_option_surface_is_pinned():
+    # each defaulted parameter is an option that tests must cover; one that
+    # no caller sets to a second value belongs in a constant, and a new one
+    # should show up in review
+    assert _defaulted_parameters() == [
+        ("atlas", "compute_atlas", "cache"),
+        ("cli", "main", "argv"),
+        ("construct", "CnResult.__init__", "candidates"),
+        ("construct", "CnResult.__init__", "exhaustive_searches"),
+        ("construct", "CnResult.__init__", "nodes"),
+        ("construct", "search_C_n", "budget"),
+        ("construct", "search_C_n", "forbid_run_length"),
+        ("construct", "search_z_k", "budget"),
+        ("construct", "free_word", "z_k"),
+        ("construct", "farmand_dfa", "on_mismatch"),
+        ("construct", "WitnessReport.__init__", "lower_verified_to"),
+        ("construct", "WitnessReport.__init__", "upper_witness"),
+        ("construct", "WitnessReport.__init__", "statuses"),
+        ("construct", "witness_pair", "budget"),
+        ("construct", "verify_witness", "budget"),
+        ("dfa", "zpath", "i"),
+        ("dfa", "dfa_to_text", "provenance"),
+        ("lemmas", "LemmaCheck.__init__", "evidence"),
+        ("lemmas", "LemmaCheck.__init__", "counterexample"),
+        ("lemmas", "run_check", "seed"),
+        ("lemmas", "run_check", "negative"),
+        ("lemmas", "run_lemma_suite", "ids"),
+        ("lemmas", "run_lemma_suite", "seed"),
+        ("solver", "SearchBudget.__init__", "max_states"),
+        ("solver", "SearchBudget.__init__", "max_nodes"),
+        ("solver", "SearchBudget.__init__", "wall_limit"),
+        ("solver", "SepCertificate.__init__", "nodes"),
+        ("solver", "SepCertificate.__init__", "millis"),
+        ("solver", "certificate_from_table", "nodes"),
+        ("solver", "certificate_from_table", "start"),
+        ("solver", "exact_sep", "budget"),
+        ("solver", "run_table", "q"),
+        ("solver", "separating_structure", "counters"),
+        ("solver", "no_separator_up_to", "budget"),
+        ("solver", "lsep_lower_check", "counters"),
+    ]
