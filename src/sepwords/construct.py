@@ -28,13 +28,12 @@ from .dfa import (
     word_symbols,
 )
 from .lang import (
-    G_k_on_demand,
-    H_k_on_demand,
     _reversed_G_k,
+    _reversed_H_k,
+    _reversed_words,
     build_H_k,
     finite_language,
     is_zero_free,
-    iter_words,
     segmented_closure,
 )
 from .solver import (
@@ -255,19 +254,20 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
     at the exhaustible cap and flagged uncertified.  One budget (one node
     pool, one deadline) covers every candidate's check.
 
-    G_k and H_k are read with their states built on demand
-    (`G_k_on_demand`, `H_k_on_demand`): the words tried and the checks
-    touch a few of the 2^(k+2) - 1 states of G_k.  Raises BudgetError
-    when they would build more subsets than DEFAULT_DETERMINIZE_BUDGET.
+    G_k and H_k are read only through their small reversed sources: the
+    words of _reversed_G_k(k), reversed and sorted one length at a time,
+    are G_k's in shortlex order, and each is vetted against the reversed
+    H_k, _reversed_H_k(k).  Neither language's 2^(k+2) - 1 states are
+    built, so no k meets DEFAULT_DETERMINIZE_BUDGET here.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     target = 2**k - 1
     certified = target <= EXHAUSTIVE_STATE_CAP
     p = target if certified else EXHAUSTIVE_STATE_CAP
-    g, h = G_k_on_demand(k), H_k_on_demand(k)
+    h = _reversed_H_k(k)
     counters = SearchCounters(budget)
-    for z in iter_words(g, Z_K_MAX_LEN):
+    for z in _reversed_words(_reversed_G_k(k), Z_K_MAX_LEN):
         if not z:
             continue
         counters.check_deadline()

@@ -364,121 +364,45 @@ class BudgetError(RuntimeError):
     """A construction or search ran out of its explicit resource budget."""
 
 
-class _Rows:
-    """A Reversal's rows, one for each state numbered so far.
-
-    Row q is built by `build(q)` on its first read.  Read in index order,
-    as iteration reads them, the rows number the states after them, so
-    iteration builds the whole automaton."""
-
-    __slots__ = ("built", "build")
-
-    def __init__(self, build):
-        self.built: list[Optional[tuple[int, ...]]] = []  # None until built
-        self.build = build
-
-    def __len__(self) -> int:
-        return len(self.built)
-
-    def __getitem__(self, q: int) -> tuple[int, ...]:
-        if not 0 <= q < len(self.built):
-            raise IndexError(f"state {q!r} out of range")
-        row = self.built[q]
-        if row is None:
-            row = self.built[q] = self.build(q)
-        return row
-
-
-class _Holding:
-    """The numbered states whose subset passes `test`, asked with `in`."""
-
-    __slots__ = ("subsets", "test")
-
-    def __init__(self, subsets: list, test):
-        self.subsets = subsets
-        self.test = test
-
-    def __contains__(self, q: int) -> bool:
-        return bool(self.test(self.subsets[q]))
-
-
-class Reversal:
-    """The minimal DFA of the reversal of L(d), each state built when read.
+def reverse(d: Dfa) -> Dfa:
+    """Minimal complete DFA for the reversal of L(d), in canonical order.
 
     The subset construction of the reversed automaton, run on d's
     reachable part (canonicalize() drops the other states).  A subset S
     is a membership vector over d's states: S[q] is 1 when q is in S.
     Its move on symbol a is {q : d moves q on a into S}, one gather of S
     along d's a-column.  The start is d's accepting set, and a subset
-    accepts when it holds d's start.
-
-    It reads as a Dfa does for a reader that follows rows from the start
-    and asks `q in accepting`.  transitions[q] is state q's row, built on
-    first read; a subset is numbered when a row first reaches it, so
-    building rows in index order numbers states breadth-first, as
-    `reverse` does.  len(transitions) counts the states numbered so far.
-    live holds the live states, some word leading each to acceptance:
-    exactly those whose subset is non-empty, since each state of d's
-    reachable part is reached from d's start by some word.  accepting and
-    live are asked only of numbered states, which are all a reader can
-    name.  Raises BudgetError when a subset past DEFAULT_DETERMINIZE_BUDGET
-    would be numbered.
-    """
-
-    __slots__ = ("source", "alphabet_size", "transitions",
-                 "accepting", "live", "_index", "_order", "_gathers")
-
-    def __init__(self, d: Dfa):
-        if len(_reachable(d)) < d.state_count:
-            d = canonicalize(d)
-        # itemgetter with one index would return a bare item, not a tuple
-        self._gathers = [itemgetter(*col) if d.state_count > 1
-                         else (lambda s, q=col[0]: (s[q],))
-                         for col in zip(*d.transitions)]
-        self.source = d
-        self.alphabet_size = d.alphabet_size
-        self._index: dict[bytes, int] = {}
-        self._order: list[bytes] = []
-        self.transitions = _Rows(self._row)
-        self.accepting = _Holding(self._order, itemgetter(0))
-        self.live = _Holding(self._order, any)
-        self._number(bytes(q in d.accepting for q in range(d.state_count)))
-
-    def _number(self, sub: bytes) -> int:
-        order = self._order
-        if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
-            raise BudgetError(
-                f"reversal exceeded {DEFAULT_DETERMINIZE_BUDGET} subset states")
-        i = self._index[sub] = len(order)
-        order.append(sub)
-        self.transitions.built.append(None)
-        return i
-
-    def _row(self, q: int) -> tuple[int, ...]:
-        cur, index = self._order[q], self._index
-        row = []
-        for gather in self._gathers:
-            nxt = bytes(gather(cur))
-            i = index.get(nxt)
-            row.append(self._number(nxt) if i is None else i)
-        return tuple(row)
-
-
-def reverse(d: Dfa) -> Dfa:
-    """Minimal complete DFA for the reversal of L(d), in canonical order.
-
-    Every row of `Reversal(d)`, read in index order.  By Brzozowski's
-    theorem the subset automaton of the reversal of an accessible DFA is
-    already minimal, and its breadth-first numbering is the canonical one,
-    so no minimize() follows.  Raises BudgetError when the subset count
+    accepts when it holds d's start.  By Brzozowski's theorem the subset
+    automaton of the reversal of an accessible DFA is already minimal,
+    and its breadth-first numbering is the canonical one, so no
+    minimize() follows.  Raises BudgetError when the subset count
     exceeds DEFAULT_DETERMINIZE_BUDGET, as determinize() does.
     """
-    r = Reversal(d)
-    # list() first: a tuple built from a sequence that grows as it is read
-    # is resized step by step, which peaks higher (G_15: 1.3 MiB)
-    rows = tuple(list(r.transitions))
-    acc = frozenset(i for i, sub in enumerate(r._order) if sub[0])
-    return Dfa(r.alphabet_size, rows, acc)
+    if len(_reachable(d)) < d.state_count:
+        d = canonicalize(d)
+    # itemgetter with one index would return a bare item, not a tuple
+    gathers = [itemgetter(*col) if d.state_count > 1
+               else (lambda s, q=col[0]: (s[q],))
+               for col in zip(*d.transitions)]
+    start = bytes(q in d.accepting for q in range(d.state_count))
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for cur in order:  # grows while it is read: a breadth-first queue
+        row = []
+        for gather in gathers:
+            nxt = bytes(gather(cur))
+            i = index.get(nxt)
+            if i is None:
+                if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
+                    raise BudgetError(f"reversal exceeded "
+                                      f"{DEFAULT_DETERMINIZE_BUDGET} subset states")
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+        rows.append(tuple(row))
+    acc = frozenset(i for i, sub in enumerate(order) if sub[0])
+    return Dfa(d.alphabet_size, tuple(rows), acc)
 
 
 def _zero_walk(rows: Table, q: int) -> tuple[list[int], int]:

@@ -7,8 +7,9 @@ star within {1,2}*); finite_language builds any finite word set.
 G_k and H_k have one source each, the small minimal DFA of their
 reversal: _reversed_G_k and _reversed_H_k, 5k + 2 and 5k + 3 states,
 where G_k has 2^(k+2) - 1.  build_G_k and build_H_k reverse the source in
-full; G_k_on_demand and H_k_on_demand build the reversal's states as they
-are read.
+full; the hard-word search reads the sources themselves, G_k's words
+through _reversed_words and H_k as the reversed language that
+solver.lsep_lower_check takes.
 
 The family lives over {1,2} but every automaton is carried over the full
 alphabet {0,1,2}: symbol 0 leads straight to the dead state, so products
@@ -18,11 +19,11 @@ and concatenations with 0-runs never need an alphabet conversion.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator
 
 from .dfa import (
     Dfa,
-    Reversal,
     _reachable,
     canonicalize,
     determinize,
@@ -163,26 +164,6 @@ def build_H_k(k: int) -> Dfa:
     return reverse(_reversed_H_k(k))
 
 
-@lru_cache(maxsize=None)
-def G_k_on_demand(k: int) -> Reversal:
-    """G_k with its states built as they are read: the reversal of
-    _reversed_G_k(k), as `build_G_k` builds it in full.
-
-    Memoized per process with the states built so far;
-    dfa.DEFAULT_DETERMINIZE_BUDGET caps them.
-    """
-    return Reversal(_reversed_G_k(k))
-
-
-@lru_cache(maxsize=None)
-def H_k_on_demand(k: int) -> Reversal:
-    """H_k with its states built as they are read: the reversal of
-    _reversed_H_k(k), as `build_H_k` builds it in full.  Memoized and
-    capped as `G_k_on_demand` is.
-    """
-    return Reversal(_reversed_H_k(k))
-
-
 def finite_language(words: list[str]) -> Dfa:
     """Minimal DFA of a finite set of {1,2}-words.
 
@@ -249,14 +230,13 @@ def state_complexity(l: Dfa) -> int:
     return minimize(l).state_count
 
 
-def iter_words(d: Dfa | Reversal, max_len: int) -> Iterator[str]:
+def iter_words(d: Dfa, max_len: int) -> Iterator[str]:
     """Accepted words in shortlex order, up to max_len.
 
-    A `Reversal` is read as a Dfa is, with its own live set, so only the
-    states the frontier reaches are built.  Frontier size is exponential
-    in length for rich languages; callers cap max_len accordingly.
+    Frontier size is exponential in length for rich languages; callers
+    cap max_len accordingly.
     """
-    live = d.live if isinstance(d, Reversal) else _live_states(d)
+    live = _live_states(d)
     frontier: list[tuple[int, str]] = [(0, "")]
     if 0 in d.accepting:
         yield ""
@@ -267,6 +247,13 @@ def iter_words(d: Dfa | Reversal, max_len: int) -> Iterator[str]:
         for q, w in frontier:
             if q in d.accepting:
                 yield w
+
+
+def _reversed_words(r: Dfa, max_len: int) -> Iterator[str]:
+    """The words of the reversal of L(r) in shortlex order, up to max_len:
+    r's words of each length, reversed and sorted."""
+    for _, words in groupby(iter_words(r, max_len), len):
+        yield from sorted(w[::-1] for w in words)
 
 
 def _live_states(d: Dfa) -> set[int]:

@@ -40,6 +40,7 @@ from .dfa import (
     zpath,
 )
 from .lang import (
+    _reversed_H_k,
     _segclo_of_dfa,
     build_G_k,
     build_H_k,
@@ -342,7 +343,7 @@ def _check_two(rng, negative):
     for k in (1, 2):
         z = search_z_k(k)
         p = 2**k - 1 if not negative else 2**k
-        ok = lsep_lower_check(z.word, build_H_k(k), p)
+        ok = lsep_lower_check(z.word, _reversed_H_k(k), p)
         evidence[k] = {"z": z.word, "states_exhausted": p}
         if not ok:
             return "fail", evidence, {"k": k, "z": z.word, "p": p}
@@ -377,7 +378,7 @@ def _ternary_structures() -> tuple:
 def _check_kebab(rng, negative):
     """Small automaton pairs cannot tell the hard word from all of H_k; k=4."""
     z = search_z_k(4)
-    h = build_H_k(4)
+    r = _reversed_H_k(4)  # H_k's words of length <= 1 are r's as well
     structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 60)]
     misses = 0
     for i in range(100):
@@ -387,9 +388,9 @@ def _check_kebab(rng, negative):
         pair = combine(d, d2, "and")
         end = run(pair, 0, z.word)
         if negative:
-            reached = end in {run(pair, 0, u) for u in iter_words(h, 1)}
+            reached = end in {run(pair, 0, u) for u in iter_words(r, 1)}
         else:
-            reached = reached_by_language(pair, h, end)
+            reached = reached_by_language(pair, r, end)
         if not reached:
             misses += 1
     evidence = {"z": z.word, "pairs": 100, "misses": misses,

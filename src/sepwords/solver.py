@@ -9,6 +9,11 @@ and x demand them, and branch targets are limited to already-used states
 plus one fresh state (first-visit symmetry breaking).  The runs read the
 prefix the words share once, then w's middle, then x's middle, which is
 cut where it ends in w's state, and last the suffix they share.
+
+lsep_lower_check and reached_by_language ask whether a word of a whole
+language reaches a state.  They take the language as the DFA of its
+reversal, the small form in which lang gives G_k and H_k, and search
+backward from that state.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from typing import Container, Iterator, Optional
 from .dfa import (
     BudgetError,
     Dfa,
-    Reversal,
     _FrozenValue,
     _Value,
     Table,
@@ -109,8 +113,10 @@ class SepCertificate(_Value):
     @staticmethod
     def from_json(text: str) -> "SepCertificate":
         """Decode a certificate; ValueError unless the text is a JSON object
-        with every field, the bounds are ints (not bools), the words and
-        lower_method are strings and the witness is null or DFA text."""
+        with every field, the bounds are ints (not bools) with
+        1 <= lower <= upper, nodes and millis are non-negative ints (not
+        bools), the words and lower_method are strings and the witness is
+        null or DFA text."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("a certificate must be a JSON object")
@@ -133,6 +139,10 @@ class SepCertificate(_Value):
                 and (cert.witness is None or isinstance(cert.witness, str))):
             raise ValueError("a certificate's bounds must be ints, its words and "
                              "lower_method strings and its witness null or text")
+        if not 1 <= cert.lower <= cert.upper:
+            raise ValueError("a certificate's bounds must satisfy 1 <= lower <= upper")
+        if not all(type(n) is int and n >= 0 for n in (cert.nodes, cert.millis)):
+            raise ValueError("a certificate's nodes and millis must be non-negative ints")
         cert.witness = dfa_from_text(cert.witness)[0] if cert.witness else None
         return cert
 
@@ -532,94 +542,100 @@ def raw_separable(w: str, x: str, p: int) -> bool:
     return False
 
 
-def reached_by_language(structure: Dfa, l: Dfa, q: int) -> bool:
-    """Does some word of L(l) lead the structure from its start to state q?
+def reached_by_language(structure: Dfa, reversal: Dfa, q: int) -> bool:
+    """Does some word of a language lead the structure from its start to
+    state q?  The language is given by `reversal`, a DFA of its reversal,
+    as `lang._reversed_H_k` gives H_k; a caller with a DFA l of the
+    language itself passes reverse(l).
 
-    Depth-first search over the product of the structure with l that stops
-    at the first pair of q and an accepting state of l.
+    A search backward over the product of the structure with the
+    reversal, from (q, start) to (start, an accepting state).
     """
-    k = structure.alphabet_size
-    if l.alphabet_size < k:
+    if reversal.alphabet_size < structure.alphabet_size:
         raise ValueError("language alphabet smaller than structure alphabet")
-    return _reached(structure.transitions, k, l, q)
+    return _reached(structure.transitions, reversal, q)
 
 
-def _reached(trans: Table, k: int, l: Dfa | Reversal, q: int) -> bool:
-    """`reached_by_language` on a bare table over the first k symbols of
-    l's alphabet, which the caller checks.  A `Reversal` builds only the
-    states the search reaches."""
-    ltrans, lacc = l.transitions, l.accepting
-    if q == 0 and 0 in lacc:
+def _reached(trans: Table, reversal: Dfa, q: int) -> bool:
+    """`reached_by_language` on a bare table whose symbols are the first
+    ones of the reversal's alphabet, which the caller checks.
+
+    A word u of the language leads the table from 0 to q exactly when
+    reading u backward leads from q to 0 through the table's preimages
+    while the reversal reads it forward from its start into an accepting
+    state.  So the search runs breadth-first over pairs (table state,
+    reversal state) from (q, 0), and stops at the first pair (0, accepting)
+    it meets.  Each step scans the table for the preimages of one state:
+    the tables are small, and most searches end within a step or two.
+    """
+    rtrans, racc = reversal.transitions, reversal.accepting
+    if q == 0 and 0 in racc:
         return True
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        s, ls = stack.pop()
-        row, lrow = trans[s], ltrans[ls]
-        for a in range(k):
-            t = (row[a], lrow[a])
-            if t not in seen:
-                # tested when first seen, not when popped: the stack may
-                # hold a seen pair while a deep branch above it is explored
-                if t[0] == q and t[1] in lacc:
-                    return True
-                seen.add(t)
-                stack.append(t)
+    seen = {(q, 0)}
+    queue = [(q, 0)]
+    for s, rs in queue:  # grows while it is read: a breadth-first queue
+        rrow = rtrans[rs]
+        for t, row in enumerate(trans):
+            for a, target in enumerate(row):
+                if target == s:
+                    pair = (t, rrow[a])
+                    if pair not in seen:
+                        if t == 0 and pair[1] in racc:
+                            return True
+                        seen.add(pair)
+                        queue.append(pair)
     return False
 
 
 def lsep_lower_check(
-    w: str, l: Dfa | Reversal, p: int, counters: Optional[SearchCounters] = None
+    w: str, reversal: Dfa, p: int, counters: Optional[SearchCounters] = None
 ) -> bool:
-    """True iff no DFA with <= p states accepts w while rejecting all of L(l).
+    """True iff no DFA with <= p states accepts w while rejecting all of
+    a language, given by `reversal`, a DFA of its reversal (pass reverse(l)
+    for a DFA l of the language itself).
 
     For every canonical structure, a suitable accepting set exists exactly
     when w's end state is not reached by any word of the language; the
     check enumerates canonical tables, runs w on each table, and stops at
     the first whose end state the language misses.  The reachability
-    search runs on the bare table and stops at the first word of the
-    language that reaches the end state.  For a 0-free w and
-    a 0-free language over {0,1,2}, structures over two effective symbols
-    suffice: transitions on 0 are never exercised.  counters is charged
-    one node per structure, a fresh pool of DEFAULT_BUDGET when none is
-    given.
-    l may be a `Reversal`, whose states the checks build as they read them.
+    search (`_reached`) runs backward on the bare table and stops at the
+    first word of the language that reaches the end state.  For a 0-free
+    w and a 0-free language over {0,1,2}, structures over two effective
+    symbols suffice: transitions on 0 are never exercised.  counters is
+    charged one node per structure, a fresh pool of DEFAULT_BUDGET when
+    none is given.
     """
-    if accepts(l, w):
+    if accepts(reversal, w[::-1]):
         raise ValueError("lsep undefined: the word belongs to the language")
-    proj = _zero_free_projection(l) if "0" not in w else None
+    proj = _zero_free_projection(reversal) if "0" not in w else None
     if proj is not None:
         k = 2
         ws = [ord(c) - 48 - 1 for c in w]
     else:
-        k = l.alphabet_size
-        proj = l
+        k = reversal.alphabet_size
+        proj = reversal
         ws = word_symbols(w, k)
     if counters is None:
         counters = SearchCounters(DEFAULT_BUDGET)
     for table in enumerate_canonical(p, k):
         counters.tick()
         end = run_table(table, ws)
-        if not _reached(table, k, proj, end):
+        if not _reached(table, proj, end):
             return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _zero_free_projection(l: Dfa | Reversal) -> Optional[Dfa | Reversal]:
+def _zero_free_projection(l: Dfa) -> Optional[Dfa]:
     """l restricted to symbols {1,2}, relabelled {0,1}, when it is a 0-free
     3-symbol language, else None.
 
     Memoized: the zero-freeness pass and the new automaton cost more than
-    hashing l, and callers check many words against one language.  A
-    `Reversal` hashes by identity, and its projection is the reversal of
-    its small source's projection, again built on demand: the reversal of
-    a language is 0-free when the language is, and reversing commutes
-    with keeping the words over {1,2}.
+    hashing l, and callers check many words against one language.  Taken
+    of a reversal, it is the reversal of the language's projection: the
+    reversal of a language is 0-free when the language is, and reversing
+    commutes with keeping the words over {1,2}.
     """
-    if isinstance(l, Reversal):
-        proj = _zero_free_projection(l.source)
-        return None if proj is None else Reversal(proj)
     if l.alphabet_size == 3 and is_zero_free(l):
         return Dfa(2, tuple((row[1], row[2]) for row in l.transitions), l.accepting)
     return None

@@ -62,8 +62,8 @@ def test_criterion_4_certified_hard_words():
     start = time.monotonic()
     z1, z2 = search_z_k(1), search_z_k(2)
     assert z1.certified and z2.certified
-    assert lsep_lower_check(z1.word, build_H_k(1), 1)
-    assert lsep_lower_check(z2.word, build_H_k(2), 3)
+    assert lsep_lower_check(z1.word, reverse(build_H_k(1)), 1)
+    assert lsep_lower_check(z2.word, reverse(build_H_k(2)), 3)
     assert time.monotonic() - start < 1800
 
 

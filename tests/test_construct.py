@@ -220,33 +220,32 @@ def test_search_z_k_spends_one_node_budget_on_all_candidates(monkeypatch):
 def _search_z_k_eager(k):
     """search_z_k's word, read off the eagerly built G_k and H_k."""
     p = min(2**k - 1, construct.EXHAUSTIVE_STATE_CAP)
-    h = build_H_k(k)
+    h = reverse(build_H_k(k))
     return next(z for z in iter_words(build_G_k(k), Z_K_MAX_LEN)
                 if z and lsep_lower_check(z, h, p))
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_search_z_k_on_demand_matches_the_eager_path(k):
+def test_search_z_k_matches_the_eager_path(k):
     z = search_z_k(k)
     assert z.word == _search_z_k_eager(k)
     assert z.checked_states == min(2**k - 1, construct.EXHAUSTIVE_STATE_CAP)
 
 
 @pytest.fixture
-def fresh_on_demand():
-    """Empty memos of the on-demand automata, before and after the test,
-    so a budget the test lowers applies, and leaks into no other test."""
-    memos = (lang._reversed_G_k, lang.G_k_on_demand, lang.H_k_on_demand)
-    for f in memos:
-        f.cache_clear()
+def fresh_reversed_G_k():
+    """An empty memo of the small source of G_k, before and after the
+    test, so the test sees it built."""
+    lang._reversed_G_k.cache_clear()
     yield
-    for f in memos:
-        f.cache_clear()
+    lang._reversed_G_k.cache_clear()
 
 
-def test_witness_pair_builds_neither_G_k_nor_H_k_in_full(monkeypatch, fresh_on_demand):
-    """witness_pair(10, 1) calls no eager builder, and its one reverse()
-    is the small one inside _reversed_G_k, not the 4 095 states of G_10."""
+def test_witness_pair_builds_neither_G_k_nor_H_k_in_full(monkeypatch, fresh_reversed_G_k):
+    """witness_pair(10, 1) calls no eager builder, and its only subset
+    constructions are the two small ones inside _reversed_G_k: the
+    reverse() of L_10 and the determinize() of its star, not the 4 095
+    states of G_10."""
     calls = []
 
     def spy(name, f):
@@ -257,33 +256,22 @@ def test_witness_pair_builds_neither_G_k_nor_H_k_in_full(monkeypatch, fresh_on_d
             return out
         return wrapper
 
-    for name in ("build_G_k", "build_H_k", "reverse"):
-        f = getattr(dfa if name == "reverse" else lang, name)
+    for name in ("build_G_k", "build_H_k", "reverse", "determinize"):
+        f = getattr(dfa if name in ("reverse", "determinize") else lang, name)
         wrapped = spy(name, f)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "sepwords" and getattr(mod, name, None) is f:
                 monkeypatch.setattr(mod, name, wrapped)
     report = witness_pair(10, 1)
     assert report.z_word == "112"
-    assert [name for name, _ in calls] == ["reverse"]
-    assert calls[0][1] < 100
-    # the words tried and their checks built a handful of states
-    assert len(lang.G_k_on_demand(10).transitions) < 20
-    assert len(lang.H_k_on_demand(10).transitions) < 20
+    assert [name for name, _ in calls] == ["reverse", "determinize"]
+    assert all(states < 100 for _, states in calls)
 
 
-def test_search_z_k_raises_budget_error_past_the_subset_budget(monkeypatch,
-                                                               fresh_on_demand):
-    lang._reversed_G_k(10)  # its 53 subsets are under the default budget
-    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 2)
-    with pytest.raises(BudgetError, match="^reversal exceeded 2 subset states$"):
-        search_z_k(10)
-
-
-def test_witness_pair_past_the_eager_build_limit(fresh_on_demand):
+def test_witness_pair_past_the_eager_build_limit():
     """G_16 has 2^18 - 1 states, past DEFAULT_DETERMINIZE_BUDGET, so
-    build_G_k(16) raises; the on-demand path still assembles and
-    certifies the pair, the same pair as at k = 10."""
+    build_G_k(16) raises; the search on the small sources still assembles
+    and certifies the pair, the same pair as at k = 10."""
     assert 2**18 - 1 > dfa.DEFAULT_DETERMINIZE_BUDGET
     k10 = witness_pair(10, 1)
     k16 = verify_witness(witness_pair(16, 1))

@@ -14,7 +14,6 @@ from sepwords.construct import CanonicalTriple, CnResult, WitnessReport, ZkResul
 from sepwords.dfa import (
     BudgetError,
     Dfa,
-    Reversal,
     accepts,
     _reachable,
     canonicalize,
@@ -36,7 +35,7 @@ from sepwords.dfa import (
     zpath,
 )
 from sepwords import dfa
-from sepwords.lang import _live_states, build_G_k, build_H_k
+from sepwords.lang import build_G_k, build_H_k
 from sepwords.lemmas import LemmaCheck, SuiteReport
 from sepwords.solver import SearchBudget, SepCertificate, lsep_lower_check, raw_tables
 from test_lang import _build_G_k_reference, _build_H_k_reference
@@ -464,35 +463,6 @@ def test_reverse_calls_neither_determinize_nor_minimize(monkeypatch):
     # an unreachable state sends reverse() through canonicalize() first
     d = Dfa(3, ((1, 1, 1), (1, 1, 1), (0, 0, 0)), frozenset({0, 2}))
     assert reverse(d) == Dfa(3, ((1, 1, 1), (1, 1, 1)), frozenset({0}))
-
-
-def test_reversal_read_on_demand_agrees_with_reverse():
-    """Read along random words, not in index order, a Reversal numbers its
-    states otherwise than reverse() but reaches states that accept and are
-    live exactly when reverse()'s do, and builds no more of them."""
-    rng = random.Random(20261019)
-    for d, r in _reverse_cases()[::7]:
-        k = d.alphabet_size
-        lazy = Reversal(d)
-        live = _live_states(r)
-        for _ in range(20):
-            w = "".join(rng.choice("012"[:k]) for _ in range(rng.randrange(9)))
-            q, p = run(lazy, 0, w), run(r, 0, w)
-            assert (q in lazy.accepting) == (p in r.accepting), (d, w)
-            assert (q in lazy.live) == (p in live), (d, w)
-        assert len(lazy.transitions) <= r.state_count
-
-
-def test_reversal_rows_are_built_once_and_only_for_numbered_states():
-    lazy = Reversal(build_G_k(3))
-    assert lazy.transitions.built == [None]
-    row = lazy.transitions[0]
-    assert lazy.transitions[0] is row
-    assert len(lazy.transitions) == 1 + len(set(row) - {0})
-    assert lazy.transitions.built == [row] + [None] * (len(lazy.transitions) - 1)
-    for q in (-1, len(lazy.transitions)):
-        with pytest.raises(IndexError, match="out of range"):
-            lazy.transitions[q]
 
 
 def test_reverse_raises_past_its_state_budget(monkeypatch):

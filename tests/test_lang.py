@@ -23,10 +23,9 @@ from sepwords.dfa import (
 )
 from sepwords.lang import (
     ALPHABET,
-    G_k_on_demand,
-    H_k_on_demand,
     _reversed_G_k,
     _reversed_H_k,
+    _reversed_words,
     build_G_k,
     build_H_k,
     build_L_k,
@@ -345,7 +344,7 @@ def test_segmented_closure_requires_zero_free_base():
 
 
 def test_H_k_is_the_reversal_of_the_small_automatons_complement():
-    # the source of H_k_on_demand, reversed in full, is build_H_k
+    # the source of H_k, reversed in full, is build_H_k
     for k in range(1, 7):
         small = _reversed_H_k(k)
         assert small.state_count == _reversed_G_k(k).state_count + 1
@@ -376,12 +375,12 @@ def test_H_k_build_reverses_only_its_small_source(monkeypatch):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_iter_words_on_demand_matches_the_eager_order(k):
+def test_reversed_words_match_iter_words_of_the_eager_build(k):
     """The first 3 000 words of G_k and of H_k, and their order, are the
-    same read on demand as read off the eager builds."""
-    for lazy, eager in ((G_k_on_demand(k), build_G_k(k)),
-                        (H_k_on_demand(k), build_H_k(k))):
-        got = list(itertools.islice(iter_words(lazy, Z_K_MAX_LEN), 3000))
+    same read off the small reversed sources as off the eager builds."""
+    for small, eager in ((_reversed_G_k(k), build_G_k(k)),
+                         (_reversed_H_k(k), build_H_k(k))):
+        got = list(itertools.islice(_reversed_words(small, Z_K_MAX_LEN), 3000))
         assert len(got) == 3000
         assert got == list(itertools.islice(iter_words(eager, Z_K_MAX_LEN), 3000))
 

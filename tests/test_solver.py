@@ -13,12 +13,14 @@ import pytest
 
 from sepwords import solver
 from sepwords.construct import canonical_triple, search_C_n
-from sepwords.dfa import BudgetError, Dfa, accepts, run, word_symbols
+from sepwords.dfa import (BudgetError, Dfa, accepts, combine, enumerate_canonical, reverse,
+                          run, word_symbols)
 from sepwords.lang import (
-    H_k_on_demand,
+    _reversed_H_k,
     build_G_k,
     build_H_k,
     finite_language,
+    is_zero_free,
     iter_words,
     segmented_closure,
 )
@@ -36,7 +38,7 @@ from sepwords.solver import (
     run_table,
     separating_structure,
 )
-from test_dfa import canonical_dfas, enumerate_canonical_reference
+from test_dfa import canonical_dfas, enumerate_canonical_reference, random_dfa
 
 
 def recursive_distinguishing_structure(
@@ -326,10 +328,22 @@ def test_certificate_json_roundtrip():
     assert back.exact
 
 
+_GOOD_CERTIFICATE = json.loads(exact_sep("0", "000").to_json())
+
+
 @pytest.mark.parametrize("text", [
     "5", "[1]", "null", '"x"', '{"w": "0"}',
-    json.dumps(dict(json.loads(exact_sep("0", "000").to_json()), witness=5)),
-], ids=["int", "list", "null", "string", "missing-fields", "int-witness"])
+    json.dumps(dict(_GOOD_CERTIFICATE, witness=5)),
+    json.dumps(dict(_GOOD_CERTIFICATE, nodes="many")),
+    json.dumps(dict(_GOOD_CERTIFICATE, millis=[1])),
+    json.dumps(dict(_GOOD_CERTIFICATE, nodes=True)),
+    json.dumps(dict(_GOOD_CERTIFICATE, nodes=-1)),
+    json.dumps(dict(_GOOD_CERTIFICATE, lower=-5, upper=99)),
+    json.dumps(dict(_GOOD_CERTIFICATE, lower=0, upper=0)),
+    json.dumps(dict(_GOOD_CERTIFICATE, lower=4, upper=3)),
+], ids=["int", "list", "null", "string", "missing-fields", "int-witness",
+        "string-nodes", "list-millis", "bool-nodes", "negative-nodes",
+        "negative-lower", "zero-bounds", "lower-above-upper"])
 def test_certificate_from_malformed_json_raises_value_error(text):
     with pytest.raises(ValueError):
         SepCertificate.from_json(text)
@@ -422,10 +436,10 @@ def test_lsep_forbidden_states():
 
 
 def test_lsep_lower_check_known_instances():
-    assert lsep_lower_check("112", build_H_k(1), 1)
-    assert lsep_lower_check("112", build_H_k(2), 3)
+    assert lsep_lower_check("112", reverse(build_H_k(1)), 1)
+    assert lsep_lower_check("112", reverse(build_H_k(2)), 3)
     # a 4-state acceptor avoiding the level-2 complement exists
-    assert not lsep_lower_check("112", build_H_k(2), 4)
+    assert not lsep_lower_check("112", reverse(build_H_k(2)), 4)
 
 
 def test_lsep_lower_check_matches_direct_ternary_check():
@@ -444,7 +458,7 @@ def test_lsep_lower_check_matches_direct_ternary_check():
             for p in (1, 2, 3):
                 direct = all(run(s, 0, w) in lsep_forbidden_states(s, lang)
                              for s in canonical_dfas(p, 3))
-                assert lsep_lower_check(w, lang, p) == direct, (w, p)
+                assert lsep_lower_check(w, reverse(lang), p) == direct, (w, p)
                 cases += 1
     assert cases == 285
 
@@ -462,25 +476,27 @@ def test_lsep_lower_check_words_with_0_use_ternary_structures():
             for p in (1, 2, 3):
                 direct = all(run(s, 0, w) in lsep_forbidden_states(s, lang)
                              for s in canonical_dfas(p, 3))
-                assert lsep_lower_check(w, lang, p) == direct, (w, p)
+                assert lsep_lower_check(w, reverse(lang), p) == direct, (w, p)
                 cases += 1
     assert cases > 100
 
 
 def _check_early_exit_per_state(lang, structures):
-    """reached_by_language agrees with the full BFS on every state of every
-    structure; returns the full BFS's forbidden sets and the number of
-    states other than the start that no word of the language reaches.
+    """reached_by_language, given the {1,2} projection of the reversal,
+    agrees with the full forward BFS on every state of every structure;
+    returns the full BFS's forbidden sets and the number of states other
+    than the start that no word of the language reaches.
 
     Words of H_k reach every state but some starts, so only a language
     with such misses, like G_k, shows a search that ignores acceptance.
     """
     proj = solver._zero_free_projection(lang)
+    rproj = solver._zero_free_projection(reverse(lang))
     forbidden = {s: lsep_forbidden_states(s, proj) for s in structures}
     missed = 0
     for s in structures:
         for q in range(s.state_count):
-            assert reached_by_language(s, proj, q) == (q in forbidden[s]), (s, q)
+            assert reached_by_language(s, rproj, q) == (q in forbidden[s]), (s, q)
             missed += q != 0 and q not in forbidden[s]
     return forbidden, missed
 
@@ -502,11 +518,12 @@ def test_early_exit_matches_full_bfs_on_block_languages(k):
         assert missed > 0 or lang is h
         words = [w for w in iter_words(others, 6) if w]
         assert len(words) >= 3
+        rev = reverse(lang)
         for w in words:
             ws = [ord(c) - 49 for c in w]
             for p in (1, 2, 3):
                 expected = _full_bfs_lsep(ws, structures[p], forbidden)
-                assert lsep_lower_check(w, lang, p) == expected, (w, p)
+                assert lsep_lower_check(w, rev, p) == expected, (w, p)
 
 
 def test_early_exit_matches_full_bfs_at_k_10():
@@ -520,13 +537,39 @@ def test_early_exit_matches_full_bfs_at_k_10():
     ws = [0, 0, 1]  # 112 over the projected symbols
     for p in (1, 2, 3):
         expected = _full_bfs_lsep(ws, canonical_dfas(p, 2), forbidden)
-        assert lsep_lower_check("112", h, p) == expected
+        assert lsep_lower_check("112", reverse(h), p) == expected
+
+
+def test_reached_by_language_on_products_of_two_structures():
+    """On every state of seeded products of two ternary structures with
+    <= 3 states, the shape the kebab check searches, the backward search
+    over the small source of H_4, and over the reversal of random
+    3-symbol languages that are not 0-free, agrees with the full forward
+    BFS."""
+    rng = random.Random(20261020)
+    structs = [Dfa(3, t, frozenset()) for t in enumerate_canonical(3, 3)]
+    pairs = [combine(rng.choice(structs), rng.choice(structs), "and")
+             for _ in range(300)]
+    h, small = build_H_k(4), _reversed_H_k(4)
+    langs = [(h, small)]
+    while len(langs) < 21:
+        l = random_dfa(rng, 4, 3)
+        if not is_zero_free(l):
+            langs.append((l, reverse(l)))
+    states = 0
+    for i, pair in enumerate(pairs):
+        for l, rev in (langs[0], langs[1 + i % 20]):
+            forbidden = lsep_forbidden_states(pair, l)
+            for q in range(pair.state_count):
+                assert reached_by_language(pair, rev, q) == (q in forbidden), (i, q)
+                states += 1
+    assert states > 1000
 
 
 def _lsep_reference(w, l, p):
     """lsep_lower_check's answer and node count over the recursive
-    reference enumerator: one node per structure, up to the first whose
-    end state the language misses."""
+    reference enumerator and the full forward BFS of the language l: one
+    node per structure, up to the first whose end state l misses."""
     proj = solver._zero_free_projection(l) if "0" not in w else None
     if proj is not None:
         k, ws = 2, [ord(c) - 49 for c in w]
@@ -535,7 +578,7 @@ def _lsep_reference(w, l, p):
     nodes = 0
     for s in enumerate_canonical_reference(p, k):
         nodes += 1
-        if not reached_by_language(s, proj, run_table(s.transitions, ws)):
+        if run_table(s.transitions, ws) not in lsep_forbidden_states(s, proj):
             return False, nodes
     return True, nodes
 
@@ -551,7 +594,7 @@ def test_lsep_lower_check_charges_one_node_per_reference_structure():
         for z in zs:
             for p in (1, 2, 3):
                 c = SearchCounters(DEFAULT_BUDGET)
-                got = lsep_lower_check(z, h, p, counters=c)
+                got = lsep_lower_check(z, reverse(h), p, counters=c)
                 assert (got, c.nodes) == _lsep_reference(z, h, p), (k, z, p)
                 cases += 1
     assert cases > 30
@@ -564,22 +607,22 @@ def _lsep_or_member(w, l, p):
         return "member"
 
 
-def test_lsep_lower_check_on_demand_matches_the_eager_H_k():
+def test_lsep_lower_check_on_the_small_source_matches_the_eager_H_k():
     """Random 0-free words, members of H_k included, read through the
     projection to {1,2}, and the same words with a 0 put in, read over
-    three symbols: the same verdict on H_k read on demand as on
-    build_H_k, for k <= 4 and p <= 3.  On 0-free words at these sizes the
-    verdict is True for every non-member."""
+    three symbols: the same verdict on the small source _reversed_H_k as
+    on the reversal of build_H_k, for k <= 4 and p <= 3.  On 0-free words
+    at these sizes the verdict is True for every non-member."""
     rng = random.Random(20261019)
     verdicts = {True: set(), False: set()}
     for k in range(1, 5):
-        h, lazy = build_H_k(k), H_k_on_demand(k)
+        h, small = reverse(build_H_k(k)), _reversed_H_k(k)
         for _ in range(25):
             w = "".join(rng.choice("12") for _ in range(rng.randrange(1, 11)))
             i = rng.randrange(len(w) + 1)
             for v in (w, w[:i] + "0" + w[i:]):
                 for p in (1, 2, 3):
-                    got = _lsep_or_member(v, lazy, p)
+                    got = _lsep_or_member(v, small, p)
                     assert got == _lsep_or_member(v, h, p), (k, v, p)
                     verdicts["0" not in v].add(got)
     assert verdicts == {True: {True, "member"}, False: {True, False}}
@@ -587,7 +630,7 @@ def test_lsep_lower_check_on_demand_matches_the_eager_H_k():
 
 def test_lsep_rejects_member_word():
     with pytest.raises(ValueError):
-        lsep_lower_check("2112", build_H_k(1), 1)
+        lsep_lower_check("2112", reverse(build_H_k(1)), 1)
 
 
 def test_no_separator_up_to_monotone():
