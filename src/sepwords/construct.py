@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -19,6 +18,7 @@ from .dfa import (
     Dfa,
     _FrozenValue,
     _Value,
+    _shortest_word,
     _zero_walk,
     accepts,
     combine,
@@ -258,7 +258,8 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
     words of _reversed_G_k(k), reversed and sorted one length at a time,
     are G_k's in shortlex order, and each is vetted against the reversed
     H_k, _reversed_H_k(k).  Neither language's 2^(k+2) - 1 states are
-    built, so no k meets DEFAULT_DETERMINIZE_BUDGET here.
+    built; only the 6k + 1 states of build_L_k(k), inside _reversed_G_k,
+    meet DEFAULT_DETERMINIZE_BUDGET, from k = 33 334 on.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -302,14 +303,14 @@ def free_word(
 ) -> str:
     """A word of H_k (0^+ H_k)* that neither d nor d2 distinguishes from w.
 
-    One breadth-first search over (d-state, d2-state, closure-state)
-    triples of d, d2 and the closure of H_k, built as they are reached, in
-    symbol order.  It stops at the first triple that pairs the end states
-    of d and d2 on w with an accepting closure state, so it returns the
-    shortest such word, first in symbol order: the word an emptiness
-    search over the full product automaton would return.  When z_k is
-    supplied, w is checked against the closure of H_k + {z_k}; otherwise
-    the caller vouches for the membership precondition.
+    dfa._shortest_word over (d-state, d2-state, closure-state) triples of
+    d, d2 and the closure of H_k, built as they are reached.  It stops at
+    the first triple that pairs the end states of d and d2 on w with an
+    accepting closure state, so it returns the shortest such word, first
+    in symbol order: the word an emptiness search over the full product
+    automaton would return.  When z_k is supplied, w is checked against
+    the closure of H_k + {z_k}; otherwise the caller vouches for the
+    membership precondition.
     """
     limit = state_limit_for_pairs(k)
     if d.state_count > limit or d2.state_count > limit:
@@ -324,30 +325,15 @@ def free_word(
     closure = _h_closure(k, None)
     rows, rows2, crows = d.transitions, d2.transitions, closure.transitions
     end, end2, accepting = run(d, 0, w), run(d2, 0, w), closure.accepting
-    start = (0, 0, 0)
-    if end == end2 == 0 and 0 in accepting:
-        return ""
-    parent: dict[tuple[int, int, int], Optional[tuple]] = {start: None}
-    queue = deque([start])
-    while queue:
-        triple = queue.popleft()
-        p, q, c = triple
-        for s in range(3):
-            t = (rows[p][s], rows2[q][s], crows[c][s])
-            if t in parent:
-                continue
-            parent[t] = (triple, s)
-            if t[0] == end and t[1] == end2 and t[2] in accepting:
-                syms = []
-                while t != start:
-                    t, sym = parent[t]
-                    syms.append(sym)
-                return "".join("012"[sym] for sym in reversed(syms))
-            queue.append(t)
-    # the small-pair lemma rules this out when the preconditions hold
-    raise ValueError(
-        "no indistinguishable closure word exists; a precondition is violated"
-    )
+    word = _shortest_word(
+        (0, 0, 0), lambda t: zip(rows[t[0]], rows2[t[1]], crows[t[2]]),
+        lambda t: t[0] == end and t[1] == end2 and t[2] in accepting)
+    if word is None:
+        # the small-pair lemma rules this out when the preconditions hold
+        raise ValueError(
+            "no indistinguishable closure word exists; a precondition is violated"
+        )
+    return word
 
 
 def farmand_dfa(r: Dfa, n: int, on_mismatch: str = "reject") -> Dfa:

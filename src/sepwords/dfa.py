@@ -8,7 +8,6 @@ All operations are pure and Dfa values are immutable.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
@@ -16,7 +15,8 @@ from typing import Iterable, Iterator, Optional
 
 MAX_ALPHABET = 3
 
-# The one cap on subset states, for `determinize` and `reverse` alike: the
+# The one cap on the states that any construction numbers, read by
+# `_explore` alone: subset constructions, products and build_L_k.  The
 # starred block languages blow up exponentially, which is the point.
 DEFAULT_DETERMINIZE_BUDGET = 200_000
 
@@ -165,6 +165,60 @@ def image_under_word(d: Dfa, s: Iterable[int], w: str) -> frozenset[int]:
     return frozenset(run(d, q, w) for q in s)
 
 
+def _explore(start, step, what: str) -> tuple[list, Table]:
+    """Number the states reachable from start, breadth-first, in symbol order.
+
+    step(state) gives one successor per symbol, and a state takes the next
+    number on its first visit.  Every construction that numbers new states
+    runs here, so each returns its states in one canonical order.  Returns
+    the states by number and the transition table; raises BudgetError, with
+    what.format(cap) as its message, once a state past
+    DEFAULT_DETERMINIZE_BUDGET would be numbered.
+    """
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:  # grows while it is read: a breadth-first queue
+        row = []
+        for target in step(state):
+            i = index.get(target)
+            if i is None:
+                if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
+                    raise BudgetError(what.format(DEFAULT_DETERMINIZE_BUDGET))
+                i = index[target] = len(order)
+                order.append(target)
+            row.append(i)
+        rows.append(tuple(row))
+    return order, tuple(rows)
+
+
+def _shortest_word(start, step, is_target) -> Optional[str]:
+    """The shortest word that leads from start to a state where is_target
+    holds, first in symbol order, or None when no such state is reachable.
+
+    A breadth-first search over the states step(state) gives, one
+    successor per symbol, built as they are reached: it stops at the first
+    target, so it never builds more of the automaton than it needs.
+    """
+    if is_target(start):
+        return ""
+    parent = {start: None}
+    order = [start]
+    for state in order:  # grows while it is read: a breadth-first queue
+        for s, target in enumerate(step(state)):
+            if target in parent:
+                continue
+            parent[target] = (state, s)
+            if is_target(target):
+                syms = []
+                while target != start:
+                    target, sym = parent[target]
+                    syms.append(chr(48 + sym))
+                return "".join(reversed(syms))
+            order.append(target)
+    return None
+
+
 _COMBINE_OPS = {
     "and": lambda a, b: a and b,
     "or": lambda a, b: a or b,
@@ -174,33 +228,21 @@ _COMBINE_OPS = {
 
 
 def combine(a: Dfa, b: Dfa, op: str) -> Dfa:
-    """Product automaton on reachable state pairs for a boolean combination."""
+    """Product automaton on reachable state pairs for a boolean combination,
+    numbered by _explore (so capped by DEFAULT_DETERMINIZE_BUDGET)."""
     if a.alphabet_size != b.alphabet_size:
         raise ValueError("alphabet mismatch in combine")
     try:
         f = _COMBINE_OPS[op]
     except KeyError:
         raise ValueError(f"unknown op {op!r}; expected one of {sorted(_COMBINE_OPS)}")
-    k = a.alphabet_size
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    rows = []
-    queue = deque([(0, 0)])
-    while queue:
-        p, q = queue.popleft()
-        row = []
-        for s in range(k):
-            t = (a.transitions[p][s], b.transitions[q][s])
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            row.append(index[t])
-        rows.append(tuple(row))
+    ra, rb = a.transitions, b.transitions
+    order, rows = _explore((0, 0), lambda pq: zip(ra[pq[0]], rb[pq[1]]),
+                           "product exceeded {} states")
     acc = frozenset(
         i for i, (p, q) in enumerate(order) if f(p in a.accepting, q in b.accepting)
     )
-    return Dfa(k, tuple(rows), acc)
+    return Dfa(a.alphabet_size, rows, acc)
 
 
 def complement(d: Dfa) -> Dfa:
@@ -209,28 +251,10 @@ def complement(d: Dfa) -> Dfa:
 
 
 def is_empty(d: Dfa) -> tuple[bool, Optional[str]]:
-    """Emptiness check; returns a shortest accepted word when nonempty."""
-    if 0 in d.accepting:
-        return False, ""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
-        for s in range(d.alphabet_size):
-            t = d.transitions[q][s]
-            if t not in seen:
-                seen.add(t)
-                parent[t] = (q, s)
-                if t in d.accepting:
-                    syms = []
-                    cur = t
-                    while cur != 0:
-                        cur, sym = parent[cur][0], parent[cur][1]
-                        syms.append(sym)
-                    return False, "".join(chr(48 + s) for s in reversed(syms))
-                queue.append(t)
-    return True, None
+    """Emptiness check; returns the shortest accepted word, first in symbol
+    order, when nonempty (_shortest_word over d's rows)."""
+    w = _shortest_word(0, d.transitions.__getitem__, d.accepting.__contains__)
+    return w is None, w
 
 
 def includes(a: Dfa, b: Dfa) -> bool:
@@ -246,14 +270,11 @@ def _reachable(d: Dfa) -> list[int]:
     seen = [False] * d.state_count
     seen[0] = True
     order = [0]
-    queue = deque([0])
-    while queue:
-        q = queue.popleft()
+    for q in order:  # grows while it is read: a breadth-first queue
         for t in d.transitions[q]:
             if not seen[t]:
                 seen[t] = True
                 order.append(t)
-                queue.append(t)
     return order
 
 
@@ -333,31 +354,17 @@ def determinize(
     """Subset construction for an internal NFA (no public NFA type).
 
     transitions[q][a] is a set of targets; missing moves are empty sets.
-    Raises BudgetError when the subset count exceeds
-    DEFAULT_DETERMINIZE_BUDGET.
+    The subsets are numbered by _explore, which raises BudgetError past
+    DEFAULT_DETERMINIZE_BUDGET of them.
     """
     acc = set(accepting)
-    start_set = frozenset(start)
-    index = {start_set: 0}
-    order = [start_set]
-    rows = []
-    queue = deque([start_set])
-    while queue:
-        cur = queue.popleft()
-        row = []
-        for s in range(alphabet_size):
-            nxt = frozenset(t for q in cur for t in transitions[q][s])
-            if nxt not in index:
-                if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
-                    raise BudgetError(f"determinization exceeded "
-                                      f"{DEFAULT_DETERMINIZE_BUDGET} subset states")
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
+    symbols = range(alphabet_size)
+    order, rows = _explore(
+        frozenset(start),
+        lambda cur: [frozenset(t for q in cur for t in transitions[q][s]) for s in symbols],
+        "determinization exceeded {} subset states")
     dfa_acc = frozenset(i for i, sub in enumerate(order) if sub & acc)
-    return Dfa(alphabet_size, tuple(rows), dfa_acc)
+    return Dfa(alphabet_size, rows, dfa_acc)
 
 
 class BudgetError(RuntimeError):
@@ -370,39 +377,27 @@ def reverse(d: Dfa) -> Dfa:
     The subset construction of the reversed automaton, run on d's
     reachable part (canonicalize() drops the other states).  A subset S
     is a membership vector over d's states: S[q] is 1 when q is in S.
-    Its move on symbol a is {q : d moves q on a into S}, one gather of S
-    along d's a-column.  The start is d's accepting set, and a subset
-    accepts when it holds d's start.  By Brzozowski's theorem the subset
-    automaton of the reversal of an accessible DFA is already minimal,
-    and its breadth-first numbering is the canonical one, so no
-    minimize() follows.  Raises BudgetError when the subset count
-    exceeds DEFAULT_DETERMINIZE_BUDGET, as determinize() does.
+    Its move on symbol a is {q : d moves q on a into S}, a gather of S
+    along d's a-column; one gather along all the columns at once, cut
+    into one vector per symbol, makes every move of S.  The start is d's
+    accepting set, and a subset accepts when it holds d's start.  By
+    Brzozowski's theorem the subset automaton of the reversal of an
+    accessible DFA is already minimal, and the breadth-first numbering of
+    _explore is the canonical one, so no minimize() follows.  _explore
+    raises BudgetError past DEFAULT_DETERMINIZE_BUDGET subsets, as for
+    determinize().
     """
     if len(_reachable(d)) < d.state_count:
         d = canonicalize(d)
-    # itemgetter with one index would return a bare item, not a tuple
-    gathers = [itemgetter(*col) if d.state_count > 1
-               else (lambda s, q=col[0]: (s[q],))
-               for col in zip(*d.transitions)]
-    start = bytes(q in d.accepting for q in range(d.state_count))
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for cur in order:  # grows while it is read: a breadth-first queue
-        row = []
-        for gather in gathers:
-            nxt = bytes(gather(cur))
-            i = index.get(nxt)
-            if i is None:
-                if len(order) >= DEFAULT_DETERMINIZE_BUDGET:
-                    raise BudgetError(f"reversal exceeded "
-                                      f"{DEFAULT_DETERMINIZE_BUDGET} subset states")
-                i = index[nxt] = len(order)
-                order.append(nxt)
-            row.append(i)
-        rows.append(tuple(row))
+    n = d.state_count
+    # n * alphabet_size >= 2 indices, so the gather returns a tuple
+    gather = itemgetter(*(q for col in zip(*d.transitions) for q in col))
+    cuts = [slice(a * n, a * n + n) for a in range(d.alphabet_size)]
+    start = bytes(q in d.accepting for q in range(n))
+    order, rows = _explore(start, lambda cur: map(bytes(gather(cur)).__getitem__, cuts),
+                           "reversal exceeded {} subset states")
     acc = frozenset(i for i, sub in enumerate(order) if sub[0])
-    return Dfa(d.alphabet_size, tuple(rows), acc)
+    return Dfa(d.alphabet_size, rows, acc)
 
 
 def _zero_walk(rows: Table, q: int) -> tuple[list[int], int]:

@@ -24,6 +24,7 @@ from typing import Iterator
 
 from .dfa import (
     Dfa,
+    _explore,
     _reachable,
     canonicalize,
     determinize,
@@ -60,9 +61,10 @@ def build_L_k(k: int) -> Dfa:
     accepting; dead.  Every ended block is even, so the current block's
     parity is t's.  Inside a block, t = 2k+1 leaves the residual {2}
     whether or not the block is the first, so those two share a state; the
-    6k+1 states left are pairwise inequivalent, and the breadth-first
-    build numbers them in canonical order: the result equals
-    finite_language of the word list of L_k.
+    6k+1 states left are pairwise inequivalent, and dfa._explore numbers
+    them in canonical order: the result equals finite_language of the
+    word list of L_k.  Past dfa.DEFAULT_DETERMINIZE_BUDGET states, from
+    k = 33 334 on, _explore raises BudgetError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -85,22 +87,10 @@ def build_L_k(k: int) -> Dfa:
             two = dead
         return dead, one, two
 
-    start = ("gap", 0, 0)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for state in order:  # grows while it is read: a breadth-first queue
-        row = []
-        for target in moves(state):
-            i = index.get(target)
-            if i is None:
-                i = index[target] = len(order)
-                order.append(target)
-            row.append(i)
-        rows.append(tuple(row))
+    order, rows = _explore(("gap", 0, 0), moves, "L_k construction exceeded {} states")
     acc = frozenset(i for i, (kind, _, flag) in enumerate(order)
                     if kind == "end" or (kind == "gap" and flag == 1))
-    return Dfa(ALPHABET, tuple(rows), acc)
+    return Dfa(ALPHABET, rows, acc)
 
 
 @lru_cache(maxsize=None)

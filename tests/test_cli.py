@@ -106,6 +106,12 @@ def test_budget_error_exits_bounded_with_one_line(monkeypatch):
     assert r.exit_code == EXIT_BOUNDED
     # no traceback: invoke re-raises any exception but SystemExit
     assert r.output == "Error: budget exhausted: reversal exceeded 126 subset states\n"
+    # L_5 has 31 states, and the cap binds its build as well
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 30)
+    r = invoke("stc", "--lang", "L_k", "--k", "5")
+    assert r.exit_code == EXIT_BOUNDED
+    assert r.stdout == ""
+    assert r.stderr == "Error: budget exhausted: L_k construction exceeded 30 states\n"
 
 
 def test_witness_budget_flags_default_to_sep_defaults():

@@ -35,7 +35,7 @@ from sepwords.dfa import (
     zpath,
 )
 from sepwords import dfa
-from sepwords.lang import build_G_k, build_H_k
+from sepwords.lang import build_G_k, build_H_k, build_L_k
 from sepwords.lemmas import LemmaCheck, SuiteReport
 from sepwords.solver import SearchBudget, SepCertificate, lsep_lower_check, raw_tables
 from test_lang import _build_G_k_reference, _build_H_k_reference
@@ -395,6 +395,27 @@ def test_minimize_output_is_already_canonical(monkeypatch):
         assert canonicalize(m) == m, d
 
 
+def test_constructions_number_states_in_canonical_order():
+    """combine, determinize and build_L_k number their states through one
+    breadth-first loop, so each output is a fixed point of canonicalize()."""
+    rng = random.Random(20261020)
+    for i in range(400):
+        k = 2 + i % 2
+        a, b = random_dfa(rng, max_states=6, k=k), random_dfa(rng, max_states=6, k=k)
+        for op in ("and", "or", "and-not", "xor"):
+            c = combine(a, b, op)
+            assert canonicalize(c) == c, (a, b, op)
+    for i in range(400):
+        k, n = 2 + i % 2, rng.randrange(1, 7)
+        table = [[{t for t in range(n) if rng.random() < 0.3} for _ in range(k)]
+                 for _ in range(n)]
+        start = {q for q in range(n) if rng.random() < 0.4}
+        d = determinize(table, start, {q for q in range(n) if rng.random() < 0.5}, k)
+        assert canonicalize(d) == d, (table, start)
+    for k in range(1, 13):
+        assert canonicalize(build_L_k(k)) == build_L_k(k), k
+
+
 @given(dfas, words)
 @settings(max_examples=60)
 def test_reverse_semantics(d, w):
@@ -475,12 +496,47 @@ def test_reverse_raises_past_its_state_budget(monkeypatch):
         reverse(g)
 
 
+def test_product_and_L_k_builds_raise_past_the_state_budget(monkeypatch):
+    # the one cap binds every construction that numbers new states
+    l5 = build_L_k(5)  # 6k + 1 states
+    assert l5.state_count == 31
+    mod2 = Dfa(2, ((0, 1), (1, 0)), frozenset({0}))
+    mod3 = Dfa(2, ((0, 1), (1, 2), (2, 0)), frozenset({0}))
+    product = combine(mod2, mod3, "and")
+    assert product.state_count == 6
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 31)
+    assert build_L_k(5) == l5
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 30)
+    with pytest.raises(BudgetError, match="exceeded 30 states"):
+        build_L_k(5)
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 6)
+    assert combine(mod2, mod3, "and") == product
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 5)
+    with pytest.raises(BudgetError, match="exceeded 5 states"):
+        combine(mod2, mod3, "and")
+
+
 def test_is_empty_returns_shortest_witness():
     d = Dfa(2, ((1, 0), (1, 2), (2, 2)), frozenset({2}))
     empty, wit = is_empty(d)
     assert not empty and wit == "01"
     dead = Dfa(2, ((0, 0),), frozenset())
     assert is_empty(dead) == (True, None)
+    # against brute force: the first accepted word in shortlex order, whose
+    # length is below the state count, or None
+    rng = random.Random(20261020)
+    empties = 0
+    for i in range(400):
+        k = 2 + i % 2
+        n = rng.randrange(1, 9)
+        rows = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+        d = Dfa(k, rows, frozenset(q for q in range(n) if rng.random() < 0.15))
+        words = ("".join(t) for length in range(n)
+                 for t in itertools.product("012"[:k], repeat=length))
+        first = next((w for w in words if accepts(d, w)), None)
+        assert is_empty(d) == (first is None, first), d
+        empties += first is None
+    assert 40 < empties < 360
 
 
 def test_includes_and_equivalent():

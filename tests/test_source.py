@@ -161,3 +161,33 @@ def test_the_option_surface_is_pinned():
         ("solver", "no_separator_up_to", "budget"),
         ("solver", "lsep_lower_check", "counters"),
     ]
+
+
+def _functions_reading(name: str) -> list[tuple[str, str]]:
+    """(module, function) for each function of the package that reads
+    `name` as a variable or an attribute.  A method or a nested function is
+    named outer.inner, and a read outside every function "<module>"."""
+    root = Path(sepwords.__file__).parent
+    found = set()
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+                visit(module, child, inner)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)) or (
+                    isinstance(child, ast.Attribute) and child.attr == name):
+                found.add((module, where))
+            visit(module, child, where)
+
+    for path in sorted(root.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sorted(found)
+
+
+def test_one_function_reads_the_state_cap():
+    # every construction that numbers new states does so through
+    # dfa._explore, so none can grow a cap check of its own
+    assert _functions_reading("DEFAULT_DETERMINIZE_BUDGET") == [("dfa", "_explore")]
