@@ -72,8 +72,8 @@ def _trie_ends(table: Table, q: int, count: int) -> bytearray:
     The children of word j are words 2j + 1 and 2j + 2, its extensions by
     symbols 0 and 1, so after the first the end states are the rows of the
     earlier ones, in order.  A bytearray (states are < 256), not a list:
-    the fries lemma check keeps one per raw table, 746 in all, and rows of
-    63 list items raised the lemma suite's peak resident memory.
+    the fries lemma check keeps one per raw 3-state table, 729 at once,
+    and rows of 63 list items raised the lemma suite's peak resident memory.
     """
     ends = [q]
     for e in ends:  # grows while it is read

@@ -245,11 +245,6 @@ def combine(a: Dfa, b: Dfa, op: str) -> Dfa:
     return Dfa(a.alphabet_size, rows, acc)
 
 
-def complement(d: Dfa) -> Dfa:
-    return Dfa(d.alphabet_size, d.transitions,
-               frozenset(range(d.state_count)) - d.accepting)
-
-
 def is_empty(d: Dfa) -> tuple[bool, Optional[str]]:
     """Emptiness check; returns the shortest accepted word, first in symbol
     order, when nonempty (_shortest_word over d's rows)."""
@@ -260,10 +255,6 @@ def is_empty(d: Dfa) -> tuple[bool, Optional[str]]:
 def includes(a: Dfa, b: Dfa) -> bool:
     """L(b) subseteq L(a)."""
     return is_empty(combine(b, a, "and-not"))[0]
-
-
-def equivalent(a: Dfa, b: Dfa) -> bool:
-    return is_empty(combine(a, b, "xor"))[0]
 
 
 def _reachable(d: Dfa) -> list[int]:

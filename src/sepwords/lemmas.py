@@ -12,6 +12,7 @@ import itertools
 import json
 import random
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .atlas import _binary_words, _trie_ends
@@ -88,22 +89,38 @@ def _random_dfa(rng: random.Random, max_states: int, alphabet_size: int) -> Dfa:
 
 
 def _random_word(rng: random.Random, max_len: int, alphabet: str) -> str:
-    return "".join(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+    return "".join([rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1))])
+
+
+def _raw_classes(words: list[str], p: int) -> list[list[int]]:
+    """classes[m - 1][i], for m = 1..p: the class of binary word i under
+    all raw m-state tables, where words share a class iff every such table
+    ends them in one state.
+
+    `words` are the first binary words in shortlex order, as `_trie_ends`
+    reads them.  Raw enumeration (`raw_tables`), one pass per m: each
+    word's end states under the m-state tables, zipped from the tables'
+    rows, get one class id per distinct tuple.
+    """
+    classes = []
+    for _, group in itertools.groupby(raw_tables(p, 2), key=itemgetter(0)):
+        ids: dict[tuple[int, ...], int] = {}
+        rows = [_trie_ends(table, 0, len(words)) for _, table in group]
+        classes.append([ids.setdefault(ends, len(ids)) for ends in zip(*rows)])
+    return classes
 
 
 def _check_fries(rng, negative):
     """Structure-only search agrees with raw enumeration; |w|,|x| <= 5, p <= 3."""
     words = _binary_words(5)
-    tables = [(m, _trie_ends(table, 0, len(words))) for m, table in raw_tables(3, 2)]
+    classes = _raw_classes(words, 3)
     checked = 0
     for (i, w), (j, x) in itertools.combinations(enumerate(words), 2):
-        # raw_tables yields ascending m, so the first table that separates
-        # the pair has the fewest states; an accepting set picking ends[i]
-        # alone realizes the separation
-        raw_m = next((m for m, ends in tables
-                      if ends[i] != ends[j] and any(
-                          (mask >> ends[i] & 1) and not (mask >> ends[j] & 1)
-                          for mask in range(1 << m))), None)
+        # an m-state DFA separates the pair iff some raw m-state table ends
+        # the words in different states: an accepting set picking w's end
+        # state alone realizes the separation, and no accepting set splits
+        # one end state.  raw_m is the fewest states that separate them.
+        raw_m = next((m for m, cls in enumerate(classes, 1) if cls[i] != cls[j]), None)
         for p in (1, 2, 3):
             lazy = not no_separator_up_to(w, x, p if not negative else max(1, p - 1))
             raw = raw_m is not None and raw_m <= p
@@ -212,7 +229,7 @@ def _zero_columns() -> tuple[tuple, tuple[int, ...]]:
     ids = []
     for p in (3, 4):
         for t in enumerate_canonical(p, 2):
-            column = tuple(row[0] for row in t)
+            column = tuple(map(itemgetter(0), t))
             if column not in index:
                 index[column] = len(firsts)
                 firsts.append(t)
@@ -375,9 +392,15 @@ def _ternary_structures() -> tuple:
     return tuple(enumerate_canonical(3, 3))
 
 
+@lru_cache(maxsize=None)
+def _z_4():
+    """search_z_k(4), the hard word of kebab and four, searched once per process."""
+    return search_z_k(4)
+
+
 def _check_kebab(rng, negative):
     """Small automaton pairs cannot tell the hard word from all of H_k; k=4."""
-    z = search_z_k(4)
+    z = _z_4()
     r = _reversed_H_k(4)  # H_k's words of length <= 1 are r's as well
     structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 60)]
     misses = 0
@@ -403,7 +426,7 @@ def _check_kebab(rng, negative):
 
 def _check_four(rng, negative):
     """Substituting a closure word fools any small automaton pair; k=4."""
-    z = search_z_k(4)
+    z = _z_4()
     h = build_H_k(4)
     closure = _h_closure(4, None)  # the automaton free_word searches
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]

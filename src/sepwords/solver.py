@@ -3,9 +3,10 @@
 A DFA separates (w, x) when it accepts w and rejects x.  Minimal
 separation size equals minimal distinguishing size (different end states),
 so the solver searches transition structures only and fixes an accepting
-set afterwards.  The search is iterative deepening over the state count
-with lazy transition assignment: entries are created only as the runs of w
-and x demand them, and branch targets are limited to already-used states
+set afterwards.  The search is iterative deepening over the state count,
+from two states up (one state ends both words in it), with lazy
+transition assignment: entries are created only as the runs of w and x
+demand them, and branch targets are limited to already-used states
 plus one fresh state (first-visit symmetry breaking).  The runs read the
 prefix the words share once, then w's middle, then x's middle, which is
 cut where it ends in w's state, and last the suffix they share.
@@ -66,7 +67,7 @@ class SepCertificate(_Value):
 
     def __init__(self, w: str, x: str, lower: int, upper: int,
                  witness: Optional[Dfa],
-                 lower_method: str,  # exhaustive-canonical | unary-analytic | none
+                 lower_method: str,  # exhaustive-canonical | unary-analytic
                  nodes: int = 0, millis: int = 0):
         self.w = w
         self.x = x
@@ -326,9 +327,7 @@ def _distinguishing_structure(
                 si, pos, rejoin, state = 2, 0, state, mid
                 continue
             if si == 4 and state != endw:
-                return tuple(
-                    tuple(c[q] if c[q] >= 0 else 0 for c in cols) for q in range(p)
-                )
+                return tuple(zip(*([t if t >= 0 else 0 for t in c] for c in cols)))
             # backtrack to the deepest entry with a target left to try
             while stack:
                 col, q, t, limit, si, pos, used = stack.pop()
@@ -442,7 +441,9 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
 
     Never returns a wrong exact value: a certificate with lower == upper
     carries a verified witness and a lower bound proved by exhaustive
-    search or, for a unary pair, by the formula `_unary_sep`.
+    search or, for a unary pair, by the formula `_unary_sep`.  One state
+    ends both words in it, so the search starts at two states and even a
+    budget-bounded certificate has lower >= 2.
     """
     if w == x:
         raise ValueError("sep undefined for equal words")
@@ -460,7 +461,7 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
     # search ends by that level whatever max_states allows
     ws, xs = word_symbols(w, k), word_symbols(x, k)
     counters = SearchCounters(budget)
-    p = 1
+    p = 2
     try:
         while p <= budget.max_states:
             structure = _distinguishing_structure(ws, xs, p, k, counters)
@@ -470,10 +471,9 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
             p += 1
     except BudgetError:
         pass
-    # exhausted levels 1..p-1 (or the budget mid-level): bounded certificate
+    # exhausted levels 2..p-1 (or the budget mid-level): bounded certificate
     table = _mod_counter_table(w, x, k) or _trivial_table(w, k)
-    return certificate_from_table(w, x, table, p,
-                                  "exhaustive-canonical" if p > 1 else "none",
+    return certificate_from_table(w, x, table, p, "exhaustive-canonical",
                                   counters.nodes, start)
 
 
@@ -494,16 +494,19 @@ def separating_structure(
     Exhaustive: the lazy canonical search at level p covers every smaller
     structure as well, since branch targets may stay within used states.
     The search is charged to counters, a fresh pool of DEFAULT_BUDGET when
-    none is given.
+    none is given.  At p = 1 no search runs: one state ends both words in
+    it, so the answer is None and no node is charged.
     """
     if w == x:
         raise ValueError("sep undefined for equal words")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     k = _alphabet_for(w, x)
+    ws, xs = word_symbols(w, k), word_symbols(x, k)
+    if p == 1:
+        return None
     if counters is None:
         counters = SearchCounters(DEFAULT_BUDGET)
-    ws, xs = word_symbols(w, k), word_symbols(x, k)
     return _distinguishing_structure(ws, xs, p, k, counters)
 
 
@@ -524,22 +527,6 @@ def raw_tables(p: int, k: int) -> Iterator[tuple[int, Table]]:
     for m in range(1, p + 1):
         for flat in itertools.product(range(m), repeat=m * k):
             yield m, tuple(flat[q * k:(q + 1) * k] for q in range(m))
-
-
-def raw_separable(w: str, x: str, p: int) -> bool:
-    """Independent oracle: enumerate every raw (structure, accepting set) pair.
-
-    All complete transition tables with m <= p states, with every accepting
-    subset, checked by direct simulation.  Exponential; test scale only.
-    """
-    k = _alphabet_for(w, x)
-    ws, xs = word_symbols(w, k), word_symbols(x, k)
-    for m, table in raw_tables(p, k):
-        ew, ex = run_table(table, ws), run_table(table, xs)
-        for mask in range(1 << m):
-            if (mask >> ew & 1) and not (mask >> ex & 1):
-                return True
-    return False
 
 
 def reached_by_language(structure: Dfa, reversal: Dfa, q: int) -> bool:

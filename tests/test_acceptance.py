@@ -127,7 +127,7 @@ def test_criterion_8_atlas_reproducibility(tmp_path):
 
 def test_criteria_smoke_independent_oracle():
     """Spot-check the frozen values of criteria 1 and 8 by brute force."""
-    from sepwords.solver import raw_separable
+    from reference import raw_separable
     assert not raw_separable("0", "0" * 7, 2)
     assert raw_separable("0", "0" * 7, 3)
     words = [""] + ["".join(t) for L in (1, 2, 3)

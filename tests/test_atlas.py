@@ -13,7 +13,8 @@ from sepwords import solver
 from sepwords.atlas import ATLAS_MAX_LEN_CAP, SeparationLevels, compute_atlas
 from sepwords.cache import CertificateCache, sep_key, store_certificate
 from sepwords.dfa import dfa_from_text
-from sepwords.solver import SepCertificate, exact_sep, raw_separable
+from sepwords.solver import SepCertificate, exact_sep
+from reference import raw_separable
 
 
 def test_max_len_bounds():

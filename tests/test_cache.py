@@ -211,7 +211,9 @@ def test_sep_cli_does_not_serve_an_over_claim(tmp_path, flags):
 def test_budget_bounded_cli_run_does_not_poison_the_cache(tmp_path):
     path = tmp_path / "cache.jsonl"
     r = invoke("sep", "01", "0001", "--budget-nodes", "1")
-    assert r.exit_code == 2 and r.output.startswith("sep >= 1")
+    assert r.exit_code == 2 and r.output == "sep >= 2 (budget-bounded; upper known: 3)\n"
+    r = invoke("--format", "json", "sep", "01", "0001", "--budget-nodes", "1")
+    assert r.exit_code == 2 and json.loads(r.stdout)["lower_method"] == "exhaustive-canonical"
     r = invoke("--cache", str(path), "sep", "01", "0001", "--budget-nodes", "1")
     assert r.exit_code == 64 and r.stdout == ""
     assert not path.exists()

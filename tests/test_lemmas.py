@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sepwords import dfa, lemmas
+from sepwords.atlas import _binary_words
 from sepwords.dfa import Dfa, enumerate_canonical, run, zero_cycle_length, zpath
 from sepwords.lemmas import (
     DEFAULT_SEED,
@@ -16,6 +17,7 @@ from sepwords.lemmas import (
     run_lemma_suite,
 )
 from sepwords.solver import no_separator_up_to, raw_tables
+from reference import raw_separable
 from test_dfa import canonical_dfas
 
 ALL_IDS = [
@@ -257,6 +259,29 @@ def test_shared_memos_never_change_a_result():
             else:
                 assert c.as_dict() == positive[check_id]
         assert [memo.cache_info().misses for memo in memos] == [1, 1]
+
+
+def test_kebab_and_four_search_the_hard_word_once(monkeypatch):
+    calls = []
+    search = lemmas.search_z_k
+    monkeypatch.setattr(lemmas, "search_z_k", lambda k: calls.append(k) or search(k))
+    lemmas._z_4.cache_clear()
+    for check_id in ("kebab", "four", "kebab"):
+        assert run_check(check_id).status == "budget-bounded"
+    assert calls == [4]
+
+
+def test_fries_class_oracle_equals_raw_separable():
+    # fries reads sep(w, x) <= p as: some m <= p puts w and x in different
+    # classes; raw_separable tries every raw table with every accepting
+    # set.  Every pair at every level, not a sample: at this size the raw
+    # oracle is cheap.
+    words = _binary_words(5)
+    classes = lemmas._raw_classes(words, 3)
+    for (i, w), (j, x) in itertools.combinations(enumerate(words), 2):
+        for p in (1, 2, 3):
+            split = any(cls[i] != cls[j] for cls in classes[:p])
+            assert split == raw_separable(w, x, p), (w, x, p)
 
 
 def test_zpath_checks_build_one_dfa_per_zero_column(monkeypatch):

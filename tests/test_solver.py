@@ -33,11 +33,11 @@ from sepwords.solver import (
     exact_sep,
     lsep_lower_check,
     no_separator_up_to,
-    raw_separable,
     reached_by_language,
     run_table,
     separating_structure,
 )
+from reference import raw_separable
 from test_dfa import canonical_dfas, enumerate_canonical_reference, random_dfa
 
 
@@ -198,6 +198,30 @@ def test_separator_search_rejects_a_state_count_below_one(p):
     for search in (separating_structure, no_separator_up_to):
         with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
             search("01", "10", p)
+
+
+def test_one_state_search_runs_no_kernel_yet_checks_the_words():
+    # one state ends every word in it, so no pair of distinct words has a
+    # 1-state separator
+    words = [""] + ["".join(t) for n in (1, 2, 3) for t in itertools.product("012", repeat=n)]
+    for w, x in itertools.combinations(words, 2):
+        counters = SearchCounters(DEFAULT_BUDGET)
+        assert separating_structure(w, x, 1, counters) is None
+        assert counters.nodes == 0
+    for w, x in (("01", "01"), ("", ""), ("01", "31"), ("0a", "1")):
+        with pytest.raises(ValueError):
+            separating_structure(w, x, 1)
+
+
+def test_a_starved_search_still_proves_two_states():
+    starved = SearchBudget(max_nodes=1)
+    words = [""] + ["".join(t) for n in (1, 2, 3) for t in itertools.product("012", repeat=n)]
+    for w, x in itertools.combinations(words, 2):
+        if len(set(w + x)) < 2:  # unary: the formula, not the search
+            continue
+        cert = exact_sep(w, x, budget=starved)
+        assert cert.lower >= 2, (w, x)
+        assert cert.lower_method == "exhaustive-canonical"
 
 
 def test_small_known_values():
@@ -369,12 +393,12 @@ PINNED_CERTIFICATES = [
     (("0110", "1001", DEFAULT_BUDGET),
      {'w': '0110', 'x': '1001', 'lower': 2, 'upper': 2, 'exact': True,
       'witness': 'dfa 2 2\naccepting 0\nstate 0: 0 1\nstate 1: 0 0\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 12, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 8, 'millis': 0}),
     # search, ternary
     (("012", "210", DEFAULT_BUDGET),
      {'w': '012', 'x': '210', 'lower': 2, 'upper': 2, 'exact': True,
       'witness': 'dfa 3 2\naccepting 1\nstate 0: 0 0 1\nstate 1: 0 0 0\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 13, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 8, 'millis': 0}),
     # unary chain
     (("0", "0000000", DEFAULT_BUDGET),
      {'w': '0', 'x': '0000000', 'lower': 3, 'upper': 3, 'exact': True,
@@ -389,18 +413,18 @@ PINNED_CERTIFICATES = [
     (("01", "0001", _ONE_STATE),
      {'w': '01', 'x': '0001', 'lower': 2, 'upper': 3, 'exact': False,
       'witness': 'dfa 2 3\naccepting 2\nstate 0: 1 1\nstate 1: 2 2\nstate 2: 0 0\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 4, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 0, 'millis': 0}),
     # mod-counter by symbol
     (("00", "11", _ONE_STATE),
      {'w': '00', 'x': '11', 'lower': 2, 'upper': 3, 'exact': False,
       'witness': 'dfa 2 3\naccepting 2\nstate 0: 1 0\nstate 1: 2 1\nstate 2: 0 2\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 4, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 0, 'millis': 0}),
     # trivial separator
     (("0010", "1000", _TWO_STATES),
      {'w': '0010', 'x': '1000', 'lower': 3, 'upper': 6, 'exact': False,
       'witness': 'dfa 2 6\naccepting 4\nstate 0: 1 5\nstate 1: 2 5\nstate 2: 5 3\n'
                  'state 3: 4 5\nstate 4: 5 5\nstate 5: 5 5\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 28, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 24, 'millis': 0}),
 ]
 
 

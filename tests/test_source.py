@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import collections
 import os
 import re
 import subprocess
@@ -191,3 +192,57 @@ def test_one_function_reads_the_state_cap():
     # every construction that numbers new states does so through
     # dfa._explore, so none can grow a cap check of its own
     assert _functions_reading("DEFAULT_DETERMINIZE_BUDGET") == [("dfa", "_explore")]
+
+
+def _referenced_names(nodes) -> set[str]:
+    """Every name the nodes read as a variable or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def _bench_names() -> set[str]:
+    """The attribute names and strings of the bench job and tracer: each
+    package name a job calls or the tracer wraps is one of them."""
+    names = set()
+    for script in ("job.py", "tracer.py"):
+        for n in ast.walk(ast.parse((ROOT / "bench" / script).read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                names.add(n.value)
+    return names
+
+
+def test_every_top_level_function_and_class_is_reached():
+    # a definition that neither the command line (the console script
+    # sepwords.cli:main), the exports nor a bench job reaches is dead, or a
+    # reference only the tests use, which belongs in tests/reference.py.
+    # A name counts when it is read, not only when it is called: REGISTRY
+    # holds the lemma checks by reference.  Names are matched across
+    # modules, and a module-level assignment reaches what it reads only
+    # when its target is reached; other module-level code always runs.
+    root = Path(sepwords.__file__).parent
+    defined = {}
+    bodies = collections.defaultdict(list)  # name -> statements that define it
+    always = []
+    for path in sorted(root.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[stmt.name] = f"{path.name}:{stmt.lineno} {stmt.name}"
+                bodies[stmt.name].append(stmt)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for n in (n for target in targets for n in ast.walk(target)):
+                    if isinstance(n, ast.Name):
+                        bodies[n.id].append(stmt)
+            else:
+                always.append(stmt)
+    todo = {"main"} | set(sepwords.__all__) | _bench_names() | _referenced_names(always)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= _referenced_names(bodies[name]) - reached
+    assert sorted(where for name, where in defined.items() if name not in reached) == []
