@@ -23,7 +23,6 @@ from .dfa import (
     accepts,
     combine,
     dfa_to_text,
-    minimize,
     run,
     word_symbols,
 )
@@ -287,10 +286,11 @@ def _h_closure(k: int, z_k: Optional[str]) -> Dfa:
     """The segmented closure of H_k, or of H_k + {z_k} when z_k is given.
 
     Keyed on (k, z_k), not on a Dfa, so a hit hashes no automaton.
+    segmented_closure minimizes its result, so the union is not minimized.
     """
     h = build_H_k(k)
     if z_k is not None:
-        h = minimize(combine(h, finite_language([z_k]), "or"))
+        h = combine(h, finite_language([z_k]), "or")
     return segmented_closure(h)
 
 
@@ -299,7 +299,7 @@ def free_word(
     d: Dfa,
     d2: Dfa,
     w: str,
-    z_k: Optional[str] = None,
+    z_k: str,
 ) -> str:
     """A word of H_k (0^+ H_k)* that neither d nor d2 distinguishes from w.
 
@@ -308,9 +308,8 @@ def free_word(
     the first triple that pairs the end states of d and d2 on w with an
     accepting closure state, so it returns the shortest such word, first
     in symbol order: the word an emptiness search over the full product
-    automaton would return.  When z_k is supplied, w is checked against
-    the closure of H_k + {z_k}; otherwise the caller vouches for the
-    membership precondition.
+    automaton would return.  w is checked against the closure of
+    H_k + {z_k}.
     """
     limit = state_limit_for_pairs(k)
     if d.state_count > limit or d2.state_count > limit:
@@ -320,7 +319,7 @@ def free_word(
         )
     if d.alphabet_size != 3 or d2.alphabet_size != 3:
         raise ValueError("free_word expects full-alphabet automata")
-    if z_k is not None and not accepts(_h_closure(k, z_k), w):
+    if not accepts(_h_closure(k, z_k), w):
         raise ValueError("w is not in the closure of H'_k")
     closure = _h_closure(k, None)
     rows, rows2, crows = d.transitions, d2.transitions, closure.transitions
@@ -336,25 +335,21 @@ def free_word(
     return word
 
 
-def farmand_dfa(r: Dfa, n: int, on_mismatch: str = "reject") -> Dfa:
+def farmand_dfa(r: Dfa, n: int) -> Dfa:
     """Binary separator for encoded words around the unary middle block.
 
     The machine decodes right-encoded symbols in (1-prefixed) pairs and
     simulates r's automaton on them.  A 0 read at a pair boundary ends the
     current segment: if the segment is in R the machine counts the 0-run
     and, on the next 1, accepts exactly when the count is n; otherwise it
-    skips the run and restarts r.  The empty segment never counts as an R
-    block, which is what the R - {eps} precondition requires.
-
-    on_mismatch selects what a wrong count does: "reject" (a reject sink,
-    the layout with 2t + n + 4 states) or "restart" (rejoin decoding at
-    r's start, 2t + n + 3 states; used when R segments may also occur
-    before the middle block).
+    skips the run and restarts r.  A wrong count also rejoins decoding at
+    r's start, so R segments may occur before the middle block too.  The
+    empty segment never counts as an R block, which is what the R - {eps}
+    precondition requires.  For r of t states the machine has
+    2t + n + 3 states.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if on_mismatch not in ("reject", "restart"):
-        raise ValueError("on_mismatch must be 'reject' or 'restart'")
     if not is_zero_free(r):
         raise ValueError("R must be a {1,2}-language")
     t = r.state_count
@@ -364,23 +359,15 @@ def farmand_dfa(r: Dfa, n: int, on_mismatch: str = "reject") -> Dfa:
     CNT = lambda c: 1 + 2 * t + (c - 1)  # c in 1..n
     OVF = 1 + 2 * t + n
     ACC = 2 + 2 * t + n
-    REJ = 3 + 2 * t + n
-    total = (REJ if on_mismatch == "reject" else ACC) + 1
-    mismatch_to = REJ if on_mismatch == "reject" else MID(0)
-    rows = [[0, 0] for _ in range(total)]
+    rows = [[0, 0] for _ in range(ACC + 1)]
     rows[SKIP] = [SKIP, MID(0)]
     for q in range(t):
         rows[MID(q)] = [COMP(r.transitions[q][2]), COMP(r.transitions[q][1])]
         rows[COMP(q)] = [CNT(1) if q in r.accepting else SKIP, MID(q)]
     for c in range(1, n + 1):
-        rows[CNT(c)] = [
-            CNT(c + 1) if c < n else OVF,
-            ACC if c == n else mismatch_to,
-        ]
-    rows[OVF] = [OVF, mismatch_to]
+        rows[CNT(c)] = [CNT(c + 1) if c < n else OVF, ACC if c == n else MID(0)]
+    rows[OVF] = [OVF, MID(0)]
     rows[ACC] = [ACC, ACC]
-    if on_mismatch == "reject":
-        rows[REJ] = [REJ, REJ]
     return Dfa(2, tuple(tuple(row) for row in rows), frozenset({ACC}))
 
 
@@ -471,9 +458,10 @@ def verify_witness(
     """Fill in both bound checks on a witness report.
 
     Lower side: exhaustive no-separator search at the largest feasible
-    state count.  Upper side: the decoder machine over the reversal of the
-    starred language, run on the reversed pair; the machine accepts the
-    reversed short-block word and rejects the reversed long-block word.
+    state count.  Upper side: the decoder machine (farmand_dfa, 2t + n + 3
+    states) over R = _reversed_G_k(k), the t-state reversal of the starred
+    language, run on the reversed pair; the machine accepts the reversed
+    short-block word and rejects the reversed long-block word.
     """
     wp, xp = report.w_prime, report.x_prime
     p = min(EXHAUSTIVE_STATE_CAP, budget.max_states)
@@ -487,9 +475,7 @@ def verify_witness(
         report.statuses["lower"] = "failed"
         report.lower_verified_to = 0
 
-    r = _reversed_G_k(report.k)
-    mode = "reject" if "0" not in report.c_word else "restart"
-    machine = farmand_dfa(r, report.n, on_mismatch=mode)
+    machine = farmand_dfa(_reversed_G_k(report.k), report.n)
     wr, xr = wp[::-1], xp[::-1]
     if machine.state_count <= report.upper_claim and check_separates(machine, wr, xr):
         report.upper_witness = machine

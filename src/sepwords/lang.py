@@ -95,25 +95,30 @@ def build_L_k(k: int) -> Dfa:
 
 @lru_cache(maxsize=None)
 def _reversed_G_k(k: int) -> Dfa:
-    """Minimal DFA of the reversal of G_k, that is of (L_k^R)*.
+    """Minimal DFA of the reversal of G_k, that is of (L_k^R)*, built with
+    no minimize() pass.
 
-    The star of the reversed generator DFA D = reverse(build_L_k(k)):
-    accepting states of D also take the moves of D's start, and the start
-    accepts.  That is sound because D's start has no incoming moves, as
-    the start of the minimal DFA of any nonempty finite language: a move
-    into it would close a cycle through a live state.  D's dead state is
-    left out of the subsets.  The subset automaton is small (53 states at
-    k = 10, 52 once minimized), and its minimization equals
-    reverse(build_G_k(k)), both being the canonical minimal DFA.
+    The star of the reversed generator DFA D = reverse(build_L_k(k)) by
+    subset construction: accepting states of D also take the moves of D's
+    start, and D's dead state is left out of the subsets.  The construction
+    starts at {end}, where end is D's one accepting state whose moves all
+    go to the dead state: in the star {end} moves as D's start does and
+    accepts, so both have the residual (L_k^R)*, and D's start has no
+    incoming move (a move into the start of the minimal DFA of a nonempty
+    finite language would close a cycle through a live state), so no
+    subset holds it.  The subsets left are pairwise inequivalent, 52 at
+    k = 10, and numbered in canonical order: the result equals its own
+    minimize() and reverse(build_G_k(k)), as tests/test_lang.py checks.
     """
     d = reverse(build_L_k(k))
     dead = next(q for q, row in enumerate(d.transitions)
                 if q not in d.accepting and all(t == q for t in row))
+    end = next(q for q in d.accepting if all(t == dead for t in d.transitions[q]))
     table = [[{t} - {dead} for t in row] for row in d.transitions]
     for q in d.accepting:
         for s in range(ALPHABET):
             table[q][s] |= table[0][s]
-    return minimize(determinize(table, {0}, d.accepting | {0}, ALPHABET))
+    return determinize(table, {end}, d.accepting, ALPHABET)
 
 
 @lru_cache(maxsize=None)

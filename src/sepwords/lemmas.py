@@ -498,7 +498,7 @@ def _check_farmand(rng, negative):
     n = 1
     machine = farmand_dfa(r, n if not negative else n + 1)
     t = r.state_count
-    if machine.state_count > 2 * t + (n if not negative else n + 1) + 4:
+    if machine.state_count > 2 * t + (n if not negative else n + 1) + 3:
         return "fail", {}, {"states": machine.state_count}
     trip = canonical_triple(n)
     for i in range(100):

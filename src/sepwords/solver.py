@@ -149,7 +149,11 @@ class SepCertificate(_Value):
 
 
 class SearchCounters:
-    """One node pool and one deadline, shared by every search given it."""
+    """One node pool and one deadline, shared by every search given it.
+
+    nodes never passes max_nodes: the node that would pass it raises
+    BudgetError, named in the message but not charged.
+    """
 
     __slots__ = ("nodes", "deadline", "max_nodes")
 
@@ -159,9 +163,9 @@ class SearchCounters:
         self.deadline = time.monotonic() + budget.wall_limit
 
     def tick(self):
+        if self.nodes >= self.max_nodes:
+            raise BudgetError(f"node budget exhausted at {self.nodes + 1} nodes")
         self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise BudgetError(f"node budget exhausted at {self.nodes} nodes")
         if self.nodes % 4096 == 0:
             self.check_deadline()
 
@@ -343,7 +347,7 @@ def _distinguishing_structure(
             else:
                 return None
     finally:
-        counters.nodes = nodes
+        counters.nodes = min(nodes, max_nodes)
 
 
 def check_separates(d: Dfa, w: str, x: str) -> bool:

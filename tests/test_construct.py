@@ -27,7 +27,8 @@ from sepwords.construct import (
 )
 from sepwords.dfa import (BudgetError, Dfa, accepts, combine, enumerate_canonical,
                           is_empty, reverse, run)
-from sepwords.lang import build_G_k, build_H_k, finite_language, iter_words, segmented_closure
+from sepwords.lang import (_reversed_G_k, build_G_k, build_H_k, finite_language, iter_words,
+                           segmented_closure)
 from sepwords.solver import (
     SearchBudget,
     lsep_lower_check,
@@ -308,7 +309,7 @@ def test_free_word_is_indistinguishable_and_in_closure():
     for _ in range(10):
         d, d2 = rng.choice(structs), rng.choice(structs)
         w = rng.choice(blocks) + "0" + rng.choice(blocks)
-        wp = free_word(4, d, d2, w)
+        wp = free_word(4, d, d2, w, z_k="112")
         assert run(d, 0, wp) == run(d, 0, w)
         assert run(d2, 0, wp) == run(d2, 0, w)
         assert accepts(closure_h, wp)
@@ -321,15 +322,15 @@ def test_free_word_closures_are_memoized_per_k_and_z_k():
     # "112" is outside H_4, so only the closure of H_4 + {"112"} holds it
     first = free_word(4, d, d, "112", z_k="112")
     assert free_word(4, d, d, "112", z_k="112") == first
-    free_word(4, d, d, "12")
+    free_word(4, d, d, "12", z_k="112")
     # one closure of H_4 and one of H_4 + {"112"}, each built once
     info = _h_closure.cache_info()
-    assert (info.misses, info.hits) == (2, 3)
+    assert (info.misses, info.hits) == (2, 4)
     with pytest.raises(ValueError, match="closure of H'_k"):
         free_word(4, d, d, "0", z_k="112")
 
 
-def _free_word_reference(k, d, d2, w, z_k=None):
+def _free_word_reference(k, d, d2, w, z_k):
     """free_word as an emptiness search over the full product automaton."""
     limit = state_limit_for_pairs(k)
     if d.state_count > limit or d2.state_count > limit:
@@ -339,7 +340,7 @@ def _free_word_reference(k, d, d2, w, z_k=None):
         )
     if d.alphabet_size != 3 or d2.alphabet_size != 3:
         raise ValueError("free_word expects full-alphabet automata")
-    if z_k is not None and not accepts(construct._h_closure(k, z_k), w):
+    if not accepts(construct._h_closure(k, z_k), w):
         raise ValueError("w is not in the closure of H'_k")
     same_ends = combine(Dfa(3, d.transitions, frozenset({run(d, 0, w)})),
                         Dfa(3, d2.transitions, frozenset({run(d2, 0, w)})), "and")
@@ -362,7 +363,7 @@ def _outcome(fn, *args, **kwargs):
 def test_free_word_equals_the_product_emptiness_search():
     # the closure words of the lemma check `four`, glued from the first 20
     # words of H_4 and z_4; every sixth gets a trailing 0, which leaves the
-    # closure, so with z_k given the membership error is reached too
+    # closure, so the membership error is reached too
     z = search_z_k(4).word
     h = build_H_k(4)
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z]
@@ -375,23 +376,25 @@ def test_free_word_equals_the_product_emptiness_search():
         w = segs[0] + "".join("0" * rng.randrange(1, 3) + s for s in segs[1:])
         if i % 6 == 5:
             w += "0"
-        z_k = z if i % 2 else None
-        got = _outcome(free_word, 4, d, d2, w, z_k=z_k)
-        assert got == _outcome(_free_word_reference, 4, d, d2, w, z_k=z_k), (d, d2, w, z_k)
+        got = _outcome(free_word, 4, d, d2, w, z)
+        assert got == _outcome(_free_word_reference, 4, d, d2, w, z), (d, d2, w)
         outcomes.add(got[0] if got[0] == "word" else got[1])
     assert outcomes == {"word", "w is not in the closure of H'_k"}
-    # a leading 0 sends this structure to state 1, which no closure word
-    # reaches: each starts with a word of H_4, zero-free and nonempty
-    trap = Dfa(3, ((1, 2, 2), (1, 1, 1), (2, 2, 2)), frozenset())
-    got = _outcome(free_word, 4, trap, trap, "0")
-    assert got == _outcome(_free_word_reference, 4, trap, trap, "0")
+    # 112, the hard word search_z_k(6) vets at 3 states only, is not hard
+    # for this pair: loop returns to its start on (112)* alone, words of
+    # G_6, and trap holds its start on 0-free words alone, so no word of
+    # H_6's closure ends where 112 does in both
+    loop = Dfa(3, ((0, 1, 3), (1, 2, 3), (2, 3, 0), (3, 3, 3)), frozenset())
+    trap = Dfa(3, ((1, 0, 0), (1, 1, 1)), frozenset())
+    got = _outcome(free_word, 6, loop, trap, "112", "112")
+    assert got == _outcome(_free_word_reference, 6, loop, trap, "112", "112")
     assert got[0] == "error" and "precondition" in got[1]
 
 
 def test_free_word_rejects_oversized_automata():
     big = next(Dfa(3, t, frozenset()) for t in enumerate_canonical(4, 3) if len(t) == 4)
     with pytest.raises(ValueError):
-        free_word(4, big, big, "112")
+        free_word(4, big, big, "112", z_k="112")
 
 
 def test_farmand_machine_size_and_separation():
@@ -399,7 +402,7 @@ def test_farmand_machine_size_and_separation():
     t = r.state_count
     for n in (1, 2):
         m = farmand_dfa(r, n)
-        assert m.state_count <= 2 * t + n + 4
+        assert m.state_count <= 2 * t + n + 3
         # suffix-coded segment, middle run of n vs n + (2n+1)! zeros, tail
         seg = encode("211", "right")  # reversal of a generator word
         a = seg + "0" * n + "1"
@@ -407,13 +410,17 @@ def test_farmand_machine_size_and_separation():
         assert check_separates(m, a, b)
 
 
-def test_farmand_restart_mode_is_smaller():
-    r = reverse(build_G_k(1))
-    t = r.state_count
-    m = farmand_dfa(r, 1, on_mismatch="restart")
-    assert m.state_count <= 2 * t + 1 + 3
-    with pytest.raises(ValueError):
-        farmand_dfa(r, 1, on_mismatch="explode")
+def test_farmand_machine_separates_a_zero_free_block():
+    # C = 112 holds no 0, so the reversed pair holds R segments only around
+    # the middle block; the one decoder layout still separates it
+    r = _reversed_G_k(1)
+    c = "112"
+    for n in (1, 2):
+        m = farmand_dfa(r, n)
+        assert m.state_count == 2 * r.state_count + n + 3
+        trip = canonical_triple(n)
+        w, x = encode(c + trip.f + c, "left"), encode(c + trip.g + c, "left")
+        assert check_separates(m, w[::-1], x[::-1])
 
 
 def test_claim_values():

@@ -173,6 +173,28 @@ def test_reversed_star_equals_reversal_of_G_k():
         assert _reversed_G_k(k) == reverse(build_G_k(k)), k
 
 
+def _reversed_G_k_reference(k: int) -> Dfa:
+    """The construction _reversed_G_k replaced, kept as a reference: the
+    same star started at D's start, which accepts, then minimize()."""
+    d = reverse(build_L_k(k))
+    dead = next(q for q, row in enumerate(d.transitions)
+                if q not in d.accepting and all(t == q for t in row))
+    table = [[{t} - {dead} for t in row] for row in d.transitions]
+    for q in d.accepting:
+        for s in range(ALPHABET):
+            table[q][s] |= table[0][s]
+    return dfa.minimize(dfa.determinize(table, {0}, d.accepting | {0}, ALPHABET))
+
+
+def test_reversed_star_is_minimal_as_built():
+    # about 1.3 s
+    for k in [*range(1, 61), 200]:
+        built = _reversed_G_k(k)
+        assert built == _reversed_G_k_reference(k), k
+        assert dfa.minimize(built) == built, k
+        assert built.state_count == 5 * k + 2, k
+
+
 def test_star_build_raises_past_the_determinize_budget(monkeypatch):
     # G_k has 2^(k+2) - 1 states, all of them subsets in the final reversal
     assert build_G_k(5).state_count == 127
@@ -188,7 +210,7 @@ def test_star_build_raises_past_the_determinize_budget(monkeypatch):
 
 def test_block_builders_determinize_and_minimize_only_small_automata(monkeypatch):
     """Building G_10 and H_10 passes no automaton of more than 200 states
-    through determinize() or minimize()."""
+    through determinize(), and none through minimize()."""
     sizes = {"determinize": [], "minimize": []}
 
     def recording(name, f):
@@ -208,8 +230,8 @@ def test_block_builders_determinize_and_minimize_only_small_automata(monkeypatch
     g = build_G_k.__wrapped__(10)
     h = build_H_k.__wrapped__(10)
     assert (g.state_count, h.state_count) == (4095, 4096)
-    assert sizes["determinize"] and sizes["minimize"]
-    assert max(sizes["determinize"] + sizes["minimize"]) <= 200, sizes
+    assert sizes["determinize"] and not sizes["minimize"]
+    assert max(sizes["determinize"]) <= 200, sizes
 
 
 def test_finite_language_membership():

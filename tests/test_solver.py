@@ -445,6 +445,23 @@ def test_node_budget_raises_only_inside_search():
     assert isinstance(cert, SepCertificate)
 
 
+@pytest.mark.parametrize("w,x", [("01", "0001"), ("2101", "2011")])
+def test_a_budget_bounded_certificate_reports_at_most_its_budget(w, x):
+    # the node that trips the budget raises uncharged
+    for m in range(1, 14):
+        cert = exact_sep(w, x, budget=SearchBudget(max_nodes=m))
+        assert not cert.exact and cert.nodes == m, m
+
+
+def test_a_tick_past_the_budget_names_the_node_but_does_not_charge_it():
+    counters = SearchCounters(SearchBudget(max_nodes=2))
+    counters.tick()
+    counters.tick()
+    with pytest.raises(BudgetError, match="^node budget exhausted at 3 nodes$"):
+        counters.tick()
+    assert counters.nodes == 2
+
+
 def test_check_separates():
     parity = Dfa(2, ((1, 0), (0, 1)), frozenset({1}))  # odd number of 0s
     assert check_separates(parity, "0", "00")

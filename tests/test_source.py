@@ -134,8 +134,6 @@ def test_the_option_surface_is_pinned():
         ("construct", "search_C_n", "budget"),
         ("construct", "search_C_n", "forbid_run_length"),
         ("construct", "search_z_k", "budget"),
-        ("construct", "free_word", "z_k"),
-        ("construct", "farmand_dfa", "on_mismatch"),
         ("construct", "WitnessReport.__init__", "lower_verified_to"),
         ("construct", "WitnessReport.__init__", "upper_witness"),
         ("construct", "WitnessReport.__init__", "statuses"),
@@ -192,6 +190,15 @@ def test_one_function_reads_the_state_cap():
     # every construction that numbers new states does so through
     # dfa._explore, so none can grow a cap check of its own
     assert _functions_reading("DEFAULT_DETERMINIZE_BUDGET") == [("dfa", "_explore")]
+
+
+def test_only_constructions_of_unknown_shape_minimize():
+    # only where the automaton may not be minimal: the segmented closure's
+    # subset automaton, a word list's trie, and whatever a caller hands
+    # state_complexity.  The block languages and their reversals are
+    # minimal as built, so nothing minimizes them again
+    assert _functions_reading("minimize") == [
+        ("lang", "_segclo_of_dfa"), ("lang", "finite_language"), ("lang", "state_complexity")]
 
 
 def _referenced_names(nodes) -> set[str]:
