@@ -16,8 +16,7 @@ from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
 from .cache import CertificateCache
 from .construct import MAX_TRIPLE_N, verify_witness, witness_pair
 from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
-from .lang import (_reversed_G_k, _reversed_H_k, build_G_k, build_H_k, build_L_k,
-                   state_complexity)
+from .lang import _reversed_G_k, _reversed_H_k, build_G_k, build_H_k, build_L_k
 from .lemmas import DEFAULT_SEED, known_ids, run_lemma_suite
 from .solver import DEFAULT_BUDGET, SearchBudget, exact_sep
 
@@ -81,8 +80,14 @@ def sep(args) -> int:
     return EXIT_PASS if cert.exact else EXIT_BOUNDED
 
 
-# each language's builder and that of its reversal: G_k and H_k come from
-# their small reversals, so --reversed never builds the exponential DFA
+# each language's builder and that of its reversal.  Each returns its
+# language's minimal DFA in canonical order, so stc reads its size as built:
+# - build_L_k: no two states of its block rule are equivalent;
+# - build_G_k, build_H_k, reverse(build_L_k(k)): Brzozowski's theorem;
+# - _reversed_G_k: its star's subsets start at {end}, pairwise inequivalent;
+# - _reversed_H_k: its complement argument (see its docstring).
+# G_k and H_k come from their small reversals, so --reversed never builds
+# the exponential DFA.
 _LANG_BUILDERS = {"G_k": (build_G_k, _reversed_G_k), "H_k": (build_H_k, _reversed_H_k),
                   "L_k": (build_L_k, lambda k: reverse(build_L_k(k)))}
 
@@ -90,7 +95,7 @@ _LANG_BUILDERS = {"G_k": (build_G_k, _reversed_G_k), "H_k": (build_H_k, _reverse
 def stc(args) -> int:
     """State complexity of a family language (minimal DFA size)."""
     forward, backward = _LANG_BUILDERS[args.lang]
-    value = state_complexity((backward if args.reversed else forward)(args.k))
+    value = (backward if args.reversed else forward)(args.k).state_count
     label = f"{args.lang[:-2]}_{args.k}" + ("^R" if args.reversed else "")
     if args.format == "json":
         print(json.dumps({"lang": label, "stc": value}))

@@ -2,8 +2,10 @@
 encodings, the certified existential searches, the reversal-side
 separator machine, and the end-to-end witness pipeline.
 
-Every search result is re-certified by an independent solver call before
-it is returned; nothing trusts the search path itself.
+Each search returns the word that its own solver call vetted, with no
+second call: search_C_n the word that separating_structure found no
+separator for at 2n + 1 states, search_z_k the word that
+lsep_lower_check accepted.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from .solver import (
 
 MAX_TRIPLE_N = 4
 
-# Largest state count we exhaust with no_separator_up_to during witness
-# verification; 3 is comfortable at any word length.
+# Largest state count exhausted for the witness pair: verify_witness's
+# lower check (no_separator_up_to), and search_z_k's vetting of z_k for
+# k >= 3 (lsep_lower_check).  3 is comfortable at any word length.
 EXHAUSTIVE_STATE_CAP = 3
 
 # Longest G_k word search_z_k tries as a hard-word candidate.
@@ -277,8 +280,9 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
 
 
 def state_limit_for_pairs(k: int) -> int:
-    """The per-automaton state cap 2^{k/2} - 1 from the small-pair lemmas."""
-    return math.floor(2 ** (k / 2) - 1 + 1e-12)
+    """The per-automaton state cap 2^{k/2} - 1 from the small-pair lemmas,
+    rounded down: integer arithmetic, exact at every k."""
+    return math.isqrt(2**k) - 1
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +418,8 @@ class WitnessReport(_Value):
 
 
 def lower_claim_value(k: int, n: int) -> int:
-    return min(2 * n + 2, math.ceil(2 ** (k / 2)))
+    """min(2n + 2, 2^{k/2} rounded up), in integer arithmetic: exact at every k."""
+    return min(2 * n + 2, 1 + math.isqrt(2**k - 1))
 
 
 def upper_claim_value(k: int, n: int) -> int:

@@ -221,7 +221,9 @@ def _segclo_of_dfa(d: Dfa) -> Dfa:
 
 
 def state_complexity(l: Dfa) -> int:
-    """States of the minimal complete DFA (dead state counted)."""
+    """States of the minimal complete DFA (dead state counted), by
+    minimize(): for automata of unknown shape.  The builders here return
+    minimal DFAs, whose size is their state_count."""
     return minimize(l).state_count
 
 

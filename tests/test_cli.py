@@ -91,10 +91,20 @@ def test_stc_reversed_answers_past_the_eager_build_limit():
 @pytest.mark.parametrize("name, builder", [("L_k", build_L_k), ("G_k", build_G_k),
                                            ("H_k", build_H_k)])
 def test_stc_reversed_is_the_state_complexity_of_the_reversal(name, builder):
-    for k in range(1, 11):
-        r = invoke("--format", "json", "stc", "--lang", name, "--k", str(k), "--reversed")
+    # stc prints the size of each automaton as built; Moore's minimize, through
+    # state_complexity, checks it both ways.  Past the forward build of G_k and
+    # H_k, it checks the automaton stc measures
+    def stc(k, *flags):
+        r = invoke("--format", "json", "stc", "--lang", name, "--k", str(k), *flags)
         assert r.exit_code == 0
-        assert json.loads(r.output)["stc"] == state_complexity(reverse(builder(k))), k
+        return json.loads(r.output)["stc"]
+
+    for k in range(1, 13):
+        assert stc(k) == state_complexity(builder(k)), k
+        assert stc(k, "--reversed") == state_complexity(reverse(builder(k))), k
+    assert stc(100, "--reversed") == state_complexity(cli._LANG_BUILDERS[name][1](100))
+    if name == "L_k":
+        assert stc(100) == state_complexity(build_L_k(100))
 
 
 def test_budget_error_exits_bounded_with_one_line(monkeypatch):

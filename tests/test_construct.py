@@ -298,6 +298,15 @@ def test_state_limit_for_pairs():
     assert [state_limit_for_pairs(k) for k in (1, 2, 3, 4, 6)] == [0, 1, 1, 3, 7]
 
 
+def test_claim_functions_meet_their_integer_definitions():
+    # 2^{k/2} - 1 rounded down and 2^{k/2} rounded up; in floats, 2 ** (k / 2)
+    # rounds wrongly from k = 105 on and overflows at k = 2048
+    for k in range(1, 3001):
+        limit, claim = state_limit_for_pairs(k), lower_claim_value(k, 2**k)
+        assert (limit + 1) ** 2 <= 2**k < (limit + 2) ** 2, k
+        assert (claim - 1) ** 2 < 2**k <= claim**2, k
+
+
 def test_free_word_is_indistinguishable_and_in_closure():
     rng = random.Random(11)
     structs = list(canonical_dfas(3, 3))

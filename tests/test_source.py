@@ -82,7 +82,7 @@ def test_the_package_exports_the_library_twin_of_each_command():
     assert sepwords.__all__ == [
         "exact_sep", "SepCertificate", "SearchBudget", "CertificateCache",
         "build_L_k", "build_G_k", "build_H_k",
-        "state_complexity", "witness_pair", "verify_witness", "run_lemma_suite",
+        "witness_pair", "verify_witness", "run_lemma_suite",
         "compute_atlas", "Dfa", "accepts", "dfa_from_text", "dfa_to_text",
         "BudgetError",
     ]
@@ -196,9 +196,18 @@ def test_only_constructions_of_unknown_shape_minimize():
     # only where the automaton may not be minimal: the segmented closure's
     # subset automaton, a word list's trie, and whatever a caller hands
     # state_complexity.  The block languages and their reversals are
-    # minimal as built, so nothing minimizes them again
+    # minimal as built, so stc reads their state_count; only the three and
+    # jellybean checks minimize them again, through state_complexity, as an
+    # independent check of their sizes
     assert _functions_reading("minimize") == [
         ("lang", "_segclo_of_dfa"), ("lang", "finite_language"), ("lang", "state_complexity")]
+
+
+def test_only_the_lemma_checks_measure_state_complexity():
+    # the three and jellybean checks keep Moore's minimize as an independent
+    # check of the built sizes; cli.stc reads state_count as built
+    assert _functions_reading("state_complexity") == [
+        ("lemmas", "_check_jellybean"), ("lemmas", "_check_three")]
 
 
 def _referenced_names(nodes) -> set[str]:
