@@ -9,7 +9,12 @@ transition assignment: entries are created only as the runs of w and x
 demand them, and branch targets are limited to already-used states
 plus one fresh state (first-visit symmetry breaking).  The runs read the
 prefix the words share once, then w's middle, then x's middle, which is
-cut where it ends in w's state, and last the suffix they share.
+cut where it ends in w's state, and last the suffix they share.  Each
+level first searches pairs cut from that shared prefix (`_search`): a
+cut pair with no separator refutes the whole pair, and a separator of a
+cut pair is returned, relabelled, when some state leads to its start by
+the part cut off.  So a returned table is a separator at its level, but
+not always the canonical first table of the whole pair.
 
 lsep_lower_check and reached_by_language ask whether a word of a whole
 language reaches a state.  They take the language as the DFA of its
@@ -350,6 +355,42 @@ def _distinguishing_structure(
         counters.nodes = min(nodes, max_nodes)
 
 
+def _search(
+    w: list[int], x: list[int], p: int, k: int, counters: SearchCounters
+) -> Optional[Table]:
+    """The kernel's verdict on w and x at p states, tried first on pairs
+    cut from the prefix the words share.
+
+    Write that prefix a = a1 a2, where a2 keeps the last keep = p, 2p,
+    4p, ... symbols of a, and w = a u, x = a v.  A p-state separator of
+    the whole pair, started at the state a1 leads to, separates the cut
+    pair (a2 u, a2 v), so a cut pair with no separator refutes the whole
+    pair.  A separator T of a cut pair serves only when some state s
+    reads a1 to T's start: T with s and 0 swapped separates the whole
+    pair.  Else the next keep is tried, and the whole pair last.  The
+    cuts apply under the kernel's own rule for shared parts (both words
+    longer than 8 symbols).  Every search is charged to counters.
+    """
+    if len(w) > 8 and len(x) > 8:
+        pre, m = 0, min(len(w), len(x))
+        while pre < m and w[pre] == x[pre]:
+            pre += 1
+        keep = p
+        while pre > keep:
+            cut = pre - keep
+            table = _distinguishing_structure(w[cut:], x[cut:], p, k, counters)
+            if table is None:
+                return None
+            a1 = w[:cut]
+            for s in range(p):
+                if run_table(table, a1, s) == 0:
+                    swap = {0: s, s: 0}
+                    return tuple(tuple(swap.get(t, t) for t in table[swap.get(q, q)])
+                                 for q in range(p))
+            keep *= 2
+    return _distinguishing_structure(w, x, p, k, counters)
+
+
 def check_separates(d: Dfa, w: str, x: str) -> bool:
     """Does d accept w and reject x?  Linear time, any word length."""
     return accepts(d, w) and not accepts(d, x)
@@ -468,7 +509,7 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
     p = 2
     try:
         while p <= budget.max_states:
-            structure = _distinguishing_structure(ws, xs, p, k, counters)
+            structure = _search(ws, xs, p, k, counters)
             if structure is not None:
                 return certificate_from_table(w, x, structure, p, "exhaustive-canonical",
                                               counters.nodes, start)
@@ -497,6 +538,9 @@ def separating_structure(
     With accepting set {end state of w} the table is a separating DFA.
     Exhaustive: the lazy canonical search at level p covers every smaller
     structure as well, since branch targets may stay within used states.
+    The table has p states.  For a pair with a long shared prefix it may
+    come from a pair cut from that prefix (`_search`), so it need not be
+    the canonical first table of the whole pair.
     The search is charged to counters, a fresh pool of DEFAULT_BUDGET when
     none is given.  At p = 1 no search runs: one state ends both words in
     it, so the answer is None and no node is charged.
@@ -511,7 +555,7 @@ def separating_structure(
         return None
     if counters is None:
         counters = SearchCounters(DEFAULT_BUDGET)
-    return _distinguishing_structure(ws, xs, p, k, counters)
+    return _search(ws, xs, p, k, counters)
 
 
 def no_separator_up_to(

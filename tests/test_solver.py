@@ -12,7 +12,7 @@ import time
 import pytest
 
 from sepwords import solver
-from sepwords.construct import canonical_triple, search_C_n
+from sepwords.construct import _cn_candidates, canonical_triple, search_C_n
 from sepwords.dfa import (BudgetError, Dfa, accepts, combine, enumerate_canonical, reverse,
                           run, word_symbols)
 from sepwords.lang import (
@@ -710,6 +710,21 @@ def _kernel_against_references(w, x, p, cuts=None):
     return new
 
 
+def _search_against_kernel(w, x, p):
+    """(solver._search's table or None, the kernel's) on one pair: the
+    same verdict, and a table of _search's has p states and sends w and x
+    to different states."""
+    k = 3 if "2" in w + x else 2
+    ws, xs = word_symbols(w, k), word_symbols(x, k)
+    table = solver._search(ws, xs, p, k, SearchCounters(DEFAULT_BUDGET))
+    kernel = solver._distinguishing_structure(ws, xs, p, k, SearchCounters(DEFAULT_BUDGET))
+    assert (table is None) == (kernel is None), (w, x, p)
+    if table is not None:
+        assert len(table) == p and all(len(row) == k for row in table), (w, x, p)
+        assert run_table(table, ws) != run_table(table, xs), (w, x, p)
+    return table, kernel
+
+
 def test_kernel_matches_recursive_reference_on_random_pairs():
     """Equal tables and equal node counts on seeded binary and ternary
     pairs, against the whole-walk reference too where no part is
@@ -822,14 +837,18 @@ def test_kernel_matches_recursive_reference_on_shared_prefixes_and_suffixes():
     share a long prefix or suffix: the prefix is walked once, and x's
     middle is cut where it ends in w's state at the suffix."""
     rng = random.Random(19)
-    searched = cut = 0
+    searched = cut = rooted = 0
     for w, x in _shared_part_pairs(rng):
         cuts = []
         for p in (1, 2, 3, 4, 5):
             _kernel_against_references(w, x, p, cuts)
             searched += 1
+            # and _search, which tries cuts of the shared prefix first
+            table, kernel = _search_against_kernel(w, x, p)
+            rooted += table != kernel
         cut += bool(cuts)
     assert searched > 500 and cut > 50
+    assert rooted > 200
 
 
 _BUDGET_SWEEP = {
@@ -886,13 +905,18 @@ def test_kernel_checks_deadline_at_node_4096_of_the_pool(charged):
 
 def test_search_C_n_n2_counts_are_frozen():
     res = search_C_n(2, "1")
-    assert (res.candidates, res.exhaustive_searches, res.nodes) == (402, 19, 20774)
-    # its one refuted search, which holds most of those nodes
+    assert (res.candidates, res.exhaustive_searches, res.nodes) == (402, 29, 5068)
+    # its one refuted search, which refutes a cut of the shared prefix
     t = canonical_triple(2)
     counters = SearchCounters(DEFAULT_BUDGET)
     w, x = res.word + t.f + res.word, res.word + t.g + res.word
     assert separating_structure(w, x, 5, counters=counters) is None
-    assert counters.nodes == 15134
+    assert counters.nodes == 1655
+    # the kernel alone, on the whole pair
+    kernel = SearchCounters(DEFAULT_BUDGET)
+    ws, xs = word_symbols(w, 2), word_symbols(x, 2)
+    assert solver._distinguishing_structure(ws, xs, 5, 2, kernel) is None
+    assert kernel.nodes == 15134
 
 
 def test_kernel_verdict_matches_raw_oracle_on_long_shared_parts():
@@ -908,11 +932,77 @@ def test_kernel_verdict_matches_raw_oracle_on_long_shared_parts():
                 for _ in range(2))
         a = rng.randrange(2, 5)
         pairs.append((u + "0" * a + v, u + "0" * (a + 6 * rng.randrange(1, 4)) + v))
+    for _ in range(40):  # a shared prefix of 4 to 14 symbols, longer than p
+        alphabet = rng.choice(("01", "012"))
+        a, u, v = ("".join(rng.choice(alphabet) for _ in range(rng.randrange(*r)))
+                   for r in ((4, 15), (5, 9), (5, 9)))
+        pairs.append((a + u, a + v))
     searched = refuted = 0
     for w, x in pairs:
+        if w == x:
+            continue
+        k = 3 if "2" in w + x else 2
         for p in (1, 2, 3):
             table = separating_structure(w, x, p)
             assert (table is not None) == raw_separable(w, x, p), (w, x, p)
+            if table is not None:
+                assert len(table) == p, (w, x, p)
+                assert (run_table(table, word_symbols(w, k))
+                        != run_table(table, word_symbols(x, k))), (w, x, p)
             searched += 1
             refuted += p > 1 and table is None
     assert searched > 500 and refuted > 60
+
+
+def test_search_matches_kernel_on_the_doubling_candidates():
+    """_search's verdict equals the kernel's at p = 2..5 on the pairs
+    C f C / C g C of every candidate C that search_C_n tries for n = 1
+    and n = 2, over two and three symbols, up to the word it returns."""
+    searched = refuted = 0
+    for n, bases in ((1, ("1", "12", "112")), (2, ("1",))):
+        t = canonical_triple(n)
+        for w0 in bases:
+            res = search_C_n(n, w0)
+            cands = _cn_candidates(w0, 2 * n + 2, None, 12 * len(w0) + 24)
+            for c in itertools.islice(cands, res.candidates):
+                for p in (2, 3, 4, 5):
+                    table, _ = _search_against_kernel(c + t.f + c, c + t.g + c, p)
+                    searched += 1
+                    refuted += table is None
+    assert searched > 1600 and refuted > 1000
+
+
+# C f C / C g C for the n = 2 doubling word C: at p = 5 the cut that keeps
+# the last 5 symbols of the shared prefix C 00 has a separator that no
+# state reaches by the 12 symbols cut off, and the whole pair has none
+_C = "100100100001001"
+_UNROOTED = (_C + "00" + _C, _C + "0" * 122 + _C)
+
+
+def test_search_refutes_a_pair_whose_first_cut_has_an_unrooted_separator():
+    w, x = (word_symbols(v, 2) for v in _UNROOTED)
+    counters = SearchCounters(DEFAULT_BUDGET)
+    table = solver._distinguishing_structure(w[12:], x[12:], 5, 2, counters)
+    assert table is not None
+    assert all(run_table(table, w[:12], s) != 0 for s in range(5))
+    assert solver._search(w, x, 5, 2, counters) is None
+    assert solver._distinguishing_structure(w, x, 5, 2, counters) is None
+
+
+def test_exact_sep_on_cut_pairs_stays_within_every_node_budget():
+    """exact_sep runs _search at each level: at every max_nodes up to two
+    past its full node count it returns, charges at most max_nodes, and
+    is exact exactly when max_nodes covers the full count.  An expired
+    deadline is noticed at pool node 4096, across _search's searches."""
+    w, x = _UNROOTED
+    full = exact_sep(w, x)
+    assert full.value == 6
+    for max_nodes in range(1, full.nodes + 3):
+        cert = exact_sep(w, x, SearchBudget(max_nodes=max_nodes))
+        assert cert.nodes <= max_nodes, max_nodes
+        assert cert.exact == (max_nodes >= full.nodes), max_nodes
+    counters = SearchCounters(DEFAULT_BUDGET)
+    counters.nodes = 4000
+    counters.deadline = time.monotonic() - 1.0
+    out = _kernel_outcome(solver._search, w, x, 5, counters)
+    assert out == ("wall-clock budget exhausted", 4096)
