@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .atlas import ATLAS_MAX_LEN_CAP, compute_atlas
+from .atlas import ATLAS_DEFAULT_MAX_LEN, ATLAS_MAX_LEN_CAP, compute_atlas
 from .cache import CertificateCache
 from .construct import MAX_TRIPLE_N, verify_witness, witness_pair
 from .dfa import BudgetError, accepts, dfa_from_text, dfa_to_text, reverse
@@ -213,7 +213,7 @@ def _parser() -> _Parser:
 
     p = command(atlas)
     p.add_argument("--max-len", type=int, choices=range(1, ATLAS_MAX_LEN_CAP + 1),
-                   default=ATLAS_MAX_LEN_CAP,
+                   default=ATLAS_DEFAULT_MAX_LEN,
                    help="Largest word length n in the table. (default: %(default)s)")
     p.add_argument("--cache", type=_cache,
                    help="JSON-lines file that records the row pairs' certificates.")

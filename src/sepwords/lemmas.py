@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .atlas import _binary_words, _trie_ends
+from .atlas import _binary_words, _class_ids, _trie_ends
 from .construct import (
     _h_closure,
     canonical_triple,
@@ -104,9 +104,9 @@ def _raw_classes(words: list[str], p: int) -> list[list[int]]:
     """
     classes = []
     for _, group in itertools.groupby(raw_tables(p, 2), key=itemgetter(0)):
-        ids: dict[tuple[int, ...], int] = {}
-        rows = [_trie_ends(table, 0, len(words)) for _, table in group]
-        classes.append([ids.setdefault(ends, len(ids)) for ends in zip(*rows)])
+        tables = [table for _, table in group]
+        rows = _trie_ends(tables, [0] * len(tables), len(words))
+        classes.append(_class_ids(zip(*rows)))
     return classes
 
 
@@ -199,20 +199,21 @@ def _check_nexus(rng, negative):
     """0^{(2n+1)!} is absorbed on zero-cycle states; exhaustive, n=1."""
     h = "0" * (5 if negative else 6)
     words = _binary_words(4)
-    checked = 0
+    runs = []  # (t, q, run(d, q, h)) for each state q on a 0-cycle
     for t in enumerate_canonical(3, 2):
         d = Dfa(2, t, frozenset())
-        for q in range(d.state_count):
-            if zero_cycle_length(d, q) is None:
-                continue
-            # the end states of h + w are those of w read from run(d, q, h)
-            plain = _trie_ends(t, q, len(words))
-            shifted = _trie_ends(t, run(d, q, h), len(words))
-            if plain != shifted:
-                i = next(i for i, (a, b) in enumerate(zip(plain, shifted)) if a != b)
-                return "fail", {"checked": checked + i + 1}, {
-                    "dfa": t, "q": q, "w": words[i]}
-            checked += len(words)
+        runs += [(t, q, run(d, q, h)) for q in range(d.state_count)
+                 if zero_cycle_length(d, q) is not None]
+    tables = [t for t, _, _ in runs]
+    # the end states of h + w are those of w read from run(d, q, h)
+    plain = _trie_ends(tables, [q for _, q, _ in runs], len(words))
+    shifted = _trie_ends(tables, [s for _, _, s in runs], len(words))
+    checked = 0
+    for (t, q, _), a, b in zip(runs, plain, shifted):
+        if a != b:
+            i = next(i for i, (e, f) in enumerate(zip(a, b)) if e != f)
+            return "fail", {"checked": checked + i + 1}, {"dfa": t, "q": q, "w": words[i]}
+        checked += len(words)
     return "pass", {"checked": checked}, None
 
 

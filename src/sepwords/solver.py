@@ -369,7 +369,8 @@ def _search(
     reads a1 to T's start: T with s and 0 swapped separates the whole
     pair.  Else the next keep is tried, and the whole pair last.  The
     cuts apply under the kernel's own rule for shared parts (both words
-    longer than 8 symbols).  Every search is charged to counters.
+    longer than 8 symbols).  Every search is charged to counters, and
+    the deadline is read before each cut: the walks of a1 charge no node.
     """
     if len(w) > 8 and len(x) > 8:
         pre, m = 0, min(len(w), len(x))
@@ -377,6 +378,7 @@ def _search(
             pre += 1
         keep = p
         while pre > keep:
+            counters.check_deadline()
             cut = pre - keep
             table = _distinguishing_structure(w[cut:], x[cut:], p, k, counters)
             if table is None:

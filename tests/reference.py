@@ -1,7 +1,9 @@
 """Reference code that only the tests use: automaton operations the
-package needs nowhere else, and the raw separation oracle."""
+package needs nowhere else, the raw separation oracle, and the atlas
+refinement one table at a time."""
 
-from sepwords.dfa import Dfa, combine, is_empty, word_symbols
+from sepwords.atlas import _binary_words
+from sepwords.dfa import Dfa, combine, enumerate_canonical, is_empty, word_symbols
 from sepwords.solver import _alphabet_for, raw_tables, run_table
 
 
@@ -28,3 +30,39 @@ def raw_separable(w: str, x: str, p: int) -> bool:
             if (mask >> ew & 1) and not (mask >> ex & 1):
                 return True
     return False
+
+
+def trie_ends(table, q, count):
+    """End states from q of the first `count` binary words in shortlex
+    order, one table at a time, with word j's children 2j + 1 and 2j + 2."""
+    ends = [q]
+    for e in ends:  # grows while it is read
+        if len(ends) >= count:
+            break
+        ends += table[e]
+    return bytearray(ends[:count])
+
+
+def refine_per_table(max_len):
+    """(classes, tables) of SeparationLevels(max_len), refined one
+    canonical table at a time."""
+    n = len(_binary_words(max_len))
+    cls = [0] * n
+    classes, tables = [], []
+    count, p = 1, 0
+    while count < n:
+        p += 1
+        level = []
+        for t in enumerate_canonical(p, 2):
+            if len(t) != p:
+                continue
+            level.append(t)
+            ids = {}
+            cls = [ids.setdefault(key, len(ids))
+                   for key in zip(cls, trie_ends(t, 0, n))]
+            count = len(ids)
+            if count == n:
+                break
+        classes.append(cls)
+        tables.append(level)
+    return classes, tables

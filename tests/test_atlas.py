@@ -4,17 +4,24 @@ import collections
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from sepwords import solver
-from sepwords.atlas import ATLAS_MAX_LEN_CAP, SeparationLevels, compute_atlas
+from sepwords.atlas import (
+    ATLAS_DEFAULT_MAX_LEN,
+    ATLAS_MAX_LEN_CAP,
+    SeparationLevels,
+    _trie_ends,
+    compute_atlas,
+)
 from sepwords.cache import CertificateCache, sep_key, store_certificate
 from sepwords.dfa import dfa_from_text
-from sepwords.solver import SepCertificate, exact_sep
-from reference import raw_separable
+from sepwords.solver import SepCertificate, exact_sep, separating_structure
+from reference import raw_separable, refine_per_table, trie_ends
 
 
 def test_max_len_bounds():
@@ -79,15 +86,41 @@ def test_rows_from_the_classes_match_the_pair_scan_past_the_cap():
     rows = [levels.row(m) for m in range(1, 9)]
     assert [r.n for r in rows] == list(range(1, 9)) and all(r.exact for r in rows)
     assert _row_tuples(rows) == _rows_by_pair_scan(levels, 8)
-    for max_len in range(1, ATLAS_MAX_LEN_CAP + 1):
+    for max_len in range(1, ATLAS_DEFAULT_MAX_LEN + 1):
         assert compute_atlas(max_len).rows == rows[:max_len]
 
 
 def test_rows_past_the_cap_are_frozen():
-    rows = _row_tuples(map(SeparationLevels(8).row, (7, 8)))
-    assert rows == [(3, "0", "000"), (4, "00", "00000000")]
-    for value, w, x in rows:
+    # the rows past the CLI's default table, up to the cap
+    table = compute_atlas(ATLAS_MAX_LEN_CAP)
+    assert table.rows[:ATLAS_DEFAULT_MAX_LEN] == compute_atlas(ATLAS_DEFAULT_MAX_LEN).rows
+    rows = _row_tuples(table.rows[ATLAS_DEFAULT_MAX_LEN:])
+    assert rows == [(3, "0", "000")] + [(4, "00", "00000000")] * 5
+    assert [r.n for r in table.rows] == list(range(1, 13)) and all(r.exact for r in table.rows)
+    for value, w, x in sorted(set(rows)):
+        # (00, 00000000) is unary: exact_sep takes the formula, the search does not
         assert exact_sep(w, x).value == value
+        assert separating_structure(w, x, value - 1) is None
+        assert separating_structure(w, x, value) is not None
+
+
+def test_block_refinement_equals_the_table_by_table_one():
+    for max_len in range(1, 9):
+        levels = SeparationLevels(max_len)
+        assert (levels.classes, levels.tables) == refine_per_table(max_len), max_len
+
+
+def test_trie_ends_of_many_tables_equal_those_of_each_table():
+    # 120 tables of 1 to 4 states, 300 in all: 64 at a time, then 56
+    rng = random.Random(5)
+    tables, starts = [], []
+    for i in range(120):
+        m = 1 + i % 4
+        tables.append(tuple((rng.randrange(m), rng.randrange(m)) for _ in range(m)))
+        starts.append(rng.randrange(m))
+    for count in (1, 2, 63, 100):
+        ends = _trie_ends(tables, starts, count)
+        assert ends == [trie_ends(t, q, count) for t, q in zip(tables, starts)], count
 
 
 def test_atlas_without_a_cache_visits_no_pair(monkeypatch):
@@ -204,7 +237,7 @@ def test_per_pair_file_of_earlier_versions_is_served(tmp_path, monkeypatch):
     assert path.read_bytes() == stored  # its row-pair lines are the refinement's
 
 
-@pytest.mark.parametrize("max_len", range(1, ATLAS_MAX_LEN_CAP + 1))
+@pytest.mark.parametrize("max_len", range(1, ATLAS_DEFAULT_MAX_LEN + 1))
 def test_output_is_the_same_cold_warm_and_without_a_cache(tmp_path, max_len):
     path = tmp_path / "cache.jsonl"
     cold = compute_atlas(max_len, cache=CertificateCache(path))

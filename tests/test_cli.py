@@ -45,7 +45,7 @@ def test_sep_rejects_bad_words():
     ("sep", "01", "10", "--max-states", "0"),
     ("sep", "01", "10", "--budget-nodes", "0"),
     ("atlas", "--max-len", "0"),
-    ("atlas", "--max-len", "9"),
+    ("atlas", "--max-len", "13"),
     ("witness", "--k", "0", "--n", "1"),
     ("witness", "--k", "1", "--n", "0"),
     ("stc", "--lang", "G_k", "--k", "0"),

@@ -993,7 +993,7 @@ def test_exact_sep_on_cut_pairs_stays_within_every_node_budget():
     """exact_sep runs _search at each level: at every max_nodes up to two
     past its full node count it returns, charges at most max_nodes, and
     is exact exactly when max_nodes covers the full count.  An expired
-    deadline is noticed at pool node 4096, across _search's searches."""
+    deadline is noticed before the first cut, at the pool's count."""
     w, x = _UNROOTED
     full = exact_sep(w, x)
     assert full.value == 6
@@ -1005,4 +1005,17 @@ def test_exact_sep_on_cut_pairs_stays_within_every_node_budget():
     counters.nodes = 4000
     counters.deadline = time.monotonic() - 1.0
     out = _kernel_outcome(solver._search, w, x, 5, counters)
-    assert out == ("wall-clock budget exhausted", 4096)
+    assert out == ("wall-clock budget exhausted", 4000)
+
+
+def test_search_reads_the_deadline_before_each_cut():
+    """The walks of the prefix cut off charge no node, so only a read of
+    the deadline at each cut bounds their time: on this pair, 151 nodes
+    of exact_sep took 0.37 s."""
+    w, x = "10" * 100000 + "1", "10" * 100000 + "11"
+    counters = SearchCounters(DEFAULT_BUDGET)
+    counters.deadline = time.monotonic() - 1.0
+    with pytest.raises(BudgetError, match="wall-clock"):
+        separating_structure(w, x, 2, counters)
+    assert counters.nodes == 0
+    assert separating_structure(w, x, 2) is not None
