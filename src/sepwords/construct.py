@@ -124,38 +124,80 @@ class CnResult(_FrozenValue):
 
 def _cn_candidates(
     w0: str, max_run: int, forbid_run: Optional[int], max_len: int
-) -> Iterator[str]:
-    """Words w0 (0^a w0)* in length order, run lengths capped and filtered."""
+) -> Iterator[tuple[int, ...]]:
+    """Words w0 (0^a w0)* in length order, run lengths capped and filtered,
+    each as the lengths of its 0-runs in order (`_cn_word` spells it)."""
     allowed = [r for r in range(1, max_run + 1) if r != forbid_run]
-    least = min(allowed, default=0)
     base = len(w0)
+    sums = [1]  # bit s of sums[j] is set iff s is a sum of j allowed terms
     for total in range(base, max_len + 1):
         blocks_max = (total + 1) // (base + 1) + 1
         for m in range(1, blocks_max + 1):
             rest = total - m * base
             if m == 1:
                 if rest == 0:
-                    yield w0
+                    yield ()
                 continue
-            if rest < m - 1:
-                continue
-            for runs in _compositions(rest, m - 1, allowed, least):
-                yield w0 + "".join("0" * r + w0 for r in runs)
+            while len(sums) < m:
+                mask = 0
+                for r in allowed:
+                    mask |= sums[-1] << r
+                sums.append(mask)
+            if rest > 0 and sums[m - 1] >> rest & 1:
+                yield from _compositions(rest, m - 1, allowed, sums)
+
+
+def _cn_word(w0: str, runs: tuple[int, ...]) -> str:
+    """The candidate word of a run tuple of _cn_candidates."""
+    return w0 + "".join("0" * r + w0 for r in runs)
 
 
 def _compositions(total: int, parts: int, allowed: list[int],
-                  least: int) -> Iterator[tuple[int, ...]]:
-    """Ordered sums of `parts` terms from the ascending list `allowed`,
-    whose first term is `least`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+                  sums: list[int]) -> Iterator[tuple[int, ...]]:
+    """Ordered sums of `parts` terms from the ascending list `allowed`, in
+    lexicographic order.  Bit s of sums[j] is set iff s is a sum of j
+    terms, for j < parts, and total is a sum of `parts` terms.
+
+    Iterative: each term takes the least value that leaves a sum the
+    later terms can make, the last two terms run in one loop, and a dead
+    end backs up to the nearest term that can still grow.  So every
+    descent yields, and no tuple is built but the ones yielded.
+    """
+    if parts == 1:
+        yield (total,)
         return
-    for first in allowed:
-        if first > total - (parts - 1) * least:
-            break  # allowed ascends, so no later term fits either
-        for rest in _compositions(total - first, parts - 1, allowed, least):
-            yield (first,) + rest
+    runs = [0] * parts
+    left = [total] * parts  # left[i]: the sum of terms i and later
+    pick = [0] * parts  # pick[i]: the index of term i in allowed
+    last_two, pairs, count = parts - 2, sums[1], len(allowed)
+    i = k = 0
+    while True:
+        r = left[i]
+        if i == last_two:
+            for a in allowed:
+                if a >= r:
+                    break
+                if pairs >> (r - a) & 1:
+                    runs[i], runs[-1] = a, r - a
+                    yield tuple(runs)
+        else:
+            later = sums[parts - i - 1]
+            while k < count:
+                a = allowed[k]
+                if a >= r:
+                    k = count
+                elif later >> (r - a) & 1:
+                    break
+                else:
+                    k += 1
+            if k < count:
+                runs[i], pick[i], left[i + 1] = a, k, r - a
+                i, k = i + 1, 0
+                continue
+        i -= 1
+        if i < 0:
+            return
+        k = pick[i] + 1
 
 
 def _zero_power(table: Table, count: int) -> list[int]:
@@ -167,6 +209,59 @@ def _zero_power(table: Table, count: int) -> list[int]:
         out.append(path[count] if count < len(path)
                    else path[tail + (count - tail) % (len(path) - tail)])
     return out
+
+
+# Most states the refuter pool of search_C_n holds: its maps are
+# bytes.translate tables, which name a state by one byte.
+_POOL_STATES = 256
+_IDENTITY = bytes(range(256))
+
+
+class _RefuterPool:
+    """The tables of search_C_n's refuted candidates, run as one automaton,
+    their disjoint union, from every one of its states at once.
+
+    Each map sends every union state to the state a word leads it to, as a
+    bytes.translate table: blocks[r] for the block 0^r w0 (blocks[0] for
+    w0 itself), f for 0^n and g for 0^{n+(2n+1)!}.  States past the union
+    map to themselves.  A table that would take the union past
+    _POOL_STATES states is left out.
+    """
+
+    __slots__ = ("states", "blocks", "f", "g", "_w0", "_f_len", "_g_len")
+
+    def __init__(self, w0: list[int], max_run: int, f_len: int, g_len: int):
+        self.states = 0
+        self.blocks = [bytearray(_IDENTITY) for _ in range(max_run + 1)]
+        self.f, self.g = bytearray(_IDENTITY), bytearray(_IDENTITY)
+        self._w0, self._f_len, self._g_len = w0, f_len, g_len
+
+    def add(self, table: Table) -> None:
+        """Pool the table if it fits; its state q is union state o + q."""
+        o, p = self.states, len(table)
+        if o + p > _POOL_STATES:
+            return
+        ends = [run_table(table, self._w0, q) for q in range(p)]
+        zeros = list(range(p))  # the state 0^r leads each state to
+        for block in self.blocks:
+            block[o:o + p] = bytes(o + ends[q] for q in zeros)
+            zeros = [table[q][0] for q in zeros]
+        self.f[o:o + p] = bytes(o + q for q in _zero_power(table, self._f_len))
+        self.g[o:o + p] = bytes(o + q for q in _zero_power(table, self._g_len))
+        self.states = o + p
+
+    def refutes(self, runs: tuple[int, ...]) -> bool:
+        """Does some pooled table, from some state, send C 0^n C and
+        C 0^{n+(2n+1)!} C to different end states, for C = _cn_word(w0, runs)?
+
+        The map of C composes the maps of its blocks, and the end vectors
+        of the two words are those of C, then f or g, then C again.
+        """
+        blocks = self.blocks
+        c = blocks[0]
+        for r in runs:
+            c = c.translate(blocks[r])
+        return c.translate(self.f).translate(c) != c.translate(self.g).translate(c)
 
 
 def search_C_n(
@@ -184,20 +279,18 @@ def search_C_n(
     the witness assembly uses it to keep runs of length n out of the word.
 
     Candidates are tried in length order, and each one that a search
-    refutes leaves its separating transition table in a refuter pool.
-    A later candidate is first run through every pooled table; a table
-    that sends its two words to different end states is a separator with
-    at most 2n+1 states (accept the end state of the first word), so that
-    candidate is refuted with no search.  Both words are C 0^a C, so a
-    pooled table runs C once from state 0, maps the end state through
-    0^n and 0^{n+(2n+1)!} by a lookup made when the table joined the
-    pool (`_zero_power`), and runs C again from the two middle states
-    only when they differ.  The pool only ever refutes: the word returned
-    has passed a full exhaustive search, and the candidate order is
-    unchanged, so the result is the same word a search of every
-    candidate would return.  One budget (one node pool, one deadline)
-    covers the whole call; the deadline is checked once per candidate as
-    well as inside each search.
+    refutes leaves its separating transition table in a refuter pool
+    (`_RefuterPool`).  A later candidate C is first run through the pool,
+    every pooled table from every one of its states at once: table T
+    started at state s is a DFA with at most 2n+1 states, so if it sends
+    C f_n C and C g_n C to different end states (accept the end state of
+    the first word), C is refuted with no search.  A candidate is its
+    tuple of run lengths, and its word is spelled only for a search.  The
+    pool only ever refutes: the word returned has passed a full
+    exhaustive search, and the candidate order is unchanged, so the
+    result is the same word a search of every candidate would return.
+    One budget (one node pool, one deadline) covers the whole call; the
+    deadline is checked once per candidate as well as inside each search.
     """
     if not w0:
         raise ValueError("w0 must be nonempty")
@@ -207,29 +300,25 @@ def search_C_n(
     max_len = 12 * len(w0) + 24
     p = 2 * n + 1
     counters = SearchCounters(budget)
-    # (table, (end of 0^n, end of 0^{n+m}) per state), in order found
-    pool: list[tuple[Table, list[tuple[int, int]]]] = []
-    candidates = 0
-    for cand in _cn_candidates(w0, 2 * n + 2, forbid_run_length, max_len):
+    # symbol ids do not depend on the alphabet size, so one conversion
+    # serves tables over two or three symbols alike
+    pool = _RefuterPool(word_symbols(w0, 3), 2 * n + 2, len(trip.f), len(trip.g))
+    candidates = searches = 0
+    for runs in _cn_candidates(w0, 2 * n + 2, forbid_run_length, max_len):
         counters.check_deadline()
         candidates += 1
-        # symbol ids do not depend on the alphabet size, so one conversion
-        # serves tables over two or three symbols alike
-        cs = word_symbols(cand, 3)
-        for t, mids in pool:
-            a, b = mids[run_table(t, cs)]
-            if a != b and run_table(t, cs, a) != run_table(t, cs, b):
-                break  # refuted by a pooled table
-        else:
-            table = separating_structure(cand + trip.f + cand, cand + trip.g + cand, p,
-                                         counters=counters)
-            if table is None:
-                return CnResult(
-                    n=n, w0=w0, word=cand, lower_checked=p, candidates=candidates,
-                    exhaustive_searches=len(pool) + 1, nodes=counters.nodes,
-                )
-            pool.append((table, list(zip(_zero_power(table, len(trip.f)),
-                                         _zero_power(table, len(trip.g))))))
+        if pool.refutes(runs):
+            continue
+        cand = _cn_word(w0, runs)
+        searches += 1
+        table = separating_structure(cand + trip.f + cand, cand + trip.g + cand, p,
+                                     counters=counters)
+        if table is None:
+            return CnResult(
+                n=n, w0=w0, word=cand, lower_checked=p, candidates=candidates,
+                exhaustive_searches=searches, nodes=counters.nodes,
+            )
+        pool.add(table)
     raise BudgetError(
         f"no certified word up to length {max_len} for n={n}, w0={w0!r}"
     )

@@ -1,6 +1,7 @@
 """Reference code that only the tests use: automaton operations the
-package needs nowhere else, the raw separation oracle, and the atlas
-refinement one table at a time."""
+package needs nowhere else, the raw separation oracle, the atlas
+refinement one table at a time, and the recursive doubling-candidate
+generator."""
 
 from sepwords.atlas import _binary_words
 from sepwords.dfa import Dfa, combine, enumerate_canonical, is_empty, word_symbols
@@ -66,3 +67,36 @@ def refine_per_table(max_len):
         classes.append(cls)
         tables.append(level)
     return classes, tables
+
+
+def recursive_cn_candidates(w0, max_run, forbid_run, max_len):
+    """The run tuples of construct._cn_candidates, in the order of the
+    recursive generator it replaced: the order the search must keep."""
+    allowed = [r for r in range(1, max_run + 1) if r != forbid_run]
+    least = min(allowed, default=0)
+    base = len(w0)
+    for total in range(base, max_len + 1):
+        blocks_max = (total + 1) // (base + 1) + 1
+        for m in range(1, blocks_max + 1):
+            rest = total - m * base
+            if m == 1:
+                if rest == 0:
+                    yield ()
+                continue
+            if rest < m - 1:
+                continue
+            yield from recursive_compositions(rest, m - 1, allowed, least)
+
+
+def recursive_compositions(total, parts, allowed, least):
+    """Ordered sums of `parts` terms from the ascending list `allowed`,
+    whose first term is `least`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in allowed:
+        if first > total - (parts - 1) * least:
+            break  # allowed ascends, so no later term fits either
+        for rest in recursive_compositions(total - first, parts - 1, allowed, least):
+            yield (first,) + rest

@@ -12,6 +12,8 @@ import pytest
 from sepwords import construct, dfa, lang
 from sepwords.construct import (
     _cn_candidates,
+    _cn_word,
+    _RefuterPool,
     canonical_triple,
     encode,
     farmand_dfa,
@@ -39,6 +41,7 @@ from sepwords.solver import (
     separating_structure,
 )
 from test_dfa import canonical_dfas
+from reference import recursive_cn_candidates
 
 
 def test_canonical_triple_values():
@@ -116,17 +119,29 @@ def test_search_C_n_doubling_words_n2(w0, word, monkeypatch):
     assert res.exhaustive_searches == len(searched) < res.candidates // 10
     assert res.nodes > 0
     # audit the pool: the returned word passed a full search, and every
-    # earlier candidate is sent to two end states by some searched table
+    # earlier candidate is separated by some searched table started at some
+    # state, checked as a Dfa with that state swapped to 0 and accepting
+    # the end state of the first word
     t = canonical_triple(2)
     assert searched.pop(res.word + t.f + res.word) is None
     tables = list(searched.values())
     assert all(table is not None and len(table) <= 5 for table in tables)
+    separators = [_started_at(table, s) for table in tables for s in range(len(table))]
     earlier = itertools.takewhile(lambda c: c != res.word,
-                                  _cn_candidates(w0, 6, None, 36))
+                                  map(functools.partial(_cn_word, w0),
+                                      _cn_candidates(w0, 6, None, 36)))
     for cand in earlier:
-        ws = [int(c) for c in cand + t.f + cand]
-        xs = [int(c) for c in cand + t.g + cand]
-        assert any(run_table(tb, ws) != run_table(tb, xs) for tb in tables), cand
+        w, x = cand + t.f + cand, cand + t.g + cand
+        assert any(check_separates(Dfa(d.alphabet_size, d.transitions,
+                                       frozenset({run(d, 0, w)})), w, x)
+                   for d in separators), cand
+
+
+def _started_at(table, s):
+    """The table as a Dfa started at state s: s and 0 swapped."""
+    swap = {0: s, s: 0}
+    return Dfa(len(table[0]), tuple(tuple(swap.get(t, t) for t in table[swap.get(q, q)])
+                                    for q in range(len(table))), frozenset())
 
 
 @pytest.mark.parametrize(
@@ -136,7 +151,8 @@ def test_search_C_n_pool_matches_search_of_every_candidate(w0, forbid):
     res = search_C_n(1, w0, forbid_run_length=forbid)
     t = canonical_triple(1)
     expected = next(
-        c for c in _cn_candidates(w0, 4, forbid, 12 * len(w0) + 24)
+        c for c in map(functools.partial(_cn_word, w0),
+                       _cn_candidates(w0, 4, forbid, 12 * len(w0) + 24))
         if no_separator_up_to(c + t.f + c, c + t.g + c, 3)
     )
     assert res.word == expected
@@ -159,7 +175,9 @@ def _closure_words(w0, max_len):
 @pytest.mark.parametrize("w0", ["1", "2", "12", "112"])
 def test_cn_candidates_match_brute_force(w0, forbid, max_run):
     max_len = 10
-    cands = list(_cn_candidates(w0, max_run, forbid, max_len))
+    runs = list(_cn_candidates(w0, max_run, forbid, max_len))
+    assert runs == list(recursive_cn_candidates(w0, max_run, forbid, max_len))
+    cands = [_cn_word(w0, r) for r in runs]
     expected = {w for w in _closure_words(w0, max_len)
                 if all(len(r) <= max_run and len(r) != forbid
                        for r in re.findall("0+", w))}
@@ -168,6 +186,62 @@ def test_cn_candidates_match_brute_force(w0, forbid, max_run):
     assert [len(c) for c in cands] == sorted(len(c) for c in cands)
     closure = segmented_closure(finite_language([w0]))
     assert all(accepts(closure, c) for c in cands)
+
+
+def test_cn_candidates_keep_the_recursive_order_on_a_long_search():
+    # the first 10^5 candidates of search_C_n(2, "112", forbid_run_length=2)
+    args = ("112", 6, 2, 60)
+    head = itertools.islice(_cn_candidates(*args), 10**5)
+    assert list(head) == list(itertools.islice(recursive_cn_candidates(*args), 10**5))
+
+
+@pytest.mark.parametrize("cap", [0, 5, 12])
+@pytest.mark.parametrize("n,w0,forbid", [(2, "1", None), (2, "2", None), (1, "112", 1)])
+def test_search_C_n_is_the_same_under_a_tiny_pool_cap(cap, n, w0, forbid, monkeypatch):
+    # the pool only refutes: with fewer tables pooled the search may run
+    # more searches, never return another word
+    full = search_C_n(n, w0, forbid_run_length=forbid)
+    monkeypatch.setattr(construct, "_POOL_STATES", cap)
+    capped = search_C_n(n, w0, forbid_run_length=forbid)
+    assert ((capped.word, capped.candidates, capped.lower_checked)
+            == (full.word, full.candidates, full.lower_checked))
+    assert capped.exhaustive_searches >= full.exhaustive_searches
+    if cap == 0:
+        assert capped.exhaustive_searches == capped.candidates
+
+
+def test_refuter_pool_refutes_as_each_table_from_each_state_up_to_its_cap():
+    # random tables of 1 to 5 states over three symbols, checked with 50
+    # states pooled, where every map must leave the states past the union
+    # in place, and with 256, where the last is union state 255; the next
+    # table is left out
+    rng = random.Random(36)
+    w0, f_len, g_len = [1, 2], 2, 122
+    sizes = [5] * 50 + [3, 2, 1]
+    assert sum(sizes) == 256
+    tables = [tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(p))
+              for p in sizes]
+    pool = _RefuterPool(w0, 6, f_len, g_len)
+    for start, stop in ((0, 10), (10, len(tables))):
+        for table in tables[start:stop]:
+            pool.add(table)
+        pooled = tables[:stop]
+        assert pool.states == sum(sizes[:stop])
+        assert all(m[pool.states:] == bytes(range(pool.states, 256))
+                   for m in (*pool.blocks, pool.f, pool.g))
+        refuted = 0
+        for _ in range(200):
+            runs = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(4)))
+            c = w0 + [s for r in runs for s in [0] * r + w0]
+            w, x = c + [0] * f_len + c, c + [0] * g_len + c
+            expected = any(run_table(t, w, s) != run_table(t, x, s)
+                           for t in pooled for s in range(len(t)))
+            assert pool.refutes(runs) == expected, (len(pooled), runs)
+            refuted += expected
+        assert 0 < refuted < 200
+    pool.add(((0, 0, 0),))
+    assert pool.states == 256
+    assert all(len(m) == 256 for m in (*pool.blocks, pool.f, pool.g))
 
 
 def test_search_C_n_budget_covers_the_whole_call():
