@@ -17,14 +17,12 @@ ATLAS_MAX_LEN_CAP = 12
 
 
 class AtlasRow(_FrozenValue):
-    __slots__ = ("n", "value", "exact", "pair")
+    __slots__ = ("n", "value", "pair")
+    exact = True  # every cell is exact; the attribute keeps the output format
 
-    def __init__(self, n: int, value: int,
-                 exact: bool,  # every cell is exact; the field keeps the output format
-                 pair: tuple[str, str]):
+    def __init__(self, n: int, value: int, pair: tuple[str, str]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "pair", pair)
 
 
@@ -134,56 +132,42 @@ class SeparationLevels:
     The tables are taken _BLOCK at a time: a block splits the words by
     their classes and their end states under all its tables at once,
     which is the split its tables make one after another.  Only the words
-    that still share a class take part.  In the block that leaves every
-    word alone, the tables are replayed one at a time to find the one
-    that does, so the result is that of refining table by table
-    (`tests/reference.py`).
+    that still share a class take part, so a level stops at the block
+    that leaves every word alone, and its classes are those of refining
+    table by table (`tests/reference.py`).  No table is kept:
+    `certificate` finds the one it needs again.
 
     `words` are in shortlex order.  `classes[p - 1][i]` is word i's class
     under every structure with at most p states, numbered by first
-    appearance, and `tables[p - 1]` lists the p-state canonical tables
-    that refined level p, in enumeration order.
+    appearance.
     """
 
-    __slots__ = ("words", "classes", "tables")
+    __slots__ = ("words", "classes")
 
     def __init__(self, max_len: int):
         self.words = _binary_words(max_len)
         n = len(self.words)
         cls = [0] * n
         self.classes: list[list[int]] = []
-        self.tables: list[list[Table]] = []
         live = list(range(n)) if n > 1 else []  # the words that share a class
         p = 0
         while live:
             p += 1
-            level: list[Table] = []
             exact = (t for t in enumerate_canonical(p, 2) if len(t) == p)
-            pick = itemgetter(*live)
-            ids = pick(cls)  # ids[j] is the class of word live[j]
-            while block := list(itertools.islice(exact, _BLOCK)):
+            ids = itemgetter(*live)(cls)  # ids[j] is the class of word live[j]
+            while live and (block := list(itertools.islice(exact, _BLOCK))):
+                pick = itemgetter(*live)
                 cols = [pick(ends) for ends in _trie_ends(block, [0] * len(block), n)]
                 split = _class_ids(zip(ids, *cols))
-                if split[-1] == len(split) - 1:  # every live word is alone
-                    for t, col in zip(block, cols):
-                        level.append(t)
-                        ids = _class_ids(zip(ids, col))
-                        if ids[-1] == len(ids) - 1:
-                            break
-                    live = []
-                    break
-                level.extend(block)
                 sizes = collections.Counter(split)
                 keep = [sizes[c] > 1 for c in split]
                 live = list(itertools.compress(live, keep))
                 ids = list(itertools.compress(split, keep))
-                pick = itemgetter(*live)
             final = list(range(n))  # the words alone keep ids of their own
             for i, c in zip(live, ids):
                 final[i] = n + c
             cls = _class_ids(final)
             self.classes.append(cls)
-            self.tables.append(level)
 
     def sep(self, i: int, j: int) -> int:
         """sep(words[i], words[j]): the first level whose classes differ."""
@@ -209,15 +193,17 @@ class SeparationLevels:
         for i, c in enumerate(self.classes[value - 2][:count]):
             members.setdefault(c, []).append(i)
         i, j = min(group[:2] for group in members.values() if len(group) > 1)
-        return AtlasRow(n=n, value=value, exact=True, pair=(self.words[i], self.words[j]))
+        return AtlasRow(n=n, value=value, pair=(self.words[i], self.words[j]))
 
     def certificate(self, i: int, j: int) -> SepCertificate:
-        """An exact certificate: the first table of level sep that splits the
-        pair, accepting the end state of words[i]."""
+        """An exact certificate: the first canonical table with at most
+        p = sep states that splits the pair, accepting the end state of
+        words[i].  A table with fewer than p states would separate the pair
+        below its sep, so this is the first p-state table that splits it."""
         p = self.sep(i, j)
         w, x = self.words[i], self.words[j]
         ws, xs = word_symbols(w, 2), word_symbols(x, 2)
-        table = next(t for t in self.tables[p - 1]
+        table = next(t for t in enumerate_canonical(p, 2)
                      if run_table(t, ws) != run_table(t, xs))
         return certificate_from_table(w, x, table, p, "exhaustive-canonical")
 

@@ -109,9 +109,9 @@ class CnResult(_FrozenValue):
         w0: str,
         word: str,
         lower_checked: int,  # states exhausted without finding a separator
-        candidates: int = 0,  # candidates examined, the returned word included
-        exhaustive_searches: int = 0,  # candidates that needed a full search
-        nodes: int = 0,  # search nodes spent over the whole call
+        candidates: int,  # candidates examined, the returned word included
+        exhaustive_searches: int,  # candidates that needed a full search
+        nodes: int,  # search nodes spent over the whole call
     ):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "w0", w0)
@@ -354,9 +354,8 @@ def search_z_k(k: int, budget: SearchBudget = DEFAULT_BUDGET) -> ZkResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    target = 2**k - 1
-    certified = target <= EXHAUSTIVE_STATE_CAP
-    p = target if certified else EXHAUSTIVE_STATE_CAP
+    certified = k <= 2  # 2^k - 1 <= EXHAUSTIVE_STATE_CAP, without building 2^k
+    p = 2**k - 1 if certified else EXHAUSTIVE_STATE_CAP
     h = _reversed_H_k(k)
     counters = SearchCounters(budget)
     for z in _reversed_words(_reversed_G_k(k), Z_K_MAX_LEN):

@@ -45,8 +45,9 @@ def trie_ends(table, q, count):
 
 
 def refine_per_table(max_len):
-    """(classes, tables) of SeparationLevels(max_len), refined one
-    canonical table at a time."""
+    """(classes, tables): the classes of SeparationLevels(max_len), refined
+    one canonical table at a time, and per level the tables that refined
+    it, in enumeration order up to the one that left every word alone."""
     n = len(_binary_words(max_len))
     cls = [0] * n
     classes, tables = [], []

@@ -19,8 +19,8 @@ from sepwords.atlas import (
     compute_atlas,
 )
 from sepwords.cache import CertificateCache, sep_key, store_certificate
-from sepwords.dfa import dfa_from_text
-from sepwords.solver import SepCertificate, exact_sep, separating_structure
+from sepwords.dfa import dfa_from_text, word_symbols
+from sepwords.solver import SepCertificate, exact_sep, run_table, separating_structure
 from reference import raw_separable, refine_per_table, trie_ends
 
 
@@ -106,8 +106,18 @@ def test_rows_past_the_cap_are_frozen():
 
 def test_block_refinement_equals_the_table_by_table_one():
     for max_len in range(1, 9):
-        levels = SeparationLevels(max_len)
-        assert (levels.classes, levels.tables) == refine_per_table(max_len), max_len
+        assert SeparationLevels(max_len).classes == refine_per_table(max_len)[0], max_len
+    # each certificate's witness is the first table of its level, refined
+    # table by table, that splits the pair
+    levels = SeparationLevels(5)
+    tables = refine_per_table(5)[1]
+    pairs = list(itertools.combinations(range(len(levels.words)), 2))
+    assert len(pairs) == 1953
+    for i, j in pairs:
+        ws, xs = (word_symbols(levels.words[k], 2) for k in (i, j))
+        first = next(t for t in tables[levels.sep(i, j) - 1]
+                     if run_table(t, ws) != run_table(t, xs))
+        assert levels.certificate(i, j).witness.transitions == first, (i, j)
 
 
 def test_trie_ends_of_many_tables_equal_those_of_each_table():

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -271,6 +272,23 @@ def test_search_z_k_level_4_is_uncertified():
     z4 = search_z_k(4)
     assert not z4.certified
     assert z4.checked_states == 3
+
+
+def test_search_z_k_never_builds_2_to_the_k(monkeypatch):
+    # 2^k - 1 at k = 10^9 is a 125 MB integer; the level's languages are
+    # stubbed out so that the call ends at once
+    def refuse(k):
+        raise BudgetError(f"H_{k} not built")
+
+    monkeypatch.setattr(construct, "_reversed_H_k", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="not built"):
+            search_z_k(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_search_z_k_spends_one_node_budget_on_all_candidates(monkeypatch):

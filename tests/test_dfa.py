@@ -122,12 +122,11 @@ _VALUE_CLASSES = {
     AtlasRow: (True, [
         ("n", 1, 2, _REQUIRED),
         ("value", 2, 3, _REQUIRED),
-        ("exact", True, False, _REQUIRED),
         ("pair", ("0", "1"), ("1", "0"), _REQUIRED),
     ]),
     AtlasTable: (False, [
         ("max_len", 1, 2, _REQUIRED),
-        ("rows", [AtlasRow(1, 2, True, ("0", "1"))], [], _REQUIRED),
+        ("rows", [AtlasRow(1, 2, ("0", "1"))], [], _REQUIRED),
         ("searches_performed", 0, 1, _REQUIRED),
     ]),
     CanonicalTriple: (True, [
@@ -141,9 +140,9 @@ _VALUE_CLASSES = {
         ("w0", "1", "2", _REQUIRED),
         ("word", "101", "1001", _REQUIRED),
         ("lower_checked", 3, 4, _REQUIRED),
-        ("candidates", 5, 6, 0),
-        ("exhaustive_searches", 7, 8, 0),
-        ("nodes", 9, 10, 0),
+        ("candidates", 5, 6, _REQUIRED),
+        ("exhaustive_searches", 7, 8, _REQUIRED),
+        ("nodes", 9, 10, _REQUIRED),
     ]),
     ZkResult: (True, [
         ("k", 1, 2, _REQUIRED),

@@ -128,9 +128,6 @@ def test_the_option_surface_is_pinned():
     assert _defaulted_parameters() == [
         ("atlas", "compute_atlas", "cache"),
         ("cli", "main", "argv"),
-        ("construct", "CnResult.__init__", "candidates"),
-        ("construct", "CnResult.__init__", "exhaustive_searches"),
-        ("construct", "CnResult.__init__", "nodes"),
         ("construct", "search_C_n", "budget"),
         ("construct", "search_C_n", "forbid_run_length"),
         ("construct", "search_z_k", "budget"),
@@ -160,6 +157,17 @@ def test_the_option_surface_is_pinned():
         ("solver", "no_separator_up_to", "budget"),
         ("solver", "lsep_lower_check", "counters"),
     ]
+
+
+def test_code_lines_tool_counts_every_module():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = [line.split() for line in proc.stdout.splitlines()]
+    assert sorted(name for name, _ in modules) == sorted(
+        path.stem for path in Path(sepwords.__file__).parent.glob("*.py"))
+    assert len(modules) == 9
+    assert total == ["total", str(sum(int(count) for _, count in modules))]
 
 
 def _functions_reading(name: str) -> list[tuple[str, str]]:
