@@ -22,7 +22,9 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterator
 
+from . import dfa
 from .dfa import (
+    BudgetError,
     Dfa,
     _explore,
     _reachable,
@@ -64,10 +66,13 @@ def build_L_k(k: int) -> Dfa:
     6k+1 states left are pairwise inequivalent, and dfa._explore numbers
     them in canonical order: the result equals finite_language of the
     word list of L_k.  Past dfa.DEFAULT_DETERMINIZE_BUDGET states, from
-    k = 33 334 on, _explore raises BudgetError.
+    k = 33 334 on, it raises BudgetError before exploring any state.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    what = "L_k construction exceeded {} states"
+    if 6 * k + 1 > dfa.DEFAULT_DETERMINIZE_BUDGET:
+        raise BudgetError(what.format(dfa.DEFAULT_DETERMINIZE_BUDGET))
     top = 2 * k + 1
     dead, end = ("dead", 0, 0), ("end", top, 0)
 
@@ -87,7 +92,7 @@ def build_L_k(k: int) -> Dfa:
             two = dead
         return dead, one, two
 
-    order, rows = _explore(("gap", 0, 0), moves, "L_k construction exceeded {} states")
+    order, rows = _explore(("gap", 0, 0), moves, what)
     acc = frozenset(i for i, (kind, _, flag) in enumerate(order)
                     if kind == "end" or (kind == "gap" and flag == 1))
     return Dfa(ALPHABET, rows, acc)

@@ -19,7 +19,9 @@ not always the canonical first table of the whole pair.
 lsep_lower_check and reached_by_language ask whether a word of a whole
 language reaches a state.  They take the language as the DFA of its
 reversal, the small form in which lang gives G_k and H_k, and search
-backward from that state.
+backward from that state.  lsep_lower_check runs that search on partial
+tables, in a lazy search of its own that branches only on the entries
+that w's walk and the backward search meet, one node per partial table.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .dfa import (
     accepts,
     dfa_from_text,
     dfa_to_text,
-    enumerate_canonical,
     word_symbols,
 )
 from .lang import is_zero_free
@@ -594,8 +595,11 @@ def reached_by_language(structure: Dfa, reversal: Dfa, q: int) -> bool:
 
 
 def _reached(trans: Table, reversal: Dfa, q: int) -> bool:
-    """`reached_by_language` on a bare table whose symbols are the first
-    ones of the reversal's alphabet, which the caller checks.
+    """`reached_by_language` on bare rows whose symbols are the first
+    ones of the reversal's alphabet, which the caller checks.  The rows
+    may be partial: an unassigned entry is -1, which no preimage scan
+    matches, so True there means a word reaches q through assigned
+    entries alone, in every completion of the rows.
 
     A word u of the language leads the table from 0 to q exactly when
     reading u backward leads from q to 0 through the table's preimages
@@ -631,17 +635,40 @@ def lsep_lower_check(
     a language, given by `reversal`, a DFA of its reversal (pass reverse(l)
     for a DFA l of the language itself).
 
-    For every canonical structure, a suitable accepting set exists exactly
-    when w's end state is not reached by any word of the language; the
-    check enumerates canonical tables, runs w on each table, and stops at
-    the first whose end state the language misses.  The reachability
-    search (`_reached`) runs backward on the bare table and stops at the
-    first word of the language that reaches the end state.  For a 0-free
-    w and a 0-free language over {0,1,2}, structures over two effective
-    symbols suffice: transitions on 0 are never exercised.  counters is
-    charged one node per structure, a fresh pool of DEFAULT_BUDGET when
-    none is given.
+    A structure has a suitable accepting set exactly when no word of the
+    language reaches w's end state.  The check is a depth-first search
+    over partial tables, rows[q][a] with -1 for an unassigned entry, that
+    branches only on the entries it meets, as the separation kernel does.
+    It first walks w from state 0.  Once w's walk is assigned, each node
+    runs `_reached` from w's end state on the partial rows: a word of the
+    language found there reaches the end state in every completion, so
+    the node is refuted.  Otherwise it branches on the first unassigned
+    entry of a numbered state, in (state, symbol) order; with none left
+    the numbered states form a complete table whose end state the
+    language misses, and the answer is False.  An entry branches over the
+    used states plus one fresh state.  A branch frame made after the walk
+    keeps w's end state, so it resumes there with no re-walk.
+
+    Numbering states by first use is canonical along any such branch
+    order, so the search is exhaustive.  Take any DFA D with <= p states
+    whose end state on w the language misses, and follow the search down
+    from the root, mapping each numbered state to a state of D, 0 to D's
+    start.  At a branch on entry (q, a), D's target of q's image on a is
+    either the image of a numbered state, whose branch is taken, or a
+    state no numbered state maps to, which takes the fresh state: one is
+    left, since D has at most p states.  Every node on that path is a
+    part of D, so none is refuted, and the path ends at a complete table:
+    the search cannot answer True.  Conversely a False answer is such a
+    DFA, its numbered states with w's end state accepting.
+
+    For a 0-free w and a 0-free language over {0,1,2}, structures over
+    two effective symbols suffice: transitions on 0 are never exercised.
+    counters is charged one node per partial table the search visits, the
+    root and each branch, through counters.tick(); it is a fresh pool of
+    DEFAULT_BUDGET when none is given.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if accepts(reversal, w[::-1]):
         raise ValueError("lsep undefined: the word belongs to the language")
     proj = _zero_free_projection(reversal) if "0" not in w else None
@@ -654,12 +681,40 @@ def lsep_lower_check(
         ws = word_symbols(w, k)
     if counters is None:
         counters = SearchCounters(DEFAULT_BUDGET)
-    for table in enumerate_canonical(p, k):
+    rows = [[-1] * k for _ in range(p)]
+    n = len(ws)
+    stack: list[tuple] = []  # (row, symbol, next target, limit, used, pos, state)
+    pos, state, used = 0, 0, 1
+    while True:
         counters.tick()
-        end = run_table(table, ws)
-        if not _reached(table, proj, end):
-            return False
-    return True
+        while pos < n and rows[state][ws[pos]] >= 0:
+            state = rows[state][ws[pos]]
+            pos += 1
+        if pos < n:
+            row, a = rows[state], ws[pos]
+        elif _reached(rows, proj, state):
+            row = None  # every completion is refuted
+        else:
+            row = next((r for r in rows[:used] if -1 in r), None)
+            if row is None:
+                return False
+            a = row.index(-1)
+        if row is not None:
+            stack.append((row, a, 0, used + 1 if used < p else p, used, pos, state))
+        # the next target of the deepest entry that has one left
+        while stack:
+            row, a, t, limit, used, pos, state = stack.pop()
+            if t < limit:
+                row[a] = t
+                stack.append((row, a, t + 1, limit, used, pos, state))
+                if used <= t:
+                    used = t + 1
+                if pos < n:
+                    state, pos = t, pos + 1
+                break
+            row[a] = -1
+        else:
+            return True
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 """Reference code that only the tests use: automaton operations the
-package needs nowhere else, the raw separation oracle, the atlas
-refinement one table at a time, and the recursive doubling-candidate
-generator."""
+package needs nowhere else, the raw separation oracle, the lsep check
+and the atlas refinement one table at a time, and the recursive
+doubling-candidate generator."""
 
 from sepwords.atlas import _binary_words
-from sepwords.dfa import Dfa, combine, enumerate_canonical, is_empty, word_symbols
-from sepwords.solver import _alphabet_for, raw_tables, run_table
+from sepwords.dfa import Dfa, accepts, combine, enumerate_canonical, is_empty, word_symbols
+from sepwords.solver import (_alphabet_for, _reached, _zero_free_projection, raw_tables,
+                             run_table)
 
 
 def complement(d: Dfa) -> Dfa:
@@ -31,6 +32,22 @@ def raw_separable(w: str, x: str, p: int) -> bool:
             if (mask >> ew & 1) and not (mask >> ex & 1):
                 return True
     return False
+
+
+def lsep_per_table(w: str, reversal: Dfa, p: int) -> bool:
+    """lsep_lower_check by enumeration: w is run on every complete
+    canonical table with <= p states, and the answer is False at the
+    first whose end state `_reached` finds no word of the language for.
+    Over the same {1,2} projection and the same membership guard."""
+    if accepts(reversal, w[::-1]):
+        raise ValueError("lsep undefined: the word belongs to the language")
+    proj = _zero_free_projection(reversal) if "0" not in w else None
+    if proj is not None:
+        k, ws = 2, [ord(c) - 49 for c in w]
+    else:
+        k, proj, ws = reversal.alphabet_size, reversal, word_symbols(w, reversal.alphabet_size)
+    return all(_reached(table, proj, run_table(table, ws))
+               for table in enumerate_canonical(p, k))
 
 
 def trie_ends(table, q, count):

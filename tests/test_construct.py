@@ -30,10 +30,12 @@ from sepwords.construct import (
 )
 from sepwords.dfa import (BudgetError, Dfa, accepts, combine, enumerate_canonical,
                           is_empty, reverse, run)
-from sepwords.lang import (_reversed_G_k, build_G_k, build_H_k, finite_language, iter_words,
-                           segmented_closure)
+from sepwords.lang import (_reversed_G_k, _reversed_H_k, build_G_k, build_H_k, build_L_k,
+                           finite_language, iter_words, segmented_closure)
 from sepwords.solver import (
+    DEFAULT_BUDGET,
     SearchBudget,
+    SearchCounters,
     lsep_lower_check,
     check_separates,
     exact_sep,
@@ -291,8 +293,29 @@ def test_search_z_k_never_builds_2_to_the_k(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_build_L_k_refuses_an_oversized_k_before_building(monkeypatch):
+    """L_k has 6k + 1 states, so a k past the state cap is refused before
+    any state is explored, directly and through search_z_k, with the
+    message of the cap."""
+    message = f"L_k construction exceeded {dfa.DEFAULT_DETERMINIZE_BUDGET} states"
+    tracemalloc.start()
+    try:
+        for build in (build_L_k, search_z_k):
+            with pytest.raises(BudgetError, match=message):
+                build(10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(dfa, "DEFAULT_DETERMINIZE_BUDGET", 31)
+    assert build_L_k(5).state_count == 31
+    with pytest.raises(BudgetError, match="L_k construction exceeded 31 states"):
+        build_L_k(6)
+
+
 def test_search_z_k_spends_one_node_budget_on_all_candidates(monkeypatch):
-    """A budget that fits one candidate's check but not two runs out.
+    """A budget that fits two candidates' checks suffices, and one node
+    less runs out, with each check's nodes counted on its own.
 
     Every level's first candidate, 112, passes; refuting it after its
     check forces a second candidate, as a language with a harder first
@@ -303,11 +326,16 @@ def test_search_z_k_spends_one_node_budget_on_all_candidates(monkeypatch):
     def refute_112(z, h, p, **kwargs):
         return real(z, h, p, **kwargs) and z != "112"
 
+    def nodes(z):
+        counters = SearchCounters(DEFAULT_BUDGET)
+        assert real(z, _reversed_H_k(2), 3, counters=counters)
+        return counters.nodes
+
     monkeypatch.setattr(construct, "lsep_lower_check", refute_112)
-    one = 229  # canonical binary structures with <= 3 states
-    assert search_z_k(2, budget=SearchBudget(max_nodes=2 * one)).word == "11112"
+    one, two = nodes("112"), nodes("11112")  # G_2's first two words
+    assert search_z_k(2, budget=SearchBudget(max_nodes=one + two)).word == "11112"
     with pytest.raises(BudgetError):
-        search_z_k(2, budget=SearchBudget(max_nodes=one + 1))
+        search_z_k(2, budget=SearchBudget(max_nodes=one + two - 1))
 
 
 def _search_z_k_eager(k):

@@ -37,8 +37,8 @@ from sepwords.solver import (
     run_table,
     separating_structure,
 )
-from reference import raw_separable
-from test_dfa import canonical_dfas, enumerate_canonical_reference, random_dfa
+from reference import lsep_per_table, raw_separable
+from test_dfa import canonical_dfas, random_dfa
 
 
 def recursive_distinguishing_structure(
@@ -198,6 +198,8 @@ def test_separator_search_rejects_a_state_count_below_one(p):
     for search in (separating_structure, no_separator_up_to):
         with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
             search("01", "10", p)
+    with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
+        lsep_lower_check("112", _reversed_H_k(2), p)
 
 
 def test_one_state_search_runs_no_kernel_yet_checks_the_words():
@@ -607,38 +609,140 @@ def test_reached_by_language_on_products_of_two_structures():
     assert states > 1000
 
 
-def _lsep_reference(w, l, p):
-    """lsep_lower_check's answer and node count over the recursive
-    reference enumerator and the full forward BFS of the language l: one
-    node per structure, up to the first whose end state l misses."""
-    proj = solver._zero_free_projection(l) if "0" not in w else None
+def _lsep_dfs_reference(w, reversal, p):
+    """lsep_lower_check's answer and node count from a recursive DFS over
+    the same partial rows: each node walks w again from state 0 and, once
+    w's walk is assigned, runs _reached from its end; it branches on w's
+    first unassigned entry, else on the first unassigned entry of a
+    numbered state, over the used states plus one fresh state."""
+    proj = solver._zero_free_projection(reversal) if "0" not in w else None
     if proj is not None:
         k, ws = 2, [ord(c) - 49 for c in w]
     else:
-        k, proj, ws = l.alphabet_size, l, word_symbols(w, l.alphabet_size)
+        k, proj = reversal.alphabet_size, reversal
+        ws = word_symbols(w, k)
+    rows = [[-1] * k for _ in range(p)]
     nodes = 0
-    for s in enumerate_canonical_reference(p, k):
+
+    def refuted(used):
+        nonlocal nodes
         nodes += 1
-        if run_table(s.transitions, ws) not in lsep_forbidden_states(s, proj):
-            return False, nodes
-    return True, nodes
+        end, entry = 0, None
+        for a in ws:
+            if rows[end][a] < 0:
+                entry = (end, a)
+                break
+            end = rows[end][a]
+        if entry is None:
+            if solver._reached(rows, proj, end):
+                return True
+            entry = next(((q, a) for q in range(used) for a in range(k) if rows[q][a] < 0),
+                         None)
+            if entry is None:
+                return False
+        q, a = entry
+        for t in range(min(used + 1, p)):
+            rows[q][a] = t
+            if not refuted(max(used, t + 1)):
+                return False
+        rows[q][a] = -1
+        return True
+
+    return refuted(1), nodes
 
 
-def test_lsep_lower_check_charges_one_node_per_reference_structure():
-    """The table walk visits the structures of the recursive reference in
-    the same order, so answers and charged nodes are the same, on 0-free
-    words (projected to two symbols) and on words with a 0 (three)."""
+class _TickCounters(SearchCounters):
+    """SearchCounters that also count the calls of tick()."""
+
+    __slots__ = ("ticks",)
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+        super().tick()
+
+
+def test_lsep_lower_check_charges_one_node_per_dfs_node():
+    """Each node of the search is one counters.tick(), and the answers and
+    node counts equal the recursive reference's, on 0-free words
+    (projected to two symbols) and on words with a 0 (three).  A budget
+    of N nodes short of the count raises BudgetError with N charged, and
+    a budget of the count suffices."""
     cases = 0
     for k in (1, 2, 3):
-        h = build_H_k(k)
-        zs = [w for w in iter_words(build_G_k(k), 5) if w] + ["0", "102", "2101"]
+        h = _reversed_H_k(k)
+        zs = [w for w in iter_words(build_G_k(k), 7) if w] + ["0", "102", "2101"]
         for z in zs:
-            for p in (1, 2, 3):
-                c = SearchCounters(DEFAULT_BUDGET)
-                got = lsep_lower_check(z, reverse(h), p, counters=c)
-                assert (got, c.nodes) == _lsep_reference(z, h, p), (k, z, p)
+            for p in (1, 2, 3, 4):
+                c = _TickCounters(DEFAULT_BUDGET)
+                got = lsep_lower_check(z, h, p, counters=c)
+                assert (got, c.nodes) == _lsep_dfs_reference(z, h, p), (k, z, p)
+                assert c.ticks == c.nodes
                 cases += 1
-    assert cases > 30
+    assert cases > 40
+    h = _reversed_H_k(3)
+    for w, p in (("1111112", 7), ("112", 4), ("102", 3)):
+        c = SearchCounters(DEFAULT_BUDGET)
+        verdict = lsep_lower_check(w, h, p, counters=c)
+        total = c.nodes
+        for n in range(1, total):
+            c = SearchCounters(SearchBudget(max_nodes=n))
+            with pytest.raises(BudgetError, match=f"at {n + 1} nodes"):
+                lsep_lower_check(w, h, p, counters=c)
+            assert c.nodes == n
+        c = SearchCounters(SearchBudget(max_nodes=total))
+        assert lsep_lower_check(w, h, p, counters=c) == verdict
+        assert c.nodes == total
+
+
+def _zero_free(rng, n):
+    """A random 3-symbol DFA whose symbol 0 leads every state to a dead
+    sink, so its language is 0-free."""
+    d = random_dfa(rng, n, 3)
+    dead = d.state_count
+    rows = tuple((dead, *row[1:]) for row in d.transitions) + ((dead,) * 3,)
+    return Dfa(3, rows, d.accepting)
+
+
+def test_lsep_lower_check_matches_the_per_table_oracle():
+    """The same verdict as reference.lsep_per_table, which runs w on every
+    canonical table: on H_k for k <= 4, 0-free words at p <= 4 and words
+    with a 0 at p <= 3, with one p = 5 case; and on random 3-symbol
+    reversals, 0-free or not, with random words of both kinds, at p <= 4
+    where the check runs over two symbols and p <= 3 where over three."""
+    verdicts = {True: 0, False: 0}
+
+    def check(w, rev, p):
+        if accepts(rev, w[::-1]):
+            return
+        got = lsep_lower_check(w, rev, p)
+        assert got == lsep_per_table(w, rev, p), (w, rev, p)
+        verdicts[got] += 1
+
+    for k in range(1, 5):
+        h = _reversed_H_k(k)
+        for w in [w for w in iter_words(build_G_k(k), 9) if w][:6]:
+            for p in (1, 2, 3, 4):
+                check(w, h, p)
+            for i in range(0, len(w) + 1, 3):
+                for p in (1, 2, 3):
+                    check(w[:i] + "0" + w[i:], h, p)
+    assert lsep_lower_check("11112", _reversed_H_k(3), 5)
+    assert lsep_per_table("11112", _reversed_H_k(3), 5)
+    rng = random.Random(20261022)
+    revs = [_zero_free(rng, 4) if i % 2 else random_dfa(rng, 4, 3) for i in range(36)]
+    assert any(is_zero_free(r) for r in revs) and not all(is_zero_free(r) for r in revs)
+    for rev in revs:
+        for _ in range(12):
+            w = "".join(rng.choice("012" if rng.random() < 0.4 else "12")
+                        for _ in range(rng.randrange(7)))
+            binary = "0" not in w and is_zero_free(rev)
+            for p in ((1, 2, 3, 4) if binary else (1, 2, 3)):
+                check(w, rev, p)
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def _lsep_or_member(w, l, p):

@@ -196,8 +196,11 @@ def _functions_reading(name: str) -> list[tuple[str, str]]:
 
 def test_one_function_reads_the_state_cap():
     # every construction that numbers new states does so through
-    # dfa._explore, so none can grow a cap check of its own
-    assert _functions_reading("DEFAULT_DETERMINIZE_BUDGET") == [("dfa", "_explore")]
+    # dfa._explore, so none can grow a cap check of its own; only
+    # build_L_k, whose 6k + 1 states are known before it explores any,
+    # refuses a k past the cap up front
+    assert _functions_reading("DEFAULT_DETERMINIZE_BUDGET") == [
+        ("dfa", "_explore"), ("lang", "build_L_k")]
 
 
 def test_only_constructions_of_unknown_shape_minimize():
