@@ -24,6 +24,9 @@ class CertificateCache:
         self.skipped_corrupt = 0
         self.skipped_version = 0
         self._entries: dict[str, object] = {}
+        # made here, so that a path under a regular file fails before any
+        # certificate is computed, not at the first write
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._load()
 
     def _load(self) -> None:
@@ -69,7 +72,6 @@ class CertificateCache:
                             == json.dumps(value, sort_keys=True)):
             return False
         self._entries[key] = value
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(
             {"key": key, "engine_version": self.engine_version, "value": value},
             sort_keys=True,
@@ -90,8 +92,7 @@ def sep_key(w: str, x: str) -> str:
 
 
 def store_certificate(cache: CertificateCache, cert: SepCertificate) -> bool:
-    """Store an exact certificate with `nodes` and `millis` zeroed, so that
-    files are reproducible; return whether a line was written.  A
-    budget-bounded certificate is never stored."""
-    return cert.exact and cache.put(sep_key(cert.w, cert.x),
-                                    dict(cert.to_dict(), nodes=0, millis=0))
+    """Store an exact certificate with `nodes` zeroed, so that a file does
+    not depend on which search found a table; return whether a line was
+    written.  A budget-bounded certificate is never stored."""
+    return cert.exact and cache.put(sep_key(cert.w, cert.x), dict(cert.to_dict(), nodes=0))

@@ -52,17 +52,12 @@ def _positive(kind):
     return parse
 
 
-def _cache(path: str) -> CertificateCache:
-    """The --cache file: not a directory, and no regular file above it, on
-    which its first write would fail after the whole table."""
-    if os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
-    above = os.path.dirname(os.path.abspath(path))
-    while not os.path.lexists(above):
-        above = os.path.dirname(above)
-    if not os.path.isdir(above):
-        raise argparse.ArgumentTypeError(f"{above!r} is not a directory")
-    return CertificateCache(path)
+def _cache(path: str) -> str:
+    """The --cache path: missing or a regular file.  A directory, a FIFO or
+    a device would fail or block at the first read or write."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a regular file")
+    return path
 
 
 def sep(args) -> int:
@@ -147,7 +142,11 @@ def lemma(args) -> int:
 
 def atlas(args) -> int:
     """The S(n) table: max separation number over binary pairs of length <= n."""
-    table = compute_atlas(args.max_len, cache=args.cache)
+    try:  # the cache file is opened, and its directory made, before the table
+        cache = None if args.cache is None else CertificateCache(args.cache)
+        table = compute_atlas(args.max_len, cache=cache)
+    except OSError as e:
+        args.parser.error(f"{args.cache}: {e}")
     if args.format == "json":
         print(table.to_json())
     else:  # csv doubles as the text rendering

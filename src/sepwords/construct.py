@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -23,7 +24,6 @@ from .dfa import (
     _shortest_word,
     _zero_walk,
     accepts,
-    combine,
     dfa_to_text,
     run,
     word_symbols,
@@ -33,7 +33,6 @@ from .lang import (
     _reversed_H_k,
     _reversed_words,
     build_H_k,
-    finite_language,
     is_zero_free,
     segmented_closure,
 )
@@ -374,16 +373,12 @@ def state_limit_for_pairs(k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _h_closure(k: int, z_k: Optional[str]) -> Dfa:
-    """The segmented closure of H_k, or of H_k + {z_k} when z_k is given.
+def _h_closure(k: int) -> Dfa:
+    """The segmented closure H_k (0^+ H_k)* that free_word searches.
 
-    Keyed on (k, z_k), not on a Dfa, so a hit hashes no automaton.
-    segmented_closure minimizes its result, so the union is not minimized.
+    Keyed on k, not on a Dfa, so a hit hashes no automaton.
     """
-    h = build_H_k(k)
-    if z_k is not None:
-        h = combine(h, finite_language([z_k]), "or")
-    return segmented_closure(h)
+    return segmented_closure(build_H_k(k))
 
 
 def free_word(
@@ -400,8 +395,12 @@ def free_word(
     the first triple that pairs the end states of d and d2 on w with an
     accepting closure state, so it returns the shortest such word, first
     in symbol order: the word an emptiness search over the full product
-    automaton would return.  w is checked against the closure of
-    H_k + {z_k}.
+    automaton would return.
+
+    w must lie in the closure of H_k + {z_k}, for z_k a nonempty {1,2}
+    word.  Every block of that closure is 0-free and nonempty, so w does
+    exactly when each part of w split at its 0-runs is z_k or a word of
+    H_k; no automaton of the union is built.
     """
     limit = state_limit_for_pairs(k)
     if d.state_count > limit or d2.state_count > limit:
@@ -411,9 +410,10 @@ def free_word(
         )
     if d.alphabet_size != 3 or d2.alphabet_size != 3:
         raise ValueError("free_word expects full-alphabet automata")
-    if not accepts(_h_closure(k, z_k), w):
+    h = build_H_k(k)
+    if not all(part == z_k or accepts(h, part) for part in re.split("0+", w)):
         raise ValueError("w is not in the closure of H'_k")
-    closure = _h_closure(k, None)
+    closure = _h_closure(k)
     rows, rows2, crows = d.transitions, d2.transitions, closure.transitions
     end, end2, accepting = run(d, 0, w), run(d2, 0, w), closure.accepting
     word = _shortest_word(
@@ -464,7 +464,12 @@ def farmand_dfa(r: Dfa, n: int) -> Dfa:
 
 
 class WitnessReport(_Value):
-    """A (k, n) witness pair with its claimed and certified bounds."""
+    """A (k, n) witness pair with its claimed and certified bounds.
+
+    A new report has verified nothing: lower_verified_to 0, no
+    upper_witness, and both statuses "pending" until verify_witness fills
+    them in.
+    """
 
     __slots__ = ("k", "n", "w_prime", "x_prime", "lower_claim", "upper_claim",
                  "z_word", "c_word", "z_certified", "lower_verified_to",
@@ -481,9 +486,6 @@ class WitnessReport(_Value):
         z_word: str,
         c_word: str,
         z_certified: bool,
-        lower_verified_to: int = 0,
-        upper_witness: Optional[Dfa] = None,
-        statuses: Optional[dict] = None,
     ):
         self.k = k
         self.n = n
@@ -494,9 +496,9 @@ class WitnessReport(_Value):
         self.z_word = z_word
         self.c_word = c_word
         self.z_certified = z_certified
-        self.lower_verified_to = lower_verified_to
-        self.upper_witness = upper_witness
-        self.statuses = {} if statuses is None else statuses
+        self.lower_verified_to = 0
+        self.upper_witness = None
+        self.statuses = {"lower": "pending", "upper": "pending"}
 
     def to_json(self) -> str:
         obj = self.as_dict()
@@ -540,7 +542,6 @@ def witness_pair(k: int, n: int, budget: SearchBudget = DEFAULT_BUDGET) -> Witne
         z_word=z.word,
         c_word=c.word,
         z_certified=z.certified,
-        statuses={"lower": "pending", "upper": "pending"},
     )
 
 

@@ -67,12 +67,12 @@ class LemmaCheck(_Value):
 
     def __init__(self, id: str, scale: str,
                  status: str,  # pass | fail | budget-bounded
-                 evidence: Optional[dict] = None,
-                 counterexample: Optional[dict] = None):
+                 evidence: dict,
+                 counterexample: Optional[dict]):
         self.id = id
         self.scale = scale
         self.status = status
-        self.evidence = {} if evidence is None else evidence
+        self.evidence = evidence
         self.counterexample = counterexample
 
     def to_json(self) -> str:
@@ -429,7 +429,7 @@ def _check_four(rng, negative):
     """Substituting a closure word fools any small automaton pair; k=4."""
     z = _z_4()
     h = build_H_k(4)
-    closure = _h_closure(4, None)  # the automaton free_word searches
+    closure = _h_closure(4)  # the automaton free_word searches
     blocks = [w for w in iter_words(h, 6) if w][:20] + [z.word]
     structs = [Dfa(3, t, frozenset()) for t in rng.sample(_ternary_structures(), 40)]
     for i in range(30):

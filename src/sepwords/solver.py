@@ -66,15 +66,16 @@ DEFAULT_BUDGET = SearchBudget()
 
 
 class SepCertificate(_Value):
-    """Proven value or bounds for the separation number of a pair."""
+    """Proven value or bounds for the separation number of a pair, and the
+    search nodes spent on them.  It holds no wall time, so its JSON is a
+    function of the pair and the budget."""
 
-    __slots__ = ("w", "x", "lower", "upper", "witness", "lower_method",
-                 "nodes", "millis")
+    __slots__ = ("w", "x", "lower", "upper", "witness", "lower_method", "nodes")
 
     def __init__(self, w: str, x: str, lower: int, upper: int,
                  witness: Optional[Dfa],
                  lower_method: str,  # exhaustive-canonical | unary-analytic
-                 nodes: int = 0, millis: int = 0):
+                 nodes: int):
         self.w = w
         self.x = x
         self.lower = lower
@@ -82,7 +83,6 @@ class SepCertificate(_Value):
         self.witness = witness
         self.lower_method = lower_method
         self.nodes = nodes
-        self.millis = millis
 
     @property
     def exact(self) -> bool:
@@ -111,7 +111,6 @@ class SepCertificate(_Value):
             "witness": dfa_to_text(self.witness) if self.witness else None,
             "lower_method": self.lower_method,
             "nodes": self.nodes,
-            "millis": self.millis,
         }
 
     def to_json(self) -> str:
@@ -121,9 +120,10 @@ class SepCertificate(_Value):
     def from_json(text: str) -> "SepCertificate":
         """Decode a certificate; ValueError unless the text is a JSON object
         with every field, the bounds are ints (not bools) with
-        1 <= lower <= upper, nodes and millis are non-negative ints (not
-        bools), the words and lower_method are strings and the witness is
-        null or DFA text."""
+        1 <= lower <= upper, nodes is a non-negative int (not a bool), the
+        words and lower_method are strings and the witness is null or DFA
+        text.  The derived "exact" key, and the "millis" key of older
+        files, are ignored."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("a certificate must be a JSON object")
@@ -136,7 +136,6 @@ class SepCertificate(_Value):
                 witness=obj["witness"],
                 lower_method=obj["lower_method"],
                 nodes=obj.get("nodes", 0),
-                millis=obj.get("millis", 0),
             )
         except KeyError as e:
             raise ValueError(f"a certificate needs the field {e}") from None
@@ -148,8 +147,8 @@ class SepCertificate(_Value):
                              "lower_method strings and its witness null or text")
         if not 1 <= cert.lower <= cert.upper:
             raise ValueError("a certificate's bounds must satisfy 1 <= lower <= upper")
-        if not all(type(n) is int and n >= 0 for n in (cert.nodes, cert.millis)):
-            raise ValueError("a certificate's nodes and millis must be non-negative ints")
+        if not (type(cert.nodes) is int and cert.nodes >= 0):
+            raise ValueError("a certificate's nodes must be a non-negative int")
         cert.witness = dfa_from_text(cert.witness)[0] if cert.witness else None
         return cert
 
@@ -465,20 +464,19 @@ def _trivial_table(w: str, k: int) -> Table:
 
 
 def certificate_from_table(w: str, x: str, table: Table, lower: int, method: str,
-                           nodes: int = 0, start: Optional[float] = None) -> SepCertificate:
+                           nodes: int = 0) -> SepCertificate:
     """The one way to make a certificate: the table becomes a witness that
     accepts exactly w's end state, with upper = len(table).  lower is the
-    caller's proved bound; it is not re-proved here.
+    caller's proved bound; it is not re-proved here.  nodes is what the
+    caller's search spent, 0 for a bound found without one.
 
-    millis counts from start, a time.monotonic() reading, or is 0 without
-    one.  Raises AssertionError (a real raise, kept under python -O) when
-    the witness breaks `SepCertificate.witness_checks`.
+    Raises AssertionError (a real raise, kept under python -O) when the
+    witness breaks `SepCertificate.witness_checks`.
     """
     k = len(table[0])
     witness = Dfa(k, table, frozenset({run_table(table, word_symbols(w, k))}))
-    millis = 0 if start is None else int((time.monotonic() - start) * 1000)
     cert = SepCertificate(w=w, x=x, lower=lower, upper=len(table), witness=witness,
-                          lower_method=method, nodes=nodes, millis=millis)
+                          lower_method=method, nodes=nodes)
     if not cert.witness_checks():
         raise AssertionError(f"{len(table)}-state witness fails the check for {w!r}, {x!r}")
     return cert
@@ -496,14 +494,12 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
     if w == x:
         raise ValueError("sep undefined for equal words")
     k = _alphabet_for(w, x)
-    start = time.monotonic()
-
     sym = _is_unary_pair(w, x)
     if sym is not None:
         a, b = sorted((len(w), len(x)))
         p = _unary_sep(a, b)
         return certificate_from_table(w, x, _unary_table(a, sym, k, p), p,
-                                      "unary-analytic", start=start)
+                                      "unary-analytic")
 
     # a separator with at most len(w) + 2 states always exists, so the
     # search ends by that level whatever max_states allows
@@ -515,14 +511,13 @@ def exact_sep(w: str, x: str, budget: SearchBudget = DEFAULT_BUDGET) -> SepCerti
             structure = _search(ws, xs, p, k, counters)
             if structure is not None:
                 return certificate_from_table(w, x, structure, p, "exhaustive-canonical",
-                                              counters.nodes, start)
+                                              counters.nodes)
             p += 1
     except BudgetError:
         pass
     # exhausted levels 2..p-1 (or the budget mid-level): bounded certificate
     table = _mod_counter_table(w, x, k) or _trivial_table(w, k)
-    return certificate_from_table(w, x, table, p, "exhaustive-canonical",
-                                  counters.nodes, start)
+    return certificate_from_table(w, x, table, p, "exhaustive-canonical", counters.nodes)
 
 
 def run_table(table: Table, syms: list[int], q: int = 0) -> int:

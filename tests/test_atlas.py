@@ -164,7 +164,7 @@ def test_stale_bounded_entry_is_solved_again(tmp_path):
     compute_atlas(2, cache=CertificateCache(path))
     exact = exact_sep("", "0")
     stale = SepCertificate("", "0", lower=1, upper=exact.upper,
-                           witness=exact.witness, lower_method="none")
+                           witness=exact.witness, lower_method="none", nodes=0)
     CertificateCache(path).put(sep_key("", "0"), stale.to_dict())
     cache = CertificateCache(path)
     table = compute_atlas(2, cache=cache)
@@ -199,7 +199,7 @@ def test_level_certificate_is_pinned():
     assert cert.to_dict() == {
         'w': '01', 'x': '1101', 'lower': 3, 'upper': 3, 'exact': True,
         'witness': 'dfa 2 3\naccepting 1\nstate 0: 0 1\nstate 1: 0 2\nstate 2: 1 0\n',
-        'lower_method': 'exhaustive-canonical', 'nodes': 0, 'millis': 0}
+        'lower_method': 'exhaustive-canonical', 'nodes': 0}
 
 
 def test_mixed_hits_and_misses(tmp_path):
@@ -221,7 +221,7 @@ def test_cold_cache_files_are_reproducible_and_servable(tmp_path):
     for line in lines:
         v = line["value"]
         assert line["key"] == sep_key(v["w"], v["x"])
-        assert (v["lower_method"], v["nodes"], v["millis"]) == ("exhaustive-canonical", 0, 0)
+        assert (v["lower_method"], v["nodes"]) == ("exhaustive-canonical", 0)
         cert = SepCertificate.from_json(json.dumps(v))
         assert cert.exact and cert.witness_checks()
         assert cert.lower == exact_sep(v["w"], v["x"]).value
@@ -292,11 +292,11 @@ _OVER_CLAIMS = {
     ("", "0"): {"w": "", "x": "0", "lower": 3, "upper": 3, "exact": True,
                 "witness": "dfa 2 3\naccepting 0\nstate 0: 1 0\nstate 1: 0 0\n"
                            "state 2: 2 2\n",
-                "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0},
+                "lower_method": "exhaustive-canonical", "nodes": 0},
     ("0", "000"): {"w": "0", "x": "000", "lower": 4, "upper": 4, "exact": True,
                    "witness": "dfa 2 4\naccepting 1\nstate 0: 1 0\nstate 1: 2 0\n"
                               "state 2: 0 0\nstate 3: 3 3\n",
-                   "lower_method": "exhaustive-canonical", "nodes": 0, "millis": 0},
+                   "lower_method": "exhaustive-canonical", "nodes": 0},
 }
 _ROW_PAIRS = sorted(_OVER_CLAIMS)
 

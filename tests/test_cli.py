@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through `cli_run.invoke`."""
 
 import json
+import os
 import pathlib
 import shlex
 import time
@@ -8,7 +9,8 @@ import time
 import pytest
 
 from cli_run import invoke
-from sepwords import cli, dfa
+from sepwords import cli, dfa, solver
+from sepwords.cache import CertificateCache
 from sepwords.cli import EXIT_BOUNDED, EXIT_USAGE
 from sepwords.dfa import Dfa, dfa_to_text, reverse
 from sepwords.lang import build_G_k, build_H_k, build_L_k, state_complexity
@@ -28,6 +30,34 @@ def test_sep_json_output():
     obj = json.loads(r.output)
     assert obj["lower"] == obj["upper"] == 3
     assert obj["exact"]
+
+
+class _SkewedClock:
+    """A `time` module stand-in whose clock moves 0.25 s at each reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 0.25
+        return self.now
+
+
+def test_sep_stdout_does_not_depend_on_the_clock(monkeypatch):
+    c = "100100100001001"
+    argv = ("--format", "json", "sep", c + "00" + c, c + "0" * 122 + c)
+    first = invoke(*argv)
+    clock = _SkewedClock()
+    monkeypatch.setattr(solver, "time", clock)
+    second = invoke(*argv)
+    assert clock.now > 0  # the search read the skewed clock
+    assert (second.exit_code, second.output) == (first.exit_code, first.output)
+    obj = json.loads(first.stdout)
+    assert sorted(obj) == sorted(
+        ["w", "x", "lower", "upper", "exact", "witness", "lower_method", "nodes"])
+    # a certificate written with a wall time decodes as one without
+    cert = solver.SepCertificate.from_json(first.stdout)
+    assert solver.SepCertificate.from_json(json.dumps(dict(obj, millis=5))) == cert
 
 
 def assert_usage_error(r):
@@ -63,9 +93,12 @@ def test_out_of_range_options_are_usage_errors(args):
 
 
 def test_cache_naming_a_directory_is_a_usage_error(tmp_path):
-    # a path under a regular file, too: its first write would fail after the table
+    # a path under a regular file, too, whose directory cannot be made; and
+    # any other file that is not a regular one, which would fail (/dev/null)
+    # or block (a FIFO) at the first read or write
     (tmp_path / "file").write_text("")
-    for path in (tmp_path, tmp_path / "file" / "c.jsonl"):
+    os.mkfifo(tmp_path / "fifo")
+    for path in (tmp_path, tmp_path / "file" / "c.jsonl", "/dev/null", tmp_path / "fifo"):
         r = invoke("atlas", "--cache", str(path))
         assert_usage_error(r)
         assert r.stdout == ""
@@ -247,6 +280,21 @@ def test_member_directory_is_a_usage_error(tmp_path):
         assert_usage_error(invoke("member", "--lang", str(path), "01"))
 
 
+@pytest.mark.parametrize("method", ["_load", "put"])
+def test_cache_read_or_write_error_is_one_error_line(tmp_path, monkeypatch, method):
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(CertificateCache, method, fail)
+    path = tmp_path / "c.jsonl"
+    path.write_text("")
+    r = invoke("atlas", "--max-len", "2", "--cache", str(path))
+    assert_usage_error(r)
+    assert r.stdout == ""
+    assert [line for line in r.stderr.splitlines() if line.startswith("Error:")] == [
+        f"Error: {path}: [Errno 28] No space left on device"]
+
+
 def test_readme_commands_parse(tmp_path, monkeypatch):
     """Every `sepwords ...` line of README's command-line usage block is a
     valid command line; none is run."""
@@ -256,7 +304,7 @@ def test_readme_commands_parse(tmp_path, monkeypatch):
              for line in block.split("```", 1)[0].splitlines()]
     commands = [words[1:] for words in lines if words[:1] == ["sepwords"]]
     assert len(commands) == 13
-    monkeypatch.chdir(tmp_path)  # --cache opens its file as it is parsed
+    monkeypatch.chdir(tmp_path)  # --cache checks its path as it is parsed
     for argv in commands:
         try:
             cli._parser().parse_args(argv)

@@ -444,23 +444,45 @@ def test_free_word_is_indistinguishable_and_in_closure():
         assert accepts(closure_h, wp)
 
 
-def test_free_word_closures_are_memoized_per_k_and_z_k():
+def test_free_word_closures_are_memoized_per_k():
     from sepwords.construct import _h_closure
     _h_closure.cache_clear()
     d = next(Dfa(3, t, frozenset()) for t in enumerate_canonical(2, 3) if len(t) == 2)
-    # "112" is outside H_4, so only the closure of H_4 + {"112"} holds it
+    # "112" is outside H_4, so only its part equal to z_k admits it
     first = free_word(4, d, d, "112", z_k="112")
     assert free_word(4, d, d, "112", z_k="112") == first
     free_word(4, d, d, "12", z_k="112")
-    # one closure of H_4 and one of H_4 + {"112"}, each built once
+    free_word(4, d, d, "12", z_k="1112")
+    # one closure of H_4, built once, whatever z_k
     info = _h_closure.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (1, 3)
     with pytest.raises(ValueError, match="closure of H'_k"):
         free_word(4, d, d, "0", z_k="112")
 
 
+@functools.lru_cache(maxsize=None)
+def _union_closure(k, z_k):
+    """The closure of H_k + {z_k}, built as an automaton."""
+    return segmented_closure(combine(build_H_k(k), finite_language([z_k]), "or"))
+
+
+def test_free_word_admits_w_as_the_union_closure_automaton_does():
+    # 1-state structures: each call's product search is trivial, so only
+    # the membership check of w can refuse it
+    one = Dfa(3, ((0, 0, 0),), frozenset())
+    words = ["".join(t) for n in range(7) for t in itertools.product("012", repeat=n)]
+    admitted = 0
+    for w in words:
+        got = _outcome(free_word, 4, one, one, w, "112")
+        assert (got[0] == "word") == accepts(_union_closure(4, "112"), w), w
+        assert got[0] == "word" or got[1] == "w is not in the closure of H'_k", (w, got)
+        admitted += got[0] == "word"
+    assert 0 < admitted < len(words) == 1093
+
+
 def _free_word_reference(k, d, d2, w, z_k):
-    """free_word as an emptiness search over the full product automaton."""
+    """free_word as an emptiness search over the full product automaton,
+    with w checked against the closure of H_k + {z_k} as an automaton."""
     limit = state_limit_for_pairs(k)
     if d.state_count > limit or d2.state_count > limit:
         raise ValueError(
@@ -469,11 +491,11 @@ def _free_word_reference(k, d, d2, w, z_k):
         )
     if d.alphabet_size != 3 or d2.alphabet_size != 3:
         raise ValueError("free_word expects full-alphabet automata")
-    if not accepts(construct._h_closure(k, z_k), w):
+    if not accepts(_union_closure(k, z_k), w):
         raise ValueError("w is not in the closure of H'_k")
     same_ends = combine(Dfa(3, d.transitions, frozenset({run(d, 0, w)})),
                         Dfa(3, d2.transitions, frozenset({run(d2, 0, w)})), "and")
-    empty, word = is_empty(combine(same_ends, construct._h_closure(k, None), "and"))
+    empty, word = is_empty(combine(same_ends, construct._h_closure(k), "and"))
     if empty:
         # the small-pair lemma rules this out when the preconditions hold
         raise ValueError(

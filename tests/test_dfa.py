@@ -96,6 +96,14 @@ _DFA = Dfa(2, ((0, 1), (1, 1)), frozenset({1}))
 _REQUIRED = object()  # default of a field that has none
 _ALONE = object()  # a field no other value of which is valid on its own
 
+
+class _Initial:
+    """The default of a field that __init__ does not take: every instance
+    starts at `value`, and its owner assigns the field later."""
+
+    def __init__(self, value):
+        self.value = value
+
 # per value class: frozen or not, and its fields in order, each as
 # (name, a value, another value, default)
 _VALUE_CLASSES = {
@@ -116,8 +124,7 @@ _VALUE_CLASSES = {
         ("upper", 2, 3, _REQUIRED),
         ("witness", _DFA, None, _REQUIRED),
         ("lower_method", "exhaustive-canonical", "none", _REQUIRED),
-        ("nodes", 7, 8, 0),
-        ("millis", 9, 10, 0),
+        ("nodes", 7, 8, _REQUIRED),
     ]),
     AtlasRow: (True, [
         ("n", 1, 2, _REQUIRED),
@@ -160,22 +167,35 @@ _VALUE_CLASSES = {
         ("z_word", "1", "11", _REQUIRED),
         ("c_word", "1", "2", _REQUIRED),
         ("z_certified", True, False, _REQUIRED),
-        ("lower_verified_to", 3, 4, 0),
-        ("upper_witness", _DFA, None, None),
-        ("statuses", {"lower": "pass"}, {"lower": "fail"}, {}),
+        ("lower_verified_to", 3, 4, _Initial(0)),
+        ("upper_witness", _DFA, None, _Initial(None)),
+        ("statuses", {"lower": "certified", "upper": "certified"},
+         {"lower": "failed", "upper": "certified"},
+         _Initial({"lower": "pending", "upper": "pending"})),
     ]),
     LemmaCheck: (False, [
         ("id", "fries", "pear", _REQUIRED),
         ("scale", "s", "t", _REQUIRED),
         ("status", "pass", "fail", _REQUIRED),
-        ("evidence", {"checked": 1}, {"checked": 2}, {}),
-        ("counterexample", {"w": "0"}, None, None),
+        ("evidence", {"checked": 1}, {"checked": 2}, _REQUIRED),
+        ("counterexample", {"w": "0"}, None, _REQUIRED),
     ]),
     SuiteReport: (False, [
         ("seed", 1, 2, _REQUIRED),
-        ("checks", [LemmaCheck("fries", "s", "pass")], [], _REQUIRED),
+        ("checks", [LemmaCheck("fries", "s", "pass", {}, None)], [], _REQUIRED),
     ]),
 }
+
+
+def _build(cls, fields, values: dict, keywords: bool = False):
+    """An instance holding `values`: __init__'s parameters passed in order
+    or by keyword, then each field that __init__ does not take assigned."""
+    initial = {name for name, _, _, default in fields if isinstance(default, _Initial)}
+    params = {name: value for name, value in values.items() if name not in initial}
+    obj = cls(**params) if keywords else cls(*params.values())
+    for name in initial:
+        setattr(obj, name, values[name])
+    return obj
 
 
 @pytest.mark.parametrize("cls", list(_VALUE_CLASSES), ids=lambda cls: cls.__name__)
@@ -183,29 +203,34 @@ def test_value_classes_keep_their_value_semantics(cls):
     frozen, fields = _VALUE_CLASSES[cls]
     values = {name: value for name, value, _, _ in fields}
     required = {name: value for name, value, _, default in fields if default is _REQUIRED}
-    a = cls(*values.values())
+    a = _build(cls, fields, values)
     assert [getattr(a, name) for name in values] == list(values.values())
-    assert cls(**values) == a
+    assert _build(cls, fields, values, keywords=True) == a
     assert repr(a) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
 
     bare, twin = cls(*required.values()), cls(**required)
     assert bare == twin
-    for name, _, _, default in fields:
-        if default is not _REQUIRED:
-            assert getattr(bare, name) == default
-            if isinstance(default, dict):  # a fresh {} per instance
-                assert getattr(bare, name) is not getattr(twin, name)
+    for name, value, _, default in fields:
+        if default is _REQUIRED:
+            continue
+        if isinstance(default, _Initial):
+            default = default.value
+            with pytest.raises(TypeError):  # not a parameter
+                cls(**required, **{name: value})
+        assert getattr(bare, name) == default
+        if isinstance(default, dict):  # a fresh dict per instance
+            assert getattr(bare, name) is not getattr(twin, name)
 
     # == is field-wise, and only between instances of one class
     for name, _, other, _ in fields:
         if other is not _ALONE:
-            assert cls(**dict(values, **{name: other})) != a
-    assert type("Sub", (cls,), {"__slots__": ()})(*values.values()) != a
+            assert _build(cls, fields, dict(values, **{name: other}), keywords=True) != a
+    assert _build(type("Sub", (cls,), {"__slots__": ()}), fields, values) != a
     assert a != tuple(values.values())
 
     name, _, other, _ = fields[-1]
     if frozen:
-        assert hash(cls(**values)) == hash(a)
+        assert hash(_build(cls, fields, values, keywords=True)) == hash(a)
         with pytest.raises(AttributeError):
             setattr(a, name, other)
         with pytest.raises(AttributeError):

@@ -361,14 +361,13 @@ _GOOD_CERTIFICATE = json.loads(exact_sep("0", "000").to_json())
     "5", "[1]", "null", '"x"', '{"w": "0"}',
     json.dumps(dict(_GOOD_CERTIFICATE, witness=5)),
     json.dumps(dict(_GOOD_CERTIFICATE, nodes="many")),
-    json.dumps(dict(_GOOD_CERTIFICATE, millis=[1])),
     json.dumps(dict(_GOOD_CERTIFICATE, nodes=True)),
     json.dumps(dict(_GOOD_CERTIFICATE, nodes=-1)),
     json.dumps(dict(_GOOD_CERTIFICATE, lower=-5, upper=99)),
     json.dumps(dict(_GOOD_CERTIFICATE, lower=0, upper=0)),
     json.dumps(dict(_GOOD_CERTIFICATE, lower=4, upper=3)),
 ], ids=["int", "list", "null", "string", "missing-fields", "int-witness",
-        "string-nodes", "list-millis", "bool-nodes", "negative-nodes",
+        "string-nodes", "bool-nodes", "negative-nodes",
         "negative-lower", "zero-bounds", "lower-above-upper"])
 def test_certificate_from_malformed_json_raises_value_error(text):
     with pytest.raises(ValueError):
@@ -388,45 +387,45 @@ def test_budget_bounded_certificate():
 _ONE_STATE = SearchBudget(max_states=1)
 _TWO_STATES = SearchBudget(max_states=2)
 
-# to_dict() of one certificate per witness builder, millis masked, as
+# to_dict() of one certificate per witness builder, as
 # computed before the builders returned bare tables
 PINNED_CERTIFICATES = [
     # search
     (("0110", "1001", DEFAULT_BUDGET),
      {'w': '0110', 'x': '1001', 'lower': 2, 'upper': 2, 'exact': True,
       'witness': 'dfa 2 2\naccepting 0\nstate 0: 0 1\nstate 1: 0 0\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 8, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 8}),
     # search, ternary
     (("012", "210", DEFAULT_BUDGET),
      {'w': '012', 'x': '210', 'lower': 2, 'upper': 2, 'exact': True,
       'witness': 'dfa 3 2\naccepting 1\nstate 0: 0 0 1\nstate 1: 0 0 0\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 8, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 8}),
     # unary chain
     (("0", "0000000", DEFAULT_BUDGET),
      {'w': '0', 'x': '0000000', 'lower': 3, 'upper': 3, 'exact': True,
       'witness': 'dfa 2 3\naccepting 1\nstate 0: 1 0\nstate 1: 2 1\nstate 2: 2 2\n',
-      'lower_method': 'unary-analytic', 'nodes': 0, 'millis': 0}),
+      'lower_method': 'unary-analytic', 'nodes': 0}),
     # unary cycle
     (("000", "0000", DEFAULT_BUDGET),
      {'w': '000', 'x': '0000', 'lower': 2, 'upper': 2, 'exact': True,
       'witness': 'dfa 2 2\naccepting 1\nstate 0: 1 0\nstate 1: 0 1\n',
-      'lower_method': 'unary-analytic', 'nodes': 0, 'millis': 0}),
+      'lower_method': 'unary-analytic', 'nodes': 0}),
     # mod-counter by length
     (("01", "0001", _ONE_STATE),
      {'w': '01', 'x': '0001', 'lower': 2, 'upper': 3, 'exact': False,
       'witness': 'dfa 2 3\naccepting 2\nstate 0: 1 1\nstate 1: 2 2\nstate 2: 0 0\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 0, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 0}),
     # mod-counter by symbol
     (("00", "11", _ONE_STATE),
      {'w': '00', 'x': '11', 'lower': 2, 'upper': 3, 'exact': False,
       'witness': 'dfa 2 3\naccepting 2\nstate 0: 1 0\nstate 1: 2 1\nstate 2: 0 2\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 0, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 0}),
     # trivial separator
     (("0010", "1000", _TWO_STATES),
      {'w': '0010', 'x': '1000', 'lower': 3, 'upper': 6, 'exact': False,
       'witness': 'dfa 2 6\naccepting 4\nstate 0: 1 5\nstate 1: 2 5\nstate 2: 5 3\n'
                  'state 3: 4 5\nstate 4: 5 5\nstate 5: 5 5\n',
-      'lower_method': 'exhaustive-canonical', 'nodes': 24, 'millis': 0}),
+      'lower_method': 'exhaustive-canonical', 'nodes': 24}),
 ]
 
 
@@ -435,7 +434,7 @@ PINNED_CERTIFICATES = [
                               "mod-length", "mod-symbol", "trivial"])
 def test_certificates_are_pinned_per_witness_builder(args, expected):
     cert = exact_sep(*args)
-    assert dict(cert.to_dict(), millis=0) == expected
+    assert cert.to_dict() == expected
 
 
 def test_node_budget_raises_only_inside_search():

@@ -131,15 +131,10 @@ def test_the_option_surface_is_pinned():
         ("construct", "search_C_n", "budget"),
         ("construct", "search_C_n", "forbid_run_length"),
         ("construct", "search_z_k", "budget"),
-        ("construct", "WitnessReport.__init__", "lower_verified_to"),
-        ("construct", "WitnessReport.__init__", "upper_witness"),
-        ("construct", "WitnessReport.__init__", "statuses"),
         ("construct", "witness_pair", "budget"),
         ("construct", "verify_witness", "budget"),
         ("dfa", "zpath", "i"),
         ("dfa", "dfa_to_text", "provenance"),
-        ("lemmas", "LemmaCheck.__init__", "evidence"),
-        ("lemmas", "LemmaCheck.__init__", "counterexample"),
         ("lemmas", "run_check", "seed"),
         ("lemmas", "run_check", "negative"),
         ("lemmas", "run_lemma_suite", "ids"),
@@ -147,10 +142,7 @@ def test_the_option_surface_is_pinned():
         ("solver", "SearchBudget.__init__", "max_states"),
         ("solver", "SearchBudget.__init__", "max_nodes"),
         ("solver", "SearchBudget.__init__", "wall_limit"),
-        ("solver", "SepCertificate.__init__", "nodes"),
-        ("solver", "SepCertificate.__init__", "millis"),
         ("solver", "certificate_from_table", "nodes"),
-        ("solver", "certificate_from_table", "start"),
         ("solver", "exact_sep", "budget"),
         ("solver", "run_table", "q"),
         ("solver", "separating_structure", "counters"),
@@ -201,6 +193,12 @@ def test_one_function_reads_the_state_cap():
     # refuses a k past the cap up front
     assert _functions_reading("DEFAULT_DETERMINIZE_BUDGET") == [
         ("dfa", "_explore"), ("lang", "build_L_k")]
+
+
+def test_only_the_search_budget_reads_the_clock():
+    # a deadline is the one use of wall time, so no output can depend on it
+    assert _functions_reading("time") == [
+        ("solver", "SearchCounters.__init__"), ("solver", "SearchCounters.check_deadline")]
 
 
 def test_only_constructions_of_unknown_shape_minimize():
